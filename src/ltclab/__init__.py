@@ -26,12 +26,10 @@ from .tanner import (
     OrderedGraph,
     TannerCode,
     check_expansion,
-    graph_compose,
     iterated_graph,
     product_graph,
     square_test_graph,
     tpc_linear_code,
-    tpc_membership,
 )
 from .tensor import TensorCode, TensorWord, project_word, tensor_power, tensor_product
 from .tester import RobustnessReport, SampledEstimate, TestInstance
@@ -56,12 +54,10 @@ __all__ = [
     "OrderedGraph",
     "TannerCode",
     "check_expansion",
-    "graph_compose",
     "iterated_graph",
     "product_graph",
     "square_test_graph",
     "tpc_linear_code",
-    "tpc_membership",
     "TestInstance",
     "RobustnessReport",
     "SampledEstimate",

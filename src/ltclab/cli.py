@@ -28,7 +28,7 @@ from .harness import (
     code_to_json_dict,
     emit_document,
     instance_from_specs,
-    parse_code_spec,
+    parse_flat_code_spec,
     parse_graph_spec,
     parse_word_file,
     query_account,
@@ -38,7 +38,6 @@ from .harness import (
 )
 from .reports import parse_fraction
 from .tanner import TannerCode
-from .tensor import TensorCode
 
 
 def _add_out(p: argparse.ArgumentParser) -> None:
@@ -81,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word-file")
     p.add_argument("--alpha", default="1/65536")
     p.add_argument("--tau")
-    p.add_argument("--exact", action="store_true", default=True)
     p.add_argument("--sampled", action="store_true")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -97,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", default="1/65536")
     p.add_argument("--tau")
-    p.add_argument("--exact", action="store_true", default=True)
     p.add_argument("--sampled", action="store_true")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--threshold", type=int)
@@ -141,9 +138,7 @@ def _load_word(args, field) -> Word:
 
 def _cmd_build_code(args) -> int:
     spec = args.code.strip()
-    code = parse_code_spec(spec)
-    if isinstance(code, TensorCode):
-        code = code.as_linear_code()
+    code = parse_flat_code_spec(spec)
     kind = "reed_solomon" if spec.startswith("rs:") and "^" not in spec else "generator"
     doc = code_to_json_dict(code, kind=kind)
     print(emit_document(doc, args.out, "json"), end="")
@@ -151,17 +146,13 @@ def _cmd_build_code(args) -> int:
 
 
 def _cmd_min_distance(args) -> int:
-    code = parse_code_spec(args.code)
-    if isinstance(code, TensorCode):
-        code = code.as_linear_code()
+    code = parse_flat_code_spec(args.code)
     print(code.min_distance(args.threshold))
     return 0
 
 
 def _cmd_encode(args) -> int:
-    code = parse_code_spec(args.code)
-    if isinstance(code, TensorCode):
-        code = code.as_linear_code()
+    code = parse_flat_code_spec(args.code)
     message = [int(v) for v in args.message.split(",")]
     word = code.encode(message)
     # Emit the canonical word format (a bare JSON array) so the output can be
@@ -172,17 +163,13 @@ def _cmd_encode(args) -> int:
 
 def _cmd_membership(args) -> int:
     if args.code and not args.graph:
-        code = parse_code_spec(args.code)
-        if isinstance(code, TensorCode):
-            code = code.as_linear_code()
+        code = parse_flat_code_spec(args.code)
         word = _load_word(args, code.field)
         print("true" if code.contains(word) else "false")
         return 0
     if args.graph and args.small:
         graph = parse_graph_spec(args.graph)
-        small = parse_code_spec(args.small)
-        if isinstance(small, TensorCode):
-            small = small.as_linear_code()
+        small = parse_flat_code_spec(args.small)
         word = _load_word(args, small.field)
         print("true" if TannerCode(graph, small).contains(word) else "false")
         return 0
@@ -225,8 +212,6 @@ def _cmd_sweep(args) -> int:
         mode="sampled" if args.sampled else "exact",
         samples=args.samples,
         threshold=args.threshold,
-        out=args.out,
-        fmt=args.format,
     )
     result = run_sweep(config)
     msg = emit_document(result.document(), args.out, args.format)
@@ -245,9 +230,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_compose_check(args) -> int:
     outer = parse_graph_spec(args.graph)
     inner = parse_graph_spec(args.graph2)
-    small = parse_code_spec(args.small)
-    if isinstance(small, TensorCode):
-        small = small.as_linear_code()
+    small = parse_flat_code_spec(args.small)
     result = run_compose_check(
         outer, inner, small, args.corpus, args.seed, threshold=args.threshold
     )

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .config import enumeration_threshold
+from .config import BROADCAST_CELLS, TABLE_CELLS, enumeration_threshold
 from .errors import (
     EmptyProjectionError,
     FieldMismatchError,
@@ -107,6 +107,98 @@ def distance(x: Word, y: Word) -> tuple[int, Fraction]:
     return ham, Fraction(ham, len(x))
 
 
+# --- the exact enumeration oracle ------------------------------------------------
+#
+# LinearCode and TensorCode share these functions.  A code enters only through
+# its field, its message length k and an ``encode_batch`` mapping a (B, k)
+# array of messages to a (B, n) array of codewords.  Every entry point checks
+# the threshold on every call.  Messages are enumerated in lexicographic order,
+# _CHUNK at a time, so ties break toward the smallest message.
+
+
+def _require_enumerable(field: Field, k: int, threshold) -> int:
+    limit = enumeration_threshold(threshold)
+    total = field.q**k
+    if total > limit:
+        raise TooLargeToEnumerateError(
+            f"{field.q}^{k} = {total} codewords exceeds threshold {limit}"
+        )
+    return total
+
+
+def codeword_blocks(field: Field, k: int, encode_batch, threshold=None):
+    """Yield (start, codewords) for blocks of _CHUNK consecutive messages."""
+    total = _require_enumerable(field, k, threshold)
+    shape = (field.q,) * k
+    for s in range(0, total, _CHUNK):
+        idx = np.arange(s, min(s + _CHUNK, total), dtype=np.int64)
+        yield s, encode_batch(np.stack(np.unravel_index(idx, shape), axis=1))
+
+
+def codeword_table(
+    field: Field, k: int, encode_batch, threshold=None, cached=None
+) -> np.ndarray:
+    """All q**k codewords as one read-only array; ``cached`` when given.
+
+    Refuses past the threshold even when cached, and refuses a table of more
+    than TABLE_CELLS cells.
+    """
+    total = _require_enumerable(field, k, threshold)
+    if cached is not None:
+        return cached
+    blocks = codeword_blocks(field, k, encode_batch, threshold)
+    _, table = next(blocks)
+    if total * table.shape[1] > TABLE_CELLS:
+        raise TooLargeToEnumerateError(
+            f"codeword table would hold {total * table.shape[1]} cells"
+        )
+    if table.shape[0] < total:
+        table = np.concatenate([table] + [block for _, block in blocks])
+    table.setflags(write=False)
+    return table
+
+
+def nearest_codeword(
+    field: Field, k: int, encode_batch, values: np.ndarray, threshold=None
+) -> tuple[np.ndarray, int]:
+    """The first codeword in message order nearest to ``values``, and its distance."""
+    best, best_ham = None, values.size + 1
+    for _, block in codeword_blocks(field, k, encode_batch, threshold):
+        hams = np.count_nonzero(block != values[None, :], axis=1)
+        i = int(np.argmin(hams))
+        if int(hams[i]) < best_ham:
+            best, best_ham = block[i].copy(), int(hams[i])
+    return best, best_ham
+
+
+def nearest_distances(
+    field: Field, k: int, encode_batch, codewords, words: np.ndarray, threshold=None
+) -> np.ndarray:
+    """Per-row Hamming distance from a (B, n) array to the nearest codeword.
+
+    Compares against the table ``codewords(threshold)`` when the table fits in
+    TABLE_CELLS cells; otherwise streams codeword blocks, keeping a running
+    minimum.
+    """
+    if field.q**k * words.shape[1] <= TABLE_CELLS:
+        return _min_hammings(words, codewords(threshold))
+    best = None
+    for _, block in codeword_blocks(field, k, encode_batch, threshold):
+        hams = _min_hammings(words, block)
+        best = hams if best is None else np.minimum(best, hams, out=best)
+    return best
+
+
+def _min_hammings(words: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Per-row minimum Hamming distance from (B, n) words to the rows of a table."""
+    out = np.empty(words.shape[0], dtype=np.int64)
+    step = max(1, BROADCAST_CELLS // max(1, table.size))
+    for s in range(0, words.shape[0], step):
+        diff = words[s : s + step, None, :] != table[None, :, :]
+        out[s : s + step] = diff.sum(axis=2).min(axis=1)
+    return out
+
+
 class LinearCode:
     """An [n, k, d] linear code given by a full-rank generator matrix."""
 
@@ -177,10 +269,7 @@ class LinearCode:
 
     def contains(self, word: Word) -> bool:
         """Membership via the parity check."""
-        values = self._check_word(word)
-        if self.parity_check.shape[0] == 0:
-            return True
-        return not np.any((self.parity_check @ values) % self.field.q)
+        return bool(self.contains_batch(self._check_word(word)[None])[0])
 
     def contains_batch(self, words: np.ndarray) -> np.ndarray:
         """Vectorized membership for a (B, n) array of words."""
@@ -197,49 +286,21 @@ class LinearCode:
 
     # --- exhaustive oracles -------------------------------------------------
 
-    def _require_enumerable(self, threshold) -> int:
-        limit = enumeration_threshold(threshold)
-        total = self.num_codewords()
-        if total > limit:
-            raise TooLargeToEnumerateError(
-                f"{self.field.q}^{self.k} = {total} codewords exceeds threshold {limit}"
-            )
-        return total
-
-    def _message_chunk(self, start: int, stop: int) -> np.ndarray:
-        idx = np.arange(start, stop, dtype=np.int64)
-        digits = np.stack(
-            np.unravel_index(idx, (self.field.q,) * self.k), axis=1
-        ).astype(np.int64)
-        return digits
-
     def codewords(self, threshold=None) -> np.ndarray:
-        """All q**k codewords as a read-only (q**k, n) array.
+        """All q**k codewords as a read-only (q**k, n) array, cached.
 
         Row order is lexicographic in the message symbols, so row index i
         encodes the message ``unravel_index(i, (q,)*k)``.
         """
-        if self._codewords is None:
-            total = self._require_enumerable(threshold)
-            if total * self.n > 1 << 26:
-                raise TooLargeToEnumerateError(
-                    f"codeword table would hold {total * self.n} cells"
-                )
-            rows = [
-                self.encode_batch(self._message_chunk(s, min(s + _CHUNK, total)))
-                for s in range(0, total, _CHUNK)
-            ]
-            table = np.concatenate(rows, axis=0)
-            table.setflags(write=False)
-            self._codewords = table
+        self._codewords = codeword_table(
+            self.field, self.k, self.encode_batch, threshold, self._codewords
+        )
         return self._codewords
 
     def min_distance(self, threshold=None) -> int:
         """Exact minimum distance by enumerating nonzero codewords."""
-        total = self._require_enumerable(threshold)
         best = self.n + 1
-        for s in range(0, total, _CHUNK):
-            block = self.encode_batch(self._message_chunk(s, min(s + _CHUNK, total)))
+        for s, block in codeword_blocks(self.field, self.k, self.encode_batch, threshold):
             w = np.count_nonzero(block, axis=1)
             if s == 0:
                 w = w[1:]  # skip the zero codeword
@@ -253,36 +314,18 @@ class LinearCode:
         """A codeword minimizing relative distance to ``word``.
 
         Ties break toward the lexicographically smallest message, which is the
-        first minimum in enumeration order.
+        first minimum in enumeration order.  Streams codewords from the
+        generator and never reads the cached table.
         """
         values = self._check_word(word)
-        total = self._require_enumerable(threshold)
-        best_ham = self.n + 1
-        best_idx = -1
-        for s in range(0, total, _CHUNK):
-            block = self.encode_batch(self._message_chunk(s, min(s + _CHUNK, total)))
-            hams = np.count_nonzero(block != values[None, :], axis=1)
-            i = int(np.argmin(hams))
-            if int(hams[i]) < best_ham:
-                best_ham = int(hams[i])
-                best_idx = s + i
-        msg = np.array(
-            np.unravel_index(best_idx, (self.field.q,) * self.k), dtype=np.int64
-        )
-        codeword = Word(self.field, (msg @ self.generator) % self.field.q)
-        return codeword, Fraction(best_ham, self.n)
+        best, ham = nearest_codeword(self.field, self.k, self.encode_batch, values, threshold)
+        return Word(self.field, best), Fraction(ham, self.n)
 
     def nearest_distance_batch(self, words: np.ndarray, threshold=None) -> np.ndarray:
         """Per-row Hamming distance from a (B, n) array to the nearest codeword."""
-        table = self.codewords(threshold)
-        out = np.empty(words.shape[0], dtype=np.int64)
-        # Cap the broadcast buffer at ~2**26 entries.
-        step = max(1, (1 << 26) // max(1, table.shape[0] * self.n))
-        for s in range(0, words.shape[0], step):
-            block = words[s : s + step]
-            diff = block[:, None, :] != table[None, :, :]
-            out[s : s + step] = diff.sum(axis=2).min(axis=1)
-        return out
+        return nearest_distances(
+            self.field, self.k, self.encode_batch, self.codewords, words, threshold
+        )
 
     # --- projection ---------------------------------------------------------
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .code import LinearCode, Word
+from .config import LOW_WEIGHT_WORDS
 from .tensor import TensorCode
 from .tester import TestInstance
 
@@ -108,7 +109,7 @@ def _weight_ladder(n: int) -> list[int]:
 
 def _low_weight_words(q: int, n: int, wmax: int):
     total = sum(math.comb(n, w) * (q - 1) ** w for w in range(wmax + 1))
-    if total > 10**6:
+    if total > LOW_WEIGHT_WORDS:
         raise ValueError(
             f"low_weight corpus would enumerate {total} words; lower wmax"
         )

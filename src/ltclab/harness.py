@@ -34,6 +34,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .code import LinearCode, Word, full_code, make_generator_code, reed_solomon, repetition
+from .config import DERIVED_PARITY_CELLS, EXPANSION_PAIRS
 from .corpus import generate_corpus, parse_corpus_spec
 from .errors import TooLargeToEnumerateError
 from .field import Field
@@ -87,6 +88,12 @@ def parse_code_spec(text: str) -> Union[LinearCode, TensorCode]:
     if kind == "full":
         return full_code(Field(kv["q"]), kv["n"])
     raise ValueError(f"unknown code spec {text!r}")
+
+
+def parse_flat_code_spec(text: str) -> LinearCode:
+    """Parse an inline code spec; a tensor power comes back as a flat LinearCode."""
+    code = parse_code_spec(text)
+    return code.as_linear_code() if isinstance(code, TensorCode) else code
 
 
 def load_code_file(path: str) -> LinearCode:
@@ -169,7 +176,6 @@ def instance_from_specs(
     full_spec: Optional[str] = None,
     threshold=None,
     budget=None,
-    derive_full_cells: int = 1 << 22,
 ) -> TestInstance:
     """Build a test instance from inline specs.
 
@@ -178,15 +184,13 @@ def instance_from_specs(
     back to certified intervals.
     """
     graph = parse_graph_spec(graph_spec, budget=budget)
-    small = parse_code_spec(small_spec)
-    if isinstance(small, TensorCode):
-        small = small.as_linear_code()
+    small = parse_flat_code_spec(small_spec)
     full = None
     if full_spec:
         full = parse_code_spec(full_spec)
     else:
         try:
-            full = tpc_linear_code(graph, small, max_cells=derive_full_cells)
+            full = tpc_linear_code(graph, small, max_cells=DERIVED_PARITY_CELLS)
         except (TooLargeToEnumerateError, ValueError):
             full = None
     label = f"{graph_spec} / {small_spec}"
@@ -211,8 +215,6 @@ class ExperimentConfig:
     samples: int = 200
     threshold: Optional[int] = None
     budget: Optional[int] = None
-    out: Optional[str] = None
-    fmt: str = "json"
     label: Optional[str] = None
 
 
@@ -412,7 +414,7 @@ def run_expansion_check(
     if mode == "exhaustive":
         smax = n // 4
         count_s = sum(math.comb(n, s) for s in range(smax + 1))
-        if count_s * (2**m) > 10**7:
+        if count_s * (2**m) > EXPANSION_PAIRS:
             raise TooLargeToEnumerateError(
                 f"{count_s} left subsets x {2**m} right subsets is too many"
             )

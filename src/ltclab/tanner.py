@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .code import LinearCode, Word
-from .config import adjacency_budget
+from .config import PARITY_CELLS, adjacency_budget
 from .errors import (
     DegreeMismatchError,
     EntryOutOfRangeError,
@@ -151,14 +151,6 @@ class OrderedGraph:
         """The ordered projection of a word's values onto list j (1-based)."""
         return values[self.row0(j - 1)]
 
-    def views_matrix(self, values: np.ndarray) -> np.ndarray:
-        """All views as an (m, t) array; explicit-size graphs only."""
-        if self._rows0 is not None:
-            return values[self._rows0]
-        if self.m_right * self.t_degree > adjacency_budget(None):
-            raise GraphTooLargeError("too many views to materialize at once")
-        return values[self.rows0_block(0, self.m_right)]
-
     # --- structure ----------------------------------------------------------------
 
     def left_degrees(self) -> np.ndarray:
@@ -231,11 +223,6 @@ class OrderedGraph:
             f"OrderedGraph({self.n_left}, {self.m_right}, {self.t_degree},"
             f" {kind}{name})"
         )
-
-
-def graph_compose(outer: OrderedGraph, inner: OrderedGraph, budget=None) -> OrderedGraph:
-    """Functional alias for OrderedGraph.compose."""
-    return outer.compose(inner, budget=budget)
 
 
 # --- concrete families ------------------------------------------------------
@@ -326,11 +313,7 @@ class TannerCode:
             raise LengthMismatchError(
                 f"word length {len(word)}, graph has {self.graph.n_left} left vertices"
             )
-        values = word.values
-        for _, block in self.graph.iter_row_blocks():
-            if not np.all(self.small.contains_batch(values[block])):
-                return False
-        return True
+        return bool(self.contains_batch(word.values[None])[0])
 
     def contains_batch(self, words: np.ndarray) -> np.ndarray:
         """Vectorized membership for a (B, n_left) array of word values."""
@@ -346,11 +329,7 @@ class TannerCode:
         return f"TannerCode({self.graph!r}, {self.small!r})"
 
 
-def tpc_membership(graph: OrderedGraph, small: LinearCode, word: Word) -> bool:
-    return TannerCode(graph, small).contains(word)
-
-
-def tpc_linear_code(graph: OrderedGraph, small: LinearCode, max_cells: int = 1 << 24) -> LinearCode:
+def tpc_linear_code(graph: OrderedGraph, small: LinearCode, max_cells: int = PARITY_CELLS) -> LinearCode:
     """The Tanner product code as an explicit LinearCode.
 
     Stacks one parity row per (right vertex, small parity row) pair and takes

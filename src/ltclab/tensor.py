@@ -34,8 +34,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .code import LinearCode, Word, _coerce_symbols
-from .config import enumeration_threshold
+from .code import (
+    LinearCode,
+    Word,
+    _coerce_symbols,
+    codeword_table,
+    nearest_codeword,
+    nearest_distances,
+)
+from .config import GENERATOR_CELLS
 from .errors import (
     EmptyProjectionError,
     FieldMismatchError,
@@ -174,15 +181,7 @@ class TensorCode:
         True iff for every axis b, every line parallel to axis b is a codeword
         of the b-th factor.
         """
-        arr = self._check_shape(word)
-        return bool(np.all(self._line_memberships(arr)))
-
-    def _line_memberships(self, arr: np.ndarray) -> list[np.ndarray]:
-        out = []
-        for b0, factor in enumerate(self.factors):
-            lines = np.moveaxis(arr, b0, -1).reshape(-1, factor.n)
-            out.append(factor.contains_batch(lines))
-        return out
+        return bool(self.contains_batch(self._check_shape(word).reshape(1, -1))[0])
 
     def contains_batch(self, flat_words: np.ndarray) -> np.ndarray:
         """Vectorized axis-parallel membership for (B, block_length) values."""
@@ -214,60 +213,38 @@ class TensorCode:
             arr = np.moveaxis(arr, -1, 1 + b0) % self.field.q
         return arr
 
-    def _require_enumerable(self, threshold) -> int:
-        limit = enumeration_threshold(threshold)
-        total = self.field.q**self.dimension
-        if total > limit:
-            raise TooLargeToEnumerateError(
-                f"{self.field.q}^{self.dimension} = {total} codewords exceeds "
-                f"threshold {limit}"
-            )
-        return total
+    def encode_batch(self, messages: np.ndarray) -> np.ndarray:
+        """Encode a (B, dimension) batch of flattened message grids into (B, N)."""
+        kshape = tuple(c.k for c in self.factors)
+        arr = self._contract(messages.reshape((messages.shape[0],) + kshape))
+        return arr.reshape(messages.shape[0], self.block_length)
 
     def codewords(self, threshold=None) -> np.ndarray:
         """All codewords as a (q**dim, block_length) array, flattened row-major.
 
         Row order is lexicographic in the flattened message grid.
         """
-        if self._codewords is None:
-            total = self._require_enumerable(threshold)
-            if total * self.block_length > 1 << 26:
-                raise TooLargeToEnumerateError(
-                    f"codeword table would hold {total * self.block_length} cells"
-                )
-            kshape = tuple(c.k for c in self.factors)
-            idx = np.arange(total, dtype=np.int64)
-            msgs = np.stack(np.unravel_index(idx, (self.field.q,) * self.dimension), axis=1)
-            batch = msgs.reshape((total,) + kshape)
-            table = self._contract(batch).reshape(total, self.block_length)
-            table.setflags(write=False)
-            self._codewords = table
+        self._codewords = codeword_table(
+            self.field, self.dimension, self.encode_batch, threshold, self._codewords
+        )
         return self._codewords
 
     def nearest(self, word: TensorWord, threshold=None) -> tuple[TensorWord, Fraction]:
         """Closest codeword (lex-smallest message on ties) and its distance."""
         arr = self._check_shape(word).reshape(-1)
-        table = self.codewords(threshold)
-        hams = np.count_nonzero(table != arr[None, :], axis=1)
-        i = int(np.argmin(hams))
-        best = TensorWord(self.field, self.shape, table[i])
-        return best, Fraction(int(hams[i]), self.block_length)
+        best, ham = nearest_codeword(self.field, self.dimension, self.encode_batch, arr, threshold)
+        return TensorWord(self.field, self.shape, best), Fraction(ham, self.block_length)
 
     def nearest_distance_batch(self, flat_words: np.ndarray, threshold=None) -> np.ndarray:
         """Per-row Hamming distance from (B, N) flattened words to the code."""
-        table = self.codewords(threshold)
-        out = np.empty(flat_words.shape[0], dtype=np.int64)
-        step = max(1, (1 << 26) // max(1, table.shape[0] * self.block_length))
-        for s in range(0, flat_words.shape[0], step):
-            block = flat_words[s : s + step]
-            diff = block[:, None, :] != table[None, :, :]
-            out[s : s + step] = diff.sum(axis=2).min(axis=1)
-        return out
+        return nearest_distances(
+            self.field, self.dimension, self.encode_batch, self.codewords, flat_words, threshold
+        )
 
-    def as_linear_code(self, max_cells: int = 1 << 24) -> LinearCode:
+    def as_linear_code(self) -> LinearCode:
         """The same code as a flat LinearCode with a Kronecker generator."""
         if self._linear is None:
-            if self.dimension * self.block_length > max_cells:
+            if self.dimension * self.block_length > GENERATOR_CELLS:
                 raise TooLargeToEnumerateError(
                     f"generator would hold {self.dimension * self.block_length} cells"
                 )

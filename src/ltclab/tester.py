@@ -30,7 +30,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .code import LinearCode, Word
-from .config import adjacency_budget
+from .config import REPETITIONS, adjacency_budget
 from .errors import (
     DegreeMismatchError,
     FieldMismatchError,
@@ -206,17 +206,8 @@ class TestInstance:
         values = self._values(word)
         rng = random.Random(seed)
         js = [rng.randrange(self.graph.m_right) for _ in range(samples)]
-        hams = np.array(
-            [
-                int(
-                    self.small.nearest_distance_batch(
-                        values[self.graph.row0(j0)][None, :], self.threshold
-                    )[0]
-                )
-                for j0 in js
-            ],
-            dtype=np.int64,
-        )
+        rows = np.stack([self.graph.row0(j0) for j0 in js])
+        hams = self.small.nearest_distance_batch(values[rows], self.threshold)
         t = self.graph.t_degree
         mean = Fraction(int(hams.sum()), samples * t)
         rel = hams / t
@@ -331,7 +322,7 @@ class TestInstance:
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         c = -(-alpha.denominator // alpha.numerator)  # ceil(1/alpha)
-        if c > 10**6:
+        if c > REPETITIONS:
             raise ValueError(f"{c} repetitions is beyond exact evaluation")
         hams = self.view_hammings(word)
         p = Fraction(int(np.count_nonzero(hams)), self.graph.m_right)
@@ -351,14 +342,6 @@ class TestInstance:
         denom = self.graph.m_right * self.graph.t_degree
         weights = tuple(Fraction(int(c), denom) for c in counts)
         return weights, min(weights)
-
-    def contains(self, word: Word) -> bool:
-        """Membership of the word in the Tanner product code of the instance."""
-        values = self._values(word)
-        for _, block in self.graph.iter_row_blocks():
-            if not np.all(self.small.contains_batch(values[block])):
-                return False
-        return True
 
     def __repr__(self):
         return f"TestInstance({self.label!r}, {self.graph!r}, small={self.small!r})"

@@ -99,7 +99,6 @@ def test_robustness_single_error_word(capsys, tmp_path):
         "--graph", "product:n=3,m=2",
         "--small", "rep:q=2,n=3",
         "--word-file", str(word_file),
-        "--exact",
     )
     assert code == 0
     doc = json.loads(out)

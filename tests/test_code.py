@@ -185,6 +185,27 @@ def test_codeword_table_memory_guard():
         big.codewords()
 
 
+def test_threshold_refuses_on_a_warm_table():
+    c = reed_solomon(GF7, 7, 2)  # 49 codewords
+    c.codewords()
+    words = np.zeros((1, 7), dtype=np.int64)
+    with pytest.raises(TooLargeToEnumerateError):
+        c.nearest_distance_batch(words, threshold=1)
+    with pytest.raises(TooLargeToEnumerateError):
+        c.codewords(threshold=1)
+    assert c.nearest_distance_batch(words).tolist() == [0]
+
+
+def test_nearest_distance_streams_past_the_table_limit():
+    # 2^21 <= 2^24 codewords, but a 2^27-cell table: the oracle streams.  The
+    # code holds exactly the words that vanish off the first 21 coordinates.
+    big = make_generator_code(GF2, np.eye(21, 64, dtype=np.int64).tolist())
+    words = np.random.default_rng(9).integers(0, 2, size=(3, 64))
+    hams = big.nearest_distance_batch(words)
+    assert hams.tolist() == np.count_nonzero(words[:, 21:], axis=1).tolist()
+    assert big.nearest(Word(GF2, words[0]))[1] == Fraction(int(hams[0]), 64)
+
+
 @pytest.mark.parametrize("q", [5, 7, 11, 13])
 def test_reed_solomon_is_mds(q):
     f = Field(q)

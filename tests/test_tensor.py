@@ -11,6 +11,7 @@ from ltclab.errors import (
     IndexOutOfRangeError,
     NotACodewordError,
     ShapeMismatchError,
+    TooLargeToEnumerateError,
     UnderdeterminedError,
 )
 from ltclab.field import Field
@@ -46,6 +47,15 @@ def test_rs_square_distance_by_enumeration():
     c = tensor_product(reed_solomon(GF7, 7, 2), reed_solomon(GF7, 7, 2))
     assert (c.n, c.k, c.d_known) == (49, 4, 36)
     assert c.min_distance() == 36  # enumerates all 2401 codewords
+
+
+def test_threshold_refuses_on_a_warm_table():
+    t = tensor_power(repetition(GF2, 2), 2)  # 2 codewords
+    t.codewords()
+    words = np.zeros((1, 4), dtype=np.int64)
+    with pytest.raises(TooLargeToEnumerateError):
+        t.nearest_distance_batch(words, threshold=1)
+    assert t.nearest_distance_batch(words).tolist() == [0]
 
 
 def test_power_one_is_the_code():

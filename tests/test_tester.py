@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from ltclab.code import Word, repetition, reed_solomon
 from ltclab.errors import TooLargeToEnumerateError
 from ltclab.field import Field
 from ltclab.harness import product_instance
-from ltclab.tanner import product_graph
+from ltclab.tanner import TannerCode, product_graph
 from ltclab.tensor import tensor_power
 from ltclab.tester import TestInstance
 
@@ -67,7 +68,7 @@ def test_membership_coincides_with_zero_robustness(rep3_square):
         w = Word(GF2, rng.integers(0, 2, size=9))
         rho = rep3_square.expected_robustness(w)
         delta = rep3_square.delta_exact(w)
-        assert (rho == 0) == rep3_square.contains(w)
+        assert (rho == 0) == TannerCode(rep3_square.graph, rep3_square.small).contains(w)
         assert (rho == 0) == (delta == 0)
 
 
@@ -76,6 +77,15 @@ def test_sampled_estimator_deterministic(rep3_square):
     a = rep3_square.expected_robustness_sampled(w, seed=7, samples=100)
     b = rep3_square.expected_robustness_sampled(w, seed=7, samples=100)
     assert a == b
+
+
+def test_sampled_estimator_matches_per_view_loop(rep3_square):
+    w = Word(GF2, np.random.default_rng(44).integers(0, 2, size=9))
+    rng = random.Random(5)
+    js = [rng.randrange(rep3_square.graph.m_right) for _ in range(50)]
+    per_view = [rep3_square.view_robustness(w, j0 + 1) for j0 in js]
+    est = rep3_square.expected_robustness_sampled(w, seed=5, samples=50)
+    assert est.value == sum(per_view, Fraction(0)) / 50
 
 
 def test_sampled_estimator_near_exact(rep3_square):
