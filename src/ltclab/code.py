@@ -8,6 +8,7 @@ refuse beyond it; nothing here ever estimates.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -32,6 +33,8 @@ _CHUNK = 1 << 14
 
 def _coerce_symbols(field: Field, symbols) -> np.ndarray:
     if isinstance(symbols, np.ndarray):
+        if symbols.dtype.kind not in "iu":
+            raise ValueError(f"symbols must be integers, got dtype {symbols.dtype}")
         values = symbols.astype(np.int64, copy=True)
     else:
         out = []
@@ -43,7 +46,10 @@ def _coerce_symbols(field: Field, symbols) -> np.ndarray:
                     )
                 out.append(s.value)
             else:
-                out.append(int(s))
+                try:
+                    out.append(operator.index(s))
+                except TypeError:
+                    raise ValueError(f"symbol {s!r} is not an integer") from None
         values = np.array(out, dtype=np.int64)
     if values.ndim != 1:
         raise ValueError("symbols must form a 1-d sequence")
@@ -209,8 +215,8 @@ class LinearCode:
         d_known: Optional[int] = None,
         _reduced: bool = False,
     ):
-        if generator.ndim != 2:
-            raise ValueError("generator must be a matrix")
+        if generator.ndim != 2 or generator.shape[1] == 0:
+            raise ValueError(f"generator must be a matrix with n >= 1, got shape {generator.shape}")
         if not _reduced:
             generator = linalg.row_basis(generator, field.q)
         generator = generator.astype(np.int64, copy=True)

@@ -43,7 +43,3 @@ EXPANSION_PAIRS = 10**7
 
 def enumeration_threshold(override=None) -> int:
     return ENUMERATION_THRESHOLD if override is None else int(override)
-
-
-def adjacency_budget(override=None) -> int:
-    return ADJACENCY_BUDGET if override is None else int(override)

@@ -60,11 +60,6 @@ class Field:
     def one(self) -> "FieldElement":
         return FieldElement(self, 1)
 
-    def elements(self):
-        """Iterate over all q elements in residue order."""
-        for v in range(self.q):
-            yield FieldElement(self, v)
-
     def inv(self, value: int) -> int:
         """Integer-level multiplicative inverse mod q."""
         value %= self.q

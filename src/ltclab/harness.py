@@ -28,7 +28,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional, Union
 
 import numpy as np
@@ -40,9 +40,9 @@ from .errors import TooLargeToEnumerateError
 from .field import Field
 from .reports import frac_decimal, frac_str, json_bytes, write_csv
 from .tanner import (
+    _ROW_BLOCK,
     OrderedGraph,
     boundary_edge_count,
-    check_expansion,
     iterated_graph,
     product_graph,
     square_test_graph,
@@ -55,14 +55,25 @@ from .tester import TestInstance
 # --- inline specs -------------------------------------------------------------
 
 
-def _parse_kv(text: str) -> dict[str, int]:
+class _Fields(dict):
+    """The keys of a spec or spec file (none unless it is an object); a missing key is a usage error."""
+
+    def __init__(self, source: str, doc):
+        super().__init__(doc if isinstance(doc, dict) else {})
+        self.source = source
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.source} has no {key!r}")
+
+
+def _parse_kv(text: str, body: str) -> _Fields:
     out = {}
-    for item in text.split(","):
+    for item in body.split(","):
         if not item:
             continue
         key, _, val = item.partition("=")
         out[key.strip()] = int(val)
-    return out
+    return _Fields(f"spec {text!r}", out)
 
 
 def parse_code_spec(text: str) -> Union[LinearCode, TensorCode]:
@@ -80,7 +91,7 @@ def parse_code_spec(text: str) -> Union[LinearCode, TensorCode]:
     kind = kind.strip()
     if kind == "gen":
         return load_code_file(rest)
-    kv = _parse_kv(rest)
+    kv = _parse_kv(text, rest)
     if kind == "rs":
         return reed_solomon(Field(kv["q"]), kv["n"], kv["k"])
     if kind == "rep":
@@ -99,7 +110,7 @@ def parse_flat_code_spec(text: str) -> LinearCode:
 def load_code_file(path: str) -> LinearCode:
     """Read a code-spec JSON file."""
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = _Fields(f"code file {path!r}", json.load(fh))
     field = Field(int(doc["field"]))
     kind = doc.get("kind", "generator")
     if kind == "reed_solomon":
@@ -116,24 +127,24 @@ def code_to_json_dict(code: LinearCode, kind: str = "generator") -> dict:
     return doc
 
 
-def parse_graph_spec(text: str, budget=None) -> OrderedGraph:
+def parse_graph_spec(text: str) -> OrderedGraph:
     """Parse an inline graph spec or load an explicit graph file."""
     text = text.strip()
     if text.endswith(".json"):
         with open(text) as fh:
-            doc = json.load(fh)
+            doc = _Fields(f"graph file {text!r}", json.load(fh))
         graph = OrderedGraph.from_lists(int(doc["n"]), doc["lists"], label=text)
         if graph.m_right != int(doc["m"]) or graph.t_degree != int(doc["t"]):
             raise ValueError(f"graph file {text} is inconsistent with its lists")
         return graph
     kind, _, rest = text.partition(":")
-    kv = _parse_kv(rest)
+    kv = _parse_kv(text, rest)
     if kind == "product":
-        return product_graph(kv["n"], kv["m"], budget=budget)
+        return product_graph(kv["n"], kv["m"])
     if kind == "iterated":
-        return iterated_graph(kv["n"], kv["m"], kv["mp"], budget=budget)
+        return iterated_graph(kv["n"], kv["m"], kv["mp"])
     if kind == "square":
-        return square_test_graph(kv["n"], kv["t"], budget=budget)
+        return square_test_graph(kv["n"], kv["t"])
     raise ValueError(f"unknown graph spec {text!r}")
 
 
@@ -155,7 +166,7 @@ def parse_word_file(path: str, field: Field) -> Word:
 # --- instances ------------------------------------------------------------------
 
 
-def product_instance(base: LinearCode, m: int, threshold=None, budget=None) -> TestInstance:
+def product_instance(base: LinearCode, m: int, threshold=None) -> TestInstance:
     """The axis tester of the m-fold power of ``base``.
 
     Small code: the (m-1)-fold power (flattened); full code: the m-fold power,
@@ -163,7 +174,7 @@ def product_instance(base: LinearCode, m: int, threshold=None, budget=None) -> T
     """
     if m < 2:
         raise ValueError("need m >= 2 for an axis tester")
-    graph = product_graph(base.n, m, budget=budget)
+    graph = product_graph(base.n, m)
     small = tensor_power(base, m - 1).as_linear_code() if m > 2 else base
     full = tensor_power(base, m)
     label = f"product(base=[{base.n},{base.k},{base.d_known}]q{base.field.q},m={m})"
@@ -175,7 +186,6 @@ def instance_from_specs(
     small_spec: str,
     full_spec: Optional[str] = None,
     threshold=None,
-    budget=None,
 ) -> TestInstance:
     """Build a test instance from inline specs.
 
@@ -183,7 +193,7 @@ def instance_from_specs(
     is derived by parity stacking when small enough; otherwise delta falls
     back to certified intervals.
     """
-    graph = parse_graph_spec(graph_spec, budget=budget)
+    graph = parse_graph_spec(graph_spec)
     small = parse_flat_code_spec(small_spec)
     full = None
     if full_spec:
@@ -214,7 +224,6 @@ class ExperimentConfig:
     mode: str = "exact"  # exact | sampled
     samples: int = 200
     threshold: Optional[int] = None
-    budget: Optional[int] = None
     label: Optional[str] = None
 
 
@@ -267,7 +276,6 @@ def run_sweep(config: ExperimentConfig, instance: Optional[TestInstance] = None)
             config.small_spec,
             config.full_spec,
             threshold=config.threshold,
-            budget=config.budget,
         )
     parts = parse_corpus_spec(config.corpus)
     words = generate_corpus(instance, parts, config.seed)
@@ -392,6 +400,20 @@ def run_compose_check(
 # --- expansion check -----------------------------------------------------------------
 
 
+def _exhaustive_pairs(n: int, m: int):
+    """Every (S, T) with |S| <= n/4, in chunks of at most _ROW_BLOCK row-aligned mask pairs."""
+    t_width = min(2**m, _ROW_BLOCK)
+    per_chunk = _ROW_BLOCK // t_width
+    for s_size in range(n // 4 + 1):
+        subsets = combinations(range(n), s_size)
+        while group := list(islice(subsets, per_chunk)):
+            s_masks = np.zeros((len(group), n), dtype=bool)
+            s_masks[np.arange(len(group))[:, None], np.array(group, dtype=np.int64)] = True
+            for low in range(0, 2**m, t_width):
+                t_masks = (np.arange(low, low + t_width)[:, None] >> np.arange(m)) & 1 == 1
+                yield np.repeat(s_masks, t_width, axis=0), np.tile(t_masks, (len(group), 1))
+
+
 def run_expansion_check(
     graph: OrderedGraph,
     mode: str = "exhaustive",
@@ -401,58 +423,43 @@ def run_expansion_check(
     """Boundary-expansion scan over (S, T) pairs.
 
     Exhaustive mode enumerates every left subset S with |S| <= n/4 and every
-    right subset T; sampled mode draws seeded random pairs.  Reports the
-    number of violations of the 1/8 bound and the worst slack seen.
+    right subset T; sampled mode draws seeded random pairs.  Either mode
+    yields chunks of mask pairs, and one loop counts their boundaries.  The
+    1/8 bound is compared in integers, as slack8 = 8 gamma - d_L |S| - d_R |T|.
+    Reports the number of violations and the worst slack, slack8 / 8.
     """
     t0 = time.perf_counter()
     n, m = graph.n_left, graph.m_right
     d_l = graph.uniform_left_degree()
     d_r = graph.t_degree
-    worst_slack: Optional[Fraction] = None
-    violations = 0
-    checked = 0
     if mode == "exhaustive":
-        smax = n // 4
-        count_s = sum(math.comb(n, s) for s in range(smax + 1))
+        count_s = sum(math.comb(n, s) for s in range(n // 4 + 1))
         if count_s * (2**m) > EXPANSION_PAIRS:
             raise TooLargeToEnumerateError(
                 f"{count_s} left subsets x {2**m} right subsets is too many"
             )
-        t_masks = [
-            np.array([(bits >> j) & 1 for j in range(m)], dtype=bool)
-            for bits in range(2**m)
-        ]
-        for s_size in range(smax + 1):
-            for s_tuple in combinations(range(1, n + 1), s_size):
-                for t_mask in t_masks:
-                    t_set = [j + 1 for j in range(m) if t_mask[j]]
-                    result = check_expansion(graph, s_tuple, t_set)
-                    checked += 1
-                    if not result.holds:
-                        violations += 1
-                    slack = result.slack
-                    worst_slack = slack if worst_slack is None else min(worst_slack, slack)
+        chunks = _exhaustive_pairs(n, m)
     elif mode == "sampled":
         rng = np.random.default_rng(seed)
-        smax = n // 4
-        sizes = rng.integers(0, smax + 1, size=samples)
+        sizes = rng.integers(0, n // 4 + 1, size=samples)
         s_masks = np.zeros((samples, n), dtype=bool)
         for i, size in enumerate(sizes):
             if size:
                 s_masks[i, rng.choice(n, size=int(size), replace=False)] = True
         t_masks = rng.integers(0, 2, size=(samples, m)).astype(bool)
-        for i in range(samples):
-            gamma = boundary_edge_count(graph, s_masks[i], t_masks[i])
-            s_size = int(s_masks[i].sum())
-            t_size = int(t_masks[i].sum())
-            bound = Fraction(d_l * s_size + d_r * t_size, 8)
-            checked += 1
-            if Fraction(gamma) < bound:
-                violations += 1
-            slack = Fraction(gamma) - bound
-            worst_slack = slack if worst_slack is None else min(worst_slack, slack)
+        starts = range(0, samples, _ROW_BLOCK)
+        chunks = ((s_masks[i : i + _ROW_BLOCK], t_masks[i : i + _ROW_BLOCK]) for i in starts)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    chunk_minima = []  # the least slack8 of every chunk
+    violations = 0
+    checked = 0
+    for s_chunk, t_chunk in chunks:
+        gamma = boundary_edge_count(graph, s_chunk, t_chunk)
+        slack8 = 8 * gamma - d_l * s_chunk.sum(axis=1) - d_r * t_chunk.sum(axis=1)
+        checked += slack8.size
+        violations += int(np.count_nonzero(slack8 < 0))
+        chunk_minima.append(int(slack8.min()))
     wall = time.perf_counter() - t0
     report = {
         "graph": graph.label,
@@ -460,7 +467,7 @@ def run_expansion_check(
         "seed": seed if mode == "sampled" else None,
         "pairs_checked": checked,
         "violations": violations,
-        "worst_slack": frac_str(worst_slack) if worst_slack is not None else None,
+        "worst_slack": frac_str(Fraction(min(chunk_minima), 8)) if chunk_minima else None,
         "left_degree": d_l,
         "right_degree": d_r,
     }

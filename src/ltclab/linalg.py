@@ -24,10 +24,6 @@ def as_matrix(rows, q: int) -> np.ndarray:
     return np.mod(a, q)
 
 
-def matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    return (a @ b) % q
-
-
 def kron(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return np.kron(a, b) % q
 

@@ -48,11 +48,6 @@ def json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-def write_json(path: str, obj) -> None:
-    with open(path, "wb") as fh:
-        fh.write(json_bytes(obj))
-
-
 def write_csv(path: str, rows: Iterable[dict]) -> None:
     """Flatten one report per row.  Nested dicts are JSON-encoded in place."""
     rows = list(rows)

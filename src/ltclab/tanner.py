@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .code import LinearCode, Word
-from .config import PARITY_CELLS, adjacency_budget
+from .config import ADJACENCY_BUDGET, PARITY_CELLS
 from .errors import (
     DegreeMismatchError,
     EntryOutOfRangeError,
@@ -131,11 +131,11 @@ class OrderedGraph:
             )
         return tuple(tuple(int(v) + 1 for v in row) for row in self._rows0)
 
-    def materialized(self, budget=None) -> "OrderedGraph":
+    def materialized(self) -> "OrderedGraph":
         """An explicit copy (error if over the adjacency budget)."""
         if self.is_explicit:
             return self
-        if self.m_right * self.t_degree > adjacency_budget(budget):
+        if self.m_right * self.t_degree > ADJACENCY_BUDGET:
             raise GraphTooLargeError(
                 f"{self.m_right} x {self.t_degree} adjacency entries exceed the budget"
             )
@@ -170,7 +170,7 @@ class OrderedGraph:
         self.left_degree = int(counts[0])
         return self.left_degree
 
-    def compose(self, inner: "OrderedGraph", budget=None) -> "OrderedGraph":
+    def compose(self, inner: "OrderedGraph") -> "OrderedGraph":
         """Composition: route each list of ``self`` through every list of ``inner``.
 
         Requires inner.n_left == self.t_degree.  The composed right vertex
@@ -189,7 +189,7 @@ class OrderedGraph:
         if (
             self.is_explicit
             and inner.is_explicit
-            and m_total * inner.t_degree <= adjacency_budget(budget)
+            and m_total * inner.t_degree <= ADJACENCY_BUDGET
         ):
             rows = self._rows0[:, inner._rows0].reshape(m_total, inner.t_degree)
             return OrderedGraph(
@@ -228,7 +228,7 @@ class OrderedGraph:
 # --- concrete families ------------------------------------------------------
 
 
-def product_graph(n: int, m: int, budget=None) -> OrderedGraph:
+def product_graph(n: int, m: int) -> OrderedGraph:
     """The axis test graph on the grid [n]^m.
 
     Left vertices are the n**m grid points in row-major order (axis 1
@@ -246,7 +246,7 @@ def product_graph(n: int, m: int, budget=None) -> OrderedGraph:
     m_right = m * n
     t = n ** (m - 1)
     label = f"product:n={n},m={m}"
-    if m_right * t <= adjacency_budget(budget):
+    if m_right * t <= ADJACENCY_BUDGET:
         idx = np.arange(n_left, dtype=np.int64).reshape((n,) * m)
         blocks = [np.moveaxis(idx, b0, 0).reshape(n, -1) for b0 in range(m)]
         rows = np.concatenate(blocks, axis=0)
@@ -263,29 +263,27 @@ def product_graph(n: int, m: int, budget=None) -> OrderedGraph:
     return OrderedGraph(n_left, m_right, t, row_at_fn=row_at_fn, left_degree=m, label=label)
 
 
-def iterated_graph(n: int, m: int, mp: int, budget=None) -> OrderedGraph:
+def iterated_graph(n: int, m: int, mp: int) -> OrderedGraph:
     """Compose axis test graphs down from m-dimensional to mp-dimensional views."""
     if not 1 <= mp < m:
         raise ValueError(f"need 1 <= mp < m, got m={m}, mp={mp}")
     if mp == m - 1:
-        g = product_graph(n, m, budget=budget)
+        g = product_graph(n, m)
     else:
-        g = product_graph(n, m, budget=budget).compose(
-            iterated_graph(n, m - 1, mp, budget=budget), budget=budget
-        )
+        g = product_graph(n, m).compose(iterated_graph(n, m - 1, mp))
     g.label = f"iterated:n={n},m={m},mp={mp}"
     return g
 
 
-def square_test_graph(n: int, t: int, budget=None) -> OrderedGraph:
+def square_test_graph(n: int, t: int) -> OrderedGraph:
     """The recursive test graph with n**(2**t) left vertices and degree n**2."""
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
     if t == 2:
-        g = iterated_graph(n, 4, 2, budget=budget)
+        g = iterated_graph(n, 4, 2)
     else:
-        outer = iterated_graph(n ** (2 ** (t - 2)), 4, 2, budget=budget)
-        g = outer.compose(square_test_graph(n, t - 1, budget=budget), budget=budget)
+        outer = iterated_graph(n ** (2 ** (t - 2)), 4, 2)
+        g = outer.compose(square_test_graph(n, t - 1))
     g.label = f"square:n={n},t={t}"
     return g
 
@@ -390,14 +388,19 @@ def _as_mask(size: int, subset: Iterable[int]) -> np.ndarray:
     return mask
 
 
-def boundary_edge_count(graph: OrderedGraph, s_mask: np.ndarray, t_mask: np.ndarray) -> int:
-    """Edges with exactly one endpoint inside S (left) union T (right)."""
-    gamma = 0
+def boundary_edge_count(graph: OrderedGraph, s_masks: np.ndarray, t_masks: np.ndarray) -> np.ndarray:
+    """Boundary edge counts of B row-aligned pairs of (B, n_left) S and (B, m_right) T masks.
+
+    Entry b counts the edges with exactly one endpoint in S_b union T_b.  Row
+    blocks shrink as B grows, so that one gather holds at most _ROW_BLOCK x t cells.
+    """
+    batch = s_masks.shape[0]
+    gamma = np.zeros(batch, dtype=np.int64)
     t = graph.t_degree
-    for start, block in graph.iter_row_blocks():
-        counts = s_mask[block].sum(axis=1)
-        in_t = t_mask[start : start + block.shape[0]]
-        gamma += int(counts[~in_t].sum()) + int((t - counts[in_t]).sum())
+    for start, block in graph.iter_row_blocks(max(1, _ROW_BLOCK // max(1, batch))):
+        counts = s_masks[:, block].sum(axis=2)  # (B, rows)
+        in_t = t_masks[:, start : start + block.shape[0]]
+        gamma += np.where(in_t, t - counts, counts).sum(axis=1)
     return gamma
 
 
@@ -419,6 +422,6 @@ def check_expansion(graph: OrderedGraph, s_subset: Iterable[int], t_subset: Iter
         )
     d_l = graph.uniform_left_degree()
     d_r = graph.t_degree
-    gamma = boundary_edge_count(graph, s_mask, t_mask)
+    gamma = int(boundary_edge_count(graph, s_mask[None], t_mask[None])[0])
     bound = Fraction(d_l * s_size + d_r * t_size, 8)
     return ExpansionResult(gamma, bound, Fraction(gamma) >= bound, s_size, t_size)

@@ -30,7 +30,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .code import LinearCode, Word
-from .config import REPETITIONS, adjacency_budget
+from .config import ADJACENCY_BUDGET, REPETITIONS
 from .errors import (
     DegreeMismatchError,
     FieldMismatchError,
@@ -162,7 +162,7 @@ class TestInstance:
 
     def _require_exact_views(self):
         total = self.graph.m_right * self.graph.t_degree
-        if total > adjacency_budget(None):
+        if total > ADJACENCY_BUDGET:
             raise TooLargeToEnumerateError(
                 f"exact mode needs all {self.graph.m_right} views "
                 f"({total} adjacency entries)"

@@ -246,6 +246,37 @@ def test_usage_error_exit_code(capsys):
     assert "error" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "command, flag, spec",
+    [
+        ("min-distance", "--code", "rs:q=7,n=7"),
+        ("min-distance", "--code", "rep:q=2"),
+        ("min-distance", "--code", "full:q=2"),
+        ("min-distance", "--code", "rep:q=2,n=0"),
+        ("expansion-check", "--graph", "product:n=2"),
+        ("expansion-check", "--graph", "iterated:n=2,m=4"),
+        ("expansion-check", "--graph", "square:n=2"),
+        pytest.param(
+            "min-distance", "--code", {"kind": "generator", "generator": [[1, 1]]},
+            id="code-file-without-field",
+        ),
+        pytest.param(
+            "expansion-check", "--graph", {"n": 2, "m": 1, "t": 2},
+            id="graph-file-without-lists",
+        ),
+    ],
+)
+def test_incomplete_spec_is_a_usage_error(capsys, tmp_path, command, flag, spec):
+    if isinstance(spec, dict):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        spec = str(path)
+    code, _, err = run_cli(capsys, command, flag, spec)
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -74,6 +74,20 @@ def test_reed_solomon_bad_dimension():
         reed_solomon(GF7, 3, 4)
 
 
+@pytest.mark.parametrize("make", [repetition, full_code])
+def test_empty_codes_rejected(make):
+    with pytest.raises(ValueError):
+        make(GF2, 0)
+
+
+@pytest.mark.parametrize(
+    "symbols", [np.array([1.7, 2.2, 0.0]), [1.7, 2, 0], ["1", 2, 0]]
+)
+def test_word_rejects_non_integer_symbols(symbols):
+    with pytest.raises(ValueError):
+        Word(GF5, symbols)
+
+
 # --- encoding ---------------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
     [
         ("robustness_sweep.py", "robustness_sweep.json", ["--words", "60"]),
         ("compose_identity.py", "compose_identity.json", []),
+        ("expansion_scan.py", "expansion_scan.json", []),
     ],
 )
 def test_committed_report_regenerates(tmp_path, script, report, args):

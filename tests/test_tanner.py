@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import ltclab.tanner
 from ltclab.code import Word, repetition
 from ltclab.errors import (
     DegreeMismatchError,
@@ -16,6 +19,7 @@ from ltclab.field import Field
 from ltclab.tanner import (
     OrderedGraph,
     TannerCode,
+    boundary_edge_count,
     check_expansion,
     iterated_graph,
     product_graph,
@@ -228,9 +232,11 @@ def test_tpc_iterated_and_square_match_tensor_low_weight():
         assert np.array_equal(got, expect)
 
 
-def test_lazy_graph_matches_explicit():
+def test_lazy_graph_matches_explicit(monkeypatch):
     explicit = product_graph(3, 3)
-    lazy = product_graph(3, 3, budget=4)  # force the accessor form
+    with monkeypatch.context() as patch:
+        patch.setattr(ltclab.tanner, "ADJACENCY_BUDGET", 4)  # force the accessor form
+        lazy = product_graph(3, 3)
     assert not lazy.is_explicit
     assert np.array_equal(lazy.rows0_block(0, 9), explicit.rows0_block(0, 9))
     with pytest.raises(GraphTooLargeError):
@@ -238,9 +244,10 @@ def test_lazy_graph_matches_explicit():
     assert np.array_equal(lazy.materialized().rows0_block(0, 9), explicit.rows0_block(0, 9))
 
 
-def test_lazy_composition_matches_explicit():
+def test_lazy_composition_matches_explicit(monkeypatch):
     explicit = iterated_graph(2, 4, 2)
-    lazy = iterated_graph(2, 4, 2, budget=8)
+    monkeypatch.setattr(ltclab.tanner, "ADJACENCY_BUDGET", 8)
+    lazy = iterated_graph(2, 4, 2)
     assert not lazy.is_explicit
     assert np.array_equal(
         lazy.rows0_block(0, explicit.m_right),
@@ -301,3 +308,38 @@ def test_expansion_exhaustive_small():
                 assert res.holds, (s, t)
                 worst = res.slack if worst is None else min(worst, res.slack)
     assert worst == 0  # the empty pair is tight
+
+
+@st.composite
+def _graph_and_pairs(draw):
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 6))
+    t = draw(st.integers(1, 5))
+    lists = draw(st.lists(st.lists(st.integers(1, n), min_size=t, max_size=t), min_size=m, max_size=m))
+    b = draw(st.integers(0, 6))
+    s_rows = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=b, max_size=b))
+    t_rows = draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m), min_size=b, max_size=b))
+    # Empty and full S crossed with empty and full T.
+    s_rows += [[False] * n, [True] * n, [False] * n, [True] * n]
+    t_rows += [[False] * m, [False] * m, [True] * m, [True] * m]
+    row_block = draw(st.sampled_from([1, 3, 4096]))
+    return lists, np.array(s_rows, dtype=bool), np.array(t_rows, dtype=bool), row_block
+
+
+@given(_graph_and_pairs())
+def test_batched_boundary_count_matches_per_edge_count(case):
+    lists, s_masks, t_masks, row_block = case
+    explicit = OrderedGraph.from_lists(s_masks.shape[1], lists)
+    accessor = OrderedGraph(
+        explicit.n_left, explicit.m_right, explicit.t_degree,
+        row_at_fn=explicit.row_at0,
+    )
+    expect = [
+        sum(bool(s[u - 1]) != bool(t[j]) for j, row in enumerate(lists) for u in row)
+        for s, t in zip(s_masks, t_masks)
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ltclab.tanner, "_ROW_BLOCK", row_block)
+        for graph in (explicit, accessor):
+            got = boundary_edge_count(graph, s_masks, t_masks)
+            assert got.tolist() == expect
