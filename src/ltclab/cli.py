@@ -42,7 +42,6 @@ from .tanner import TannerCode
 
 def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("min-distance", help="exact brute-force minimum distance")
     p.add_argument("--code", required=True)
-    p.add_argument("--threshold", type=int)
 
     p = sub.add_parser("encode", help="encode a message with a code")
     p.add_argument("--code", required=True)
@@ -83,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampled", action="store_true")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=int)
     p.add_argument("--views", action="store_true", help="include per-view distances")
     _add_out(p)
 
@@ -97,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau")
     p.add_argument("--sampled", action="store_true")
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--threshold", type=int)
     _add_out(p)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("compose-check", help="two-level composition identity")
     p.add_argument("--graph", required=True, help="outer graph")
@@ -106,12 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--small", required=True, help="small code at the inner level")
     p.add_argument("--corpus", default="uniform:50")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=int)
     _add_out(p)
 
     p = sub.add_parser("expansion-check", help="boundary-expansion scan")
     p.add_argument("--graph", required=True)
-    p.add_argument("--exact", dest="exhaustive", action="store_true")
     p.add_argument("--sampled", action="store_true")
     p.add_argument("--samples", type=int, default=10**5)
     p.add_argument("--seed", type=int, default=0)
@@ -141,13 +136,13 @@ def _cmd_build_code(args) -> int:
     code = parse_flat_code_spec(spec)
     kind = "reed_solomon" if spec.startswith("rs:") and "^" not in spec else "generator"
     doc = code_to_json_dict(code, kind=kind)
-    print(emit_document(doc, args.out, "json"), end="")
+    print(emit_document(doc, args.out), end="")
     return 0
 
 
 def _cmd_min_distance(args) -> int:
     code = parse_flat_code_spec(args.code)
-    print(code.min_distance(args.threshold))
+    print(code.min_distance())
     return 0
 
 
@@ -157,7 +152,7 @@ def _cmd_encode(args) -> int:
     word = code.encode(message)
     # Emit the canonical word format (a bare JSON array) so the output can be
     # fed back through --word-file.
-    print(emit_document(word.to_list(), args.out, "json"), end="")
+    print(emit_document(word.to_list(), args.out), end="")
     return 0
 
 
@@ -177,9 +172,7 @@ def _cmd_membership(args) -> int:
 
 
 def _cmd_robustness(args) -> int:
-    instance = instance_from_specs(
-        args.graph, args.small, full_spec=args.code, threshold=args.threshold
-    )
+    instance = instance_from_specs(args.graph, args.small, full_spec=args.code)
     word = _load_word(args, instance.small.field)
     alpha = parse_fraction(args.alpha)
     tau = parse_fraction(args.tau) if args.tau else None
@@ -193,10 +186,10 @@ def _cmd_robustness(args) -> int:
             "seed": est.seed,
             "estimate": True,
         }
-        print(emit_document(doc, args.out, "json"), end="")
+        print(emit_document(doc, args.out), end="")
         return 0
     report, _ = instance.certify(word, alpha, tau=tau, with_views=args.views)
-    print(emit_document(report.to_json_dict(), args.out, "json"), end="")
+    print(emit_document(report.to_json_dict(), args.out), end="")
     return 0
 
 
@@ -211,7 +204,6 @@ def _cmd_sweep(args) -> int:
         tau=parse_fraction(args.tau) if args.tau else None,
         mode="sampled" if args.sampled else "exact",
         samples=args.samples,
-        threshold=args.threshold,
     )
     result = run_sweep(config)
     msg = emit_document(result.document(), args.out, args.format)
@@ -231,10 +223,8 @@ def _cmd_compose_check(args) -> int:
     outer = parse_graph_spec(args.graph)
     inner = parse_graph_spec(args.graph2)
     small = parse_flat_code_spec(args.small)
-    result = run_compose_check(
-        outer, inner, small, args.corpus, args.seed, threshold=args.threshold
-    )
-    msg = emit_document({"report": result["report"]}, args.out, args.format)
+    result = run_compose_check(outer, inner, small, args.corpus, args.seed)
+    msg = emit_document({"report": result["report"]}, args.out)
     print(msg, end="" if not args.out else "\n")
     print(f"# compose-check: {result['wall_time']:.2f}s", file=sys.stderr)
     return result["exit_code"]
@@ -244,7 +234,7 @@ def _cmd_expansion_check(args) -> int:
     graph = parse_graph_spec(args.graph)
     mode = "sampled" if args.sampled else "exhaustive"
     result = run_expansion_check(graph, mode=mode, samples=args.samples, seed=args.seed)
-    msg = emit_document({"report": result["report"]}, args.out, args.format)
+    msg = emit_document({"report": result["report"]}, args.out)
     print(msg, end="" if not args.out else "\n")
     print(f"# expansion-check: {result['wall_time']:.2f}s", file=sys.stderr)
     return result["exit_code"]
@@ -252,7 +242,7 @@ def _cmd_expansion_check(args) -> int:
 
 def _cmd_query_account(args) -> int:
     account = query_account(args.n, args.t, parse_fraction(args.alpha))
-    print(emit_document(account.to_json_dict(), args.out, "json"), end="")
+    print(emit_document(account.to_json_dict(), args.out), end="")
     return 0
 
 

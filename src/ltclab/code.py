@@ -2,7 +2,7 @@
 
 A code is held as a full-rank generator matrix (reduced at construction) plus
 the derived parity-check matrix.  Minimum distance and nearest-codeword
-queries enumerate codewords exhaustively up to the configured threshold and
+queries enumerate codewords exhaustively up to ENUMERATION_THRESHOLD and
 refuse beyond it; nothing here ever estimates.
 """
 
@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .config import BROADCAST_CELLS, TABLE_CELLS, enumeration_threshold
+from .config import BROADCAST_CELLS, ENUMERATION_THRESHOLD, TABLE_CELLS
 from .errors import (
     EmptyProjectionError,
     FieldMismatchError,
@@ -122,37 +122,34 @@ def distance(x: Word, y: Word) -> tuple[int, Fraction]:
 # _CHUNK at a time, so ties break toward the smallest message.
 
 
-def _require_enumerable(field: Field, k: int, threshold) -> int:
-    limit = enumeration_threshold(threshold)
+def _require_enumerable(field: Field, k: int) -> int:
     total = field.q**k
-    if total > limit:
+    if total > ENUMERATION_THRESHOLD:
         raise TooLargeToEnumerateError(
-            f"{field.q}^{k} = {total} codewords exceeds threshold {limit}"
+            f"{field.q}^{k} = {total} codewords exceeds threshold {ENUMERATION_THRESHOLD}"
         )
     return total
 
 
-def codeword_blocks(field: Field, k: int, encode_batch, threshold=None):
+def codeword_blocks(field: Field, k: int, encode_batch):
     """Yield (start, codewords) for blocks of _CHUNK consecutive messages."""
-    total = _require_enumerable(field, k, threshold)
+    total = _require_enumerable(field, k)
     shape = (field.q,) * k
     for s in range(0, total, _CHUNK):
         idx = np.arange(s, min(s + _CHUNK, total), dtype=np.int64)
         yield s, encode_batch(np.stack(np.unravel_index(idx, shape), axis=1))
 
 
-def codeword_table(
-    field: Field, k: int, encode_batch, threshold=None, cached=None
-) -> np.ndarray:
+def codeword_table(field: Field, k: int, encode_batch, cached=None) -> np.ndarray:
     """All q**k codewords as one read-only array; ``cached`` when given.
 
     Refuses past the threshold even when cached, and refuses a table of more
     than TABLE_CELLS cells.
     """
-    total = _require_enumerable(field, k, threshold)
+    total = _require_enumerable(field, k)
     if cached is not None:
         return cached
-    blocks = codeword_blocks(field, k, encode_batch, threshold)
+    blocks = codeword_blocks(field, k, encode_batch)
     _, table = next(blocks)
     if total * table.shape[1] > TABLE_CELLS:
         raise TooLargeToEnumerateError(
@@ -165,11 +162,11 @@ def codeword_table(
 
 
 def nearest_codeword(
-    field: Field, k: int, encode_batch, values: np.ndarray, threshold=None
+    field: Field, k: int, encode_batch, values: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """The first codeword in message order nearest to ``values``, and its distance."""
     best, best_ham = None, values.size + 1
-    for _, block in codeword_blocks(field, k, encode_batch, threshold):
+    for _, block in codeword_blocks(field, k, encode_batch):
         hams = np.count_nonzero(block != values[None, :], axis=1)
         i = int(np.argmin(hams))
         if int(hams[i]) < best_ham:
@@ -178,18 +175,18 @@ def nearest_codeword(
 
 
 def nearest_distances(
-    field: Field, k: int, encode_batch, codewords, words: np.ndarray, threshold=None
+    field: Field, k: int, encode_batch, codewords, words: np.ndarray
 ) -> np.ndarray:
     """Per-row Hamming distance from a (B, n) array to the nearest codeword.
 
-    Compares against the table ``codewords(threshold)`` when the table fits in
+    Compares against the table ``codewords()`` when the table fits in
     TABLE_CELLS cells; otherwise streams codeword blocks, keeping a running
     minimum.
     """
     if field.q**k * words.shape[1] <= TABLE_CELLS:
-        return _min_hammings(words, codewords(threshold))
+        return _min_hammings(words, codewords())
     best = None
-    for _, block in codeword_blocks(field, k, encode_batch, threshold):
+    for _, block in codeword_blocks(field, k, encode_batch):
         hams = _min_hammings(words, block)
         best = hams if best is None else np.minimum(best, hams, out=best)
     return best
@@ -292,21 +289,19 @@ class LinearCode:
 
     # --- exhaustive oracles -------------------------------------------------
 
-    def codewords(self, threshold=None) -> np.ndarray:
+    def codewords(self) -> np.ndarray:
         """All q**k codewords as a read-only (q**k, n) array, cached.
 
         Row order is lexicographic in the message symbols, so row index i
         encodes the message ``unravel_index(i, (q,)*k)``.
         """
-        self._codewords = codeword_table(
-            self.field, self.k, self.encode_batch, threshold, self._codewords
-        )
+        self._codewords = codeword_table(self.field, self.k, self.encode_batch, self._codewords)
         return self._codewords
 
-    def min_distance(self, threshold=None) -> int:
+    def min_distance(self) -> int:
         """Exact minimum distance by enumerating nonzero codewords."""
         best = self.n + 1
-        for s, block in codeword_blocks(self.field, self.k, self.encode_batch, threshold):
+        for s, block in codeword_blocks(self.field, self.k, self.encode_batch):
             w = np.count_nonzero(block, axis=1)
             if s == 0:
                 w = w[1:]  # skip the zero codeword
@@ -316,7 +311,7 @@ class LinearCode:
             self.d_known = best
         return best
 
-    def nearest(self, word: Word, threshold=None) -> tuple[Word, Fraction]:
+    def nearest(self, word: Word) -> tuple[Word, Fraction]:
         """A codeword minimizing relative distance to ``word``.
 
         Ties break toward the lexicographically smallest message, which is the
@@ -324,14 +319,12 @@ class LinearCode:
         generator and never reads the cached table.
         """
         values = self._check_word(word)
-        best, ham = nearest_codeword(self.field, self.k, self.encode_batch, values, threshold)
+        best, ham = nearest_codeword(self.field, self.k, self.encode_batch, values)
         return Word(self.field, best), Fraction(ham, self.n)
 
-    def nearest_distance_batch(self, words: np.ndarray, threshold=None) -> np.ndarray:
+    def nearest_distance_batch(self, words: np.ndarray) -> np.ndarray:
         """Per-row Hamming distance from a (B, n) array to the nearest codeword."""
-        return nearest_distances(
-            self.field, self.k, self.encode_batch, self.codewords, words, threshold
-        )
+        return nearest_distances(self.field, self.k, self.encode_batch, self.codewords, words)
 
     # --- projection ---------------------------------------------------------
 

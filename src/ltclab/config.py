@@ -39,7 +39,3 @@ REPETITIONS = 10**6
 
 # Maximum (S, T) pairs of an exhaustive expansion scan.
 EXPANSION_PAIRS = 10**7
-
-
-def enumeration_threshold(override=None) -> int:
-    return ENUMERATION_THRESHOLD if override is None else int(override)

@@ -166,7 +166,7 @@ def parse_word_file(path: str, field: Field) -> Word:
 # --- instances ------------------------------------------------------------------
 
 
-def product_instance(base: LinearCode, m: int, threshold=None) -> TestInstance:
+def product_instance(base: LinearCode, m: int) -> TestInstance:
     """The axis tester of the m-fold power of ``base``.
 
     Small code: the (m-1)-fold power (flattened); full code: the m-fold power,
@@ -178,14 +178,11 @@ def product_instance(base: LinearCode, m: int, threshold=None) -> TestInstance:
     small = tensor_power(base, m - 1).as_linear_code() if m > 2 else base
     full = tensor_power(base, m)
     label = f"product(base=[{base.n},{base.k},{base.d_known}]q{base.field.q},m={m})"
-    return TestInstance(graph, small, full=full, label=label, threshold=threshold)
+    return TestInstance(graph, small, full=full, label=label)
 
 
 def instance_from_specs(
-    graph_spec: str,
-    small_spec: str,
-    full_spec: Optional[str] = None,
-    threshold=None,
+    graph_spec: str, small_spec: str, full_spec: Optional[str] = None
 ) -> TestInstance:
     """Build a test instance from inline specs.
 
@@ -204,7 +201,7 @@ def instance_from_specs(
         except (TooLargeToEnumerateError, ValueError):
             full = None
     label = f"{graph_spec} / {small_spec}"
-    return TestInstance(graph, small, full=full, label=label, threshold=threshold)
+    return TestInstance(graph, small, full=full, label=label)
 
 
 # --- configuration ---------------------------------------------------------------
@@ -223,8 +220,6 @@ class ExperimentConfig:
     tau: Optional[Fraction] = None
     mode: str = "exact"  # exact | sampled
     samples: int = 200
-    threshold: Optional[int] = None
-    label: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -271,12 +266,7 @@ def run_sweep(config: ExperimentConfig, instance: Optional[TestInstance] = None)
     """
     t0 = time.perf_counter()
     if instance is None:
-        instance = instance_from_specs(
-            config.graph_spec,
-            config.small_spec,
-            config.full_spec,
-            threshold=config.threshold,
-        )
+        instance = instance_from_specs(config.graph_spec, config.small_spec, config.full_spec)
     parts = parse_corpus_spec(config.corpus)
     words = generate_corpus(instance, parts, config.seed)
     alpha = Fraction(config.alpha)
@@ -289,7 +279,7 @@ def run_sweep(config: ExperimentConfig, instance: Optional[TestInstance] = None)
             est = instance.expected_robustness_sampled(word, config.seed + source["index"], config.samples)
             lower, upper, exact = instance.delta_bounds(word, None)
             rep_dict = {
-                "instance": config.label or instance.label,
+                "instance": instance.label,
                 "word_source": source,
                 "rho_estimate": frac_str(est.value),
                 "rho_stderr": f"{est.stderr:.6e}",
@@ -301,8 +291,6 @@ def run_sweep(config: ExperimentConfig, instance: Optional[TestInstance] = None)
             reports.append(rep_dict)
             continue
         report, holds = instance.certify(word, alpha, tau=config.tau, word_source=source)
-        if config.label:
-            report.label = config.label
         if holds is False:
             violations += 1
         elif holds is None:
@@ -312,7 +300,7 @@ def run_sweep(config: ExperimentConfig, instance: Optional[TestInstance] = None)
         reports.append(report.to_json_dict())
     wall = time.perf_counter() - t0
     summary = {
-        "instance": config.label or instance.label,
+        "instance": instance.label,
         "graph": config.graph_spec,
         "small": config.small_spec,
         "full": config.full_spec,
@@ -334,12 +322,7 @@ def run_sweep(config: ExperimentConfig, instance: Optional[TestInstance] = None)
 
 
 def run_compose_check(
-    outer: OrderedGraph,
-    inner: OrderedGraph,
-    small: LinearCode,
-    corpus: str,
-    seed: int,
-    threshold=None,
+    outer: OrderedGraph, inner: OrderedGraph, small: LinearCode, corpus: str, seed: int
 ) -> dict:
     """Exact two-level evaluation of the composed tester.
 
@@ -353,9 +336,9 @@ def run_compose_check(
     composed = outer.compose(inner)
     medium = tpc_linear_code(inner, small)
     full = tpc_linear_code(outer, medium)
-    comp_instance = TestInstance(composed, small, full=full, threshold=threshold, label="composed")
-    outer_instance = TestInstance(outer, medium, full=full, threshold=threshold, label="outer")
-    inner_instance = TestInstance(inner, small, full=medium, threshold=threshold, label="inner")
+    comp_instance = TestInstance(composed, small, full=full, label="composed")
+    outer_instance = TestInstance(outer, medium, full=full, label="outer")
+    inner_instance = TestInstance(inner, small, full=medium, label="inner")
     words = generate_corpus(comp_instance, parse_corpus_spec(corpus), seed)
     mismatches = 0
     field = small.field
@@ -544,12 +527,12 @@ def query_account(n: int, t: int, alpha0: Fraction) -> QueryAccount:
 # --- output helpers ---------------------------------------------------------------------
 
 
-def emit_document(doc, out: Optional[str], fmt: str = "json", reports_key: str = "reports") -> str:
+def emit_document(doc, out: Optional[str], fmt: str = "json") -> str:
     """Serialize a result document; returns what was written (for stdout use)."""
     if fmt == "csv":
         if out is None:
             raise ValueError("CSV output requires an output path")
-        rows = doc.get(reports_key, []) if isinstance(doc, dict) else doc
+        rows = doc["reports"]
         write_csv(out, rows)
         return f"wrote {len(rows)} rows to {out}"
     blob = json_bytes(doc)

@@ -16,12 +16,14 @@ from .errors import InconsistentSystemError, UnderdeterminedSystemError
 def as_matrix(rows, q: int) -> np.ndarray:
     """Validate a rectangular integer matrix and reduce entries mod q."""
     try:
-        a = np.array(rows, dtype=np.int64)
+        a = np.array(rows)
     except (ValueError, TypeError) as exc:
         raise ValueError("matrix rows must be rectangular sequences of integers") from exc
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"matrix entries must be integers, got dtype {a.dtype}")
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    return np.mod(a, q)
+    return np.mod(a, q).astype(np.int64, copy=False)
 
 
 def kron(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:

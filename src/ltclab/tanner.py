@@ -12,6 +12,7 @@ keep a computed row accessor so that sampled testing still works.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -71,6 +72,10 @@ class OrderedGraph:
     @classmethod
     def from_lists(cls, n_left: int, lists: Sequence[Sequence[int]], label: str = "") -> "OrderedGraph":
         """Validate 1-based adjacency lists and build an explicit graph."""
+        try:
+            lists = [[operator.index(v) for v in row] for row in lists]
+        except TypeError:
+            raise ValueError("neighbor lists must be lists of integers") from None
         if not lists:
             raise ValueError("a graph needs at least one right vertex")
         lengths = {len(row) for row in lists}
@@ -79,7 +84,7 @@ class OrderedGraph:
         t = lengths.pop()
         if t == 0:
             raise ValueError("neighbor lists must be nonempty")
-        rows = np.array([[int(v) for v in row] for row in lists], dtype=np.int64)
+        rows = np.array(lists, dtype=np.int64)
         if rows.min() < 1 or rows.max() > n_left:
             bad = int(rows.min()) if rows.min() < 1 else int(rows.max())
             raise EntryOutOfRangeError(f"entry {bad} outside [1, {n_left}]")

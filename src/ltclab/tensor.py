@@ -219,26 +219,26 @@ class TensorCode:
         arr = self._contract(messages.reshape((messages.shape[0],) + kshape))
         return arr.reshape(messages.shape[0], self.block_length)
 
-    def codewords(self, threshold=None) -> np.ndarray:
+    def codewords(self) -> np.ndarray:
         """All codewords as a (q**dim, block_length) array, flattened row-major.
 
         Row order is lexicographic in the flattened message grid.
         """
         self._codewords = codeword_table(
-            self.field, self.dimension, self.encode_batch, threshold, self._codewords
+            self.field, self.dimension, self.encode_batch, self._codewords
         )
         return self._codewords
 
-    def nearest(self, word: TensorWord, threshold=None) -> tuple[TensorWord, Fraction]:
+    def nearest(self, word: TensorWord) -> tuple[TensorWord, Fraction]:
         """Closest codeword (lex-smallest message on ties) and its distance."""
         arr = self._check_shape(word).reshape(-1)
-        best, ham = nearest_codeword(self.field, self.dimension, self.encode_batch, arr, threshold)
+        best, ham = nearest_codeword(self.field, self.dimension, self.encode_batch, arr)
         return TensorWord(self.field, self.shape, best), Fraction(ham, self.block_length)
 
-    def nearest_distance_batch(self, flat_words: np.ndarray, threshold=None) -> np.ndarray:
+    def nearest_distance_batch(self, flat_words: np.ndarray) -> np.ndarray:
         """Per-row Hamming distance from (B, N) flattened words to the code."""
         return nearest_distances(
-            self.field, self.dimension, self.encode_batch, self.codewords, flat_words, threshold
+            self.field, self.dimension, self.encode_batch, self.codewords, flat_words
         )
 
     def as_linear_code(self) -> LinearCode:

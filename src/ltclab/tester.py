@@ -129,7 +129,6 @@ class TestInstance:
         small: LinearCode,
         full: FullCode = None,
         label: str = "",
-        threshold=None,
     ):
         if small.n != graph.t_degree:
             raise DegreeMismatchError(
@@ -145,7 +144,6 @@ class TestInstance:
         self.small = small
         self.full = full
         self.label = label or graph.label or "instance"
-        self.threshold = threshold
 
     # --- plumbing -------------------------------------------------------------
 
@@ -174,9 +172,7 @@ class TestInstance:
         values = self._values(word)
         out = np.empty(self.graph.m_right, dtype=np.int64)
         for start, block in self.graph.iter_row_blocks():
-            out[start : start + block.shape[0]] = self.small.nearest_distance_batch(
-                values[block], self.threshold
-            )
+            out[start : start + block.shape[0]] = self.small.nearest_distance_batch(values[block])
         return out
 
     # --- the measured quantities ------------------------------------------------
@@ -187,7 +183,7 @@ class TestInstance:
         if not 1 <= j <= self.graph.m_right:
             raise IndexError(f"view {j} not in [1, {self.graph.m_right}]")
         view = values[self.graph.row0(j - 1)]
-        ham = int(self.small.nearest_distance_batch(view[None, :], self.threshold)[0])
+        ham = int(self.small.nearest_distance_batch(view[None, :])[0])
         return Fraction(ham, self.graph.t_degree)
 
     def expected_robustness(self, word: Word) -> Fraction:
@@ -207,7 +203,7 @@ class TestInstance:
         rng = random.Random(seed)
         js = [rng.randrange(self.graph.m_right) for _ in range(samples)]
         rows = np.stack([self.graph.row0(j0) for j0 in js])
-        hams = self.small.nearest_distance_batch(values[rows], self.threshold)
+        hams = self.small.nearest_distance_batch(values[rows])
         t = self.graph.t_degree
         mean = Fraction(int(hams.sum()), samples * t)
         rel = hams / t
@@ -230,7 +226,7 @@ class TestInstance:
         if self.full is None:
             raise TooLargeToEnumerateError("no reference full code was attached")
         values = self._values(word)
-        ham = int(self.full.nearest_distance_batch(values[None, :], self.threshold)[0])
+        ham = int(self.full.nearest_distance_batch(values[None, :])[0])
         n = len(word)
         return Fraction(ham, n)
 

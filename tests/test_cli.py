@@ -223,7 +223,7 @@ def test_compose_check_cli(capsys):
 
 def test_expansion_check_cli(capsys):
     code, out, _ = run_cli(
-        capsys, "expansion-check", "--graph", "product:n=2,m=3", "--exact"
+        capsys, "expansion-check", "--graph", "product:n=2,m=3"
     )
     assert code == 0
     assert json.loads(out)["report"]["violations"] == 0
@@ -264,6 +264,18 @@ def test_usage_error_exit_code(capsys):
             "expansion-check", "--graph", {"n": 2, "m": 1, "t": 2},
             id="graph-file-without-lists",
         ),
+        pytest.param(
+            "expansion-check", "--graph", {"n": 2, "m": 1, "t": 2, "lists": [[1, 2.7]]},
+            id="graph-file-with-fractional-entry",
+        ),
+        pytest.param(
+            "expansion-check", "--graph", {"n": 3, "m": 1, "t": 2, "lists": 5},
+            id="graph-file-with-non-list-lists",
+        ),
+        pytest.param(
+            "min-distance", "--code", {"field": 2, "kind": "generator", "generator": [[1, 1.9]]},
+            id="code-file-with-fractional-entry",
+        ),
     ],
 )
 def test_incomplete_spec_is_a_usage_error(capsys, tmp_path, command, flag, spec):
@@ -280,4 +292,19 @@ def test_incomplete_spec_is_a_usage_error(capsys, tmp_path, command, flag, spec)
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compose-check", "--graph", "product:n=2,m=2", "--graph2", "product:n=2,m=2",
+         "--small", "rep:q=2,n=2"],
+        ["expansion-check", "--graph", "product:n=2,m=3"],
+    ],
+    ids=["compose-check", "expansion-check"],
+)
+def test_csv_only_where_reports_are_rows(tmp_path, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--format", "csv", "--out", str(tmp_path / "out.csv")])
     assert err.value.code == 2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ltclab.code
 from ltclab.code import (
     Word,
     distance,
@@ -185,10 +186,11 @@ def test_min_distance_full_space():
     assert full_code(GF2, 3).min_distance() == 1
 
 
-def test_min_distance_threshold_refusal():
+def test_min_distance_threshold_refusal(monkeypatch):
     c = full_code(GF2, 5)  # 32 codewords
+    monkeypatch.setattr(ltclab.code, "ENUMERATION_THRESHOLD", 16)
     with pytest.raises(TooLargeToEnumerateError) as err:
-        c.min_distance(threshold=16)
+        c.min_distance()
     assert "32" in str(err.value) and "16" in str(err.value)
 
 
@@ -199,14 +201,16 @@ def test_codeword_table_memory_guard():
         big.codewords()
 
 
-def test_threshold_refuses_on_a_warm_table():
+def test_threshold_refuses_on_a_warm_table(monkeypatch):
     c = reed_solomon(GF7, 7, 2)  # 49 codewords
     c.codewords()
     words = np.zeros((1, 7), dtype=np.int64)
+    monkeypatch.setattr(ltclab.code, "ENUMERATION_THRESHOLD", 1)
     with pytest.raises(TooLargeToEnumerateError):
-        c.nearest_distance_batch(words, threshold=1)
+        c.nearest_distance_batch(words)
     with pytest.raises(TooLargeToEnumerateError):
-        c.codewords(threshold=1)
+        c.codewords()
+    monkeypatch.undo()
     assert c.nearest_distance_batch(words).tolist() == [0]
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ltclab.code
 from ltclab.code import full_code, repetition, reed_solomon
 from ltclab.errors import (
     FieldMismatchError,
@@ -49,12 +50,14 @@ def test_rs_square_distance_by_enumeration():
     assert c.min_distance() == 36  # enumerates all 2401 codewords
 
 
-def test_threshold_refuses_on_a_warm_table():
+def test_threshold_refuses_on_a_warm_table(monkeypatch):
     t = tensor_power(repetition(GF2, 2), 2)  # 2 codewords
     t.codewords()
     words = np.zeros((1, 4), dtype=np.int64)
+    monkeypatch.setattr(ltclab.code, "ENUMERATION_THRESHOLD", 1)
     with pytest.raises(TooLargeToEnumerateError):
-        t.nearest_distance_batch(words, threshold=1)
+        t.nearest_distance_batch(words)
+    monkeypatch.undo()
     assert t.nearest_distance_batch(words).tolist() == [0]
 
 

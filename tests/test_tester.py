@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ltclab.code
 from ltclab.code import Word, repetition, reed_solomon
 from ltclab.errors import TooLargeToEnumerateError
 from ltclab.field import Field
@@ -160,10 +161,11 @@ def test_certify_interval_when_oracle_missing():
         _ = report.delta
 
 
-def test_delta_oracle_refusal_propagates():
+def test_delta_oracle_refusal_propagates(monkeypatch):
     graph = product_graph(3, 2)
     full = tensor_power(repetition(GF2, 3), 2)
-    inst = TestInstance(graph, repetition(GF2, 3), full=full, threshold=1)
+    inst = TestInstance(graph, repetition(GF2, 3), full=full)
+    monkeypatch.setattr(ltclab.code, "ENUMERATION_THRESHOLD", 1)
     w = Word(GF2, [1] + [0] * 8)
     with pytest.raises(TooLargeToEnumerateError):
         inst.delta_exact(w)
