@@ -119,7 +119,39 @@ def distance(x: Word, y: Word) -> tuple[int, Fraction]:
 # its field, its message length k and an ``encode_batch`` mapping a (B, k)
 # array of messages to a (B, n) array of codewords.  Every entry point checks
 # the threshold on every call.  Messages are enumerated in lexicographic order,
-# _CHUNK at a time, so ties break toward the smallest message.
+# about _CHUNK at a time, so ties break toward the smallest message.
+#
+# Codeword symbols are stored as symbol_dtype(field).  An array of codewords
+# with more rows than columns is laid out codeword-major (its transpose is
+# C-contiguous), so the compare kernel streams whole rows of the transpose;
+# any other array is row-major.  The layout follows from the shape alone.
+
+
+def _unsigned(top: int) -> type:
+    """The narrowest unsigned type holding 0..top, for top < 2**32.
+
+    As np.min_scalar_type(top), which costs a tenth of a batch-of-one compare.
+    """
+    return np.uint8 if top < 1 << 8 else np.uint16 if top < 1 << 16 else np.uint32
+
+
+def symbol_dtype(field: Field) -> type:
+    """The narrowest unsigned dtype holding every residue: uint8 or uint16."""
+    return _unsigned(field.q - 1)
+
+
+def _empty_table(rows: int, n: int, dtype) -> np.ndarray:
+    """An uninitialised (rows, n) array in the layout its shape calls for."""
+    if rows > n:
+        return np.empty((n, rows), dtype=dtype).T
+    return np.empty((rows, n), dtype=dtype)
+
+
+def _laid_out(rows: np.ndarray, dtype) -> np.ndarray:
+    """A copy of a (rows, n) array as ``dtype``, in the layout its shape calls for."""
+    out = _empty_table(rows.shape[0], rows.shape[1], dtype)
+    out[...] = rows
+    return out
 
 
 def _require_enumerable(field: Field, k: int) -> int:
@@ -131,13 +163,39 @@ def _require_enumerable(field: Field, k: int) -> int:
     return total
 
 
+def _messages(start: int, stop: int, step: int, k: int, q: int) -> np.ndarray:
+    idx = np.arange(start, stop, step, dtype=np.int64)
+    return np.stack(np.unravel_index(idx, (q,) * k), axis=1)
+
+
 def codeword_blocks(field: Field, k: int, encode_batch):
-    """Yield (start, codewords) for blocks of _CHUNK consecutive messages."""
+    """Yield (start, codewords) for blocks of about _CHUNK consecutive messages.
+
+    Messages split into groups of q**j, the largest power of q that is at most
+    _CHUNK (and at most q**k).  A group starting at message s holds
+    codeword(s) + codeword(i) for i < q**j, by linearity: the first q**j
+    codewords are encoded once, and each block adds the encoded group starts
+    to them.  A block stacks as many whole groups as fit in _CHUNK rows.  A
+    code with a single group is one block of encoded messages.
+    """
     total = _require_enumerable(field, k)
-    shape = (field.q,) * k
-    for s in range(0, total, _CHUNK):
-        idx = np.arange(s, min(s + _CHUNK, total), dtype=np.int64)
-        yield s, encode_batch(np.stack(np.unravel_index(idx, shape), axis=1))
+    q, dtype = field.q, symbol_dtype(field)
+    span = 1
+    while span < total and span * q <= _CHUNK:
+        span *= q
+    first = encode_batch(_messages(0, span, 1, k, q))
+    if span == total:
+        yield 0, _laid_out(first, dtype)
+        return
+    per_block = span * max(1, _CHUNK // span)
+    wide = _unsigned(2 * (q - 1))
+    first = first.astype(wide)
+    for s in range(0, total, per_block):
+        base = encode_batch(_messages(s, min(s + per_block, total), span, k, q)).astype(wide)
+        sums = (base[:, None, :] + first[None, :, :]).reshape(-1, first.shape[1])
+        # Below q, sums - q wraps past the top of ``wide``, so this is sums mod q.
+        np.minimum(sums, sums - q, out=sums)
+        yield s, _laid_out(sums, dtype)
 
 
 def codeword_table(field: Field, k: int, encode_batch, cached=None) -> np.ndarray:
@@ -150,13 +208,17 @@ def codeword_table(field: Field, k: int, encode_batch, cached=None) -> np.ndarra
     if cached is not None:
         return cached
     blocks = codeword_blocks(field, k, encode_batch)
-    _, table = next(blocks)
-    if total * table.shape[1] > TABLE_CELLS:
-        raise TooLargeToEnumerateError(
-            f"codeword table would hold {total * table.shape[1]} cells"
-        )
-    if table.shape[0] < total:
-        table = np.concatenate([table] + [block for _, block in blocks])
+    _, block = next(blocks)
+    n = block.shape[1]
+    if total * n > TABLE_CELLS:
+        raise TooLargeToEnumerateError(f"codeword table would hold {total * n} cells")
+    if block.shape[0] == total:
+        table = block
+    else:
+        table = _empty_table(total, n, block.dtype)
+        table[: block.shape[0]] = block
+        for s, block in blocks:
+            table[s : s + block.shape[0]] = block
     table.setflags(write=False)
     return table
 
@@ -166,6 +228,7 @@ def nearest_codeword(
 ) -> tuple[np.ndarray, int]:
     """The first codeword in message order nearest to ``values``, and its distance."""
     best, best_ham = None, values.size + 1
+    values = values.astype(symbol_dtype(field))
     for _, block in codeword_blocks(field, k, encode_batch):
         hams = np.count_nonzero(block != values[None, :], axis=1)
         i = int(np.argmin(hams))
@@ -181,7 +244,8 @@ def nearest_distances(
 
     Compares against the table ``codewords()`` when the table fits in
     TABLE_CELLS cells; otherwise streams codeword blocks, keeping a running
-    minimum.
+    minimum.  The compare is fastest when ``words`` has the table's dtype,
+    symbol_dtype(field).
     """
     if field.q**k * words.shape[1] <= TABLE_CELLS:
         return _min_hammings(words, codewords())
@@ -193,12 +257,23 @@ def nearest_distances(
 
 
 def _min_hammings(words: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Per-row minimum Hamming distance from (B, n) words to the rows of a table."""
+    """Per-row minimum Hamming distance from (B, n) words to the rows of a table.
+
+    Compares along the table's layout: coordinate by coordinate over the
+    transpose of a codeword-major table, row by row otherwise.  The sums are
+    held in the narrowest dtype that holds n.
+    """
+    rows, n = table.shape
+    acc = _unsigned(n)
     out = np.empty(words.shape[0], dtype=np.int64)
-    step = max(1, BROADCAST_CELLS // max(1, table.size))
+    step = BROADCAST_CELLS // table.size or 1
     for s in range(0, words.shape[0], step):
-        diff = words[s : s + step, None, :] != table[None, :, :]
-        out[s : s + step] = diff.sum(axis=2).min(axis=1)
+        if rows > n:
+            diff = words[s : s + step, :, None] != table.T[None, :, :]
+            out[s : s + step] = diff.sum(axis=1, dtype=acc).min(axis=1)
+        else:
+            diff = words[s : s + step, None, :] != table[None, :, :]
+            out[s : s + step] = diff.sum(axis=2, dtype=acc).min(axis=1)
     return out
 
 
@@ -240,6 +315,8 @@ class LinearCode:
         if mat.shape[0] == 0 or mat.shape[1] == 0:
             raise ValueError("generator rows must be nonempty")
         basis = linalg.row_basis(mat, field.q)
+        if basis.shape[0] == 0:
+            raise ValueError("generator rows are all zero")
         if basis.shape[0] < mat.shape[0]:
             warnings.warn(
                 RankDeficiencyWarning(
@@ -247,8 +324,6 @@ class LinearCode:
                     "keeping the reduced basis"
                 )
             )
-        if basis.shape[0] == 0:
-            raise ValueError("generator rows are all zero")
         return cls(field, basis, d_known=d_known, _reduced=True)
 
     # --- basic queries -----------------------------------------------------
@@ -293,7 +368,9 @@ class LinearCode:
         """All q**k codewords as a read-only (q**k, n) array, cached.
 
         Row order is lexicographic in the message symbols, so row index i
-        encodes the message ``unravel_index(i, (q,)*k)``.
+        encodes the message ``unravel_index(i, (q,)*k)``.  Symbols are
+        ``symbol_dtype(field)``; when q**k > n the array is the transpose of a
+        C-contiguous (n, q**k) array.
         """
         self._codewords = codeword_table(self.field, self.k, self.encode_batch, self._codewords)
         return self._codewords

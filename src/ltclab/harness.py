@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,6 +65,16 @@ class _Fields(dict):
 
     def __missing__(self, key):
         raise ValueError(f"{self.source} has no {key!r}")
+
+    def integer(self, key: str) -> int:
+        """The value at ``key``, which must be an integer (not a float, a string or a bool)."""
+        value = self[key]
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            return operator.index(value)
+        except TypeError:
+            raise ValueError(f"{self.source}: {key!r} must be an integer, got {value!r}") from None
 
 
 def _parse_kv(text: str, body: str) -> _Fields:
@@ -111,10 +122,10 @@ def load_code_file(path: str) -> LinearCode:
     """Read a code-spec JSON file."""
     with open(path) as fh:
         doc = _Fields(f"code file {path!r}", json.load(fh))
-    field = Field(int(doc["field"]))
+    field = Field(doc.integer("field"))
     kind = doc.get("kind", "generator")
     if kind == "reed_solomon":
-        return reed_solomon(field, int(doc["n"]), int(doc["k"]))
+        return reed_solomon(field, doc.integer("n"), doc.integer("k"))
     if kind == "generator":
         return make_generator_code(field, doc["generator"])
     raise ValueError(f"unknown code kind {kind!r} in {path}")
@@ -133,8 +144,8 @@ def parse_graph_spec(text: str) -> OrderedGraph:
     if text.endswith(".json"):
         with open(text) as fh:
             doc = _Fields(f"graph file {text!r}", json.load(fh))
-        graph = OrderedGraph.from_lists(int(doc["n"]), doc["lists"], label=text)
-        if graph.m_right != int(doc["m"]) or graph.t_degree != int(doc["t"]):
+        graph = OrderedGraph.from_lists(doc.integer("n"), doc["lists"], label=text)
+        if graph.m_right != doc.integer("m") or graph.t_degree != doc.integer("t"):
             raise ValueError(f"graph file {text} is inconsistent with its lists")
         return graph
     kind, _, rest = text.partition(":")

@@ -84,10 +84,11 @@ class OrderedGraph:
         t = lengths.pop()
         if t == 0:
             raise ValueError("neighbor lists must be nonempty")
-        rows = np.array(lists, dtype=np.int64)
-        if rows.min() < 1 or rows.max() > n_left:
-            bad = int(rows.min()) if rows.min() < 1 else int(rows.max())
+        # Checked on the Python ints, so that no entry can overflow int64.
+        bad = next((v for row in lists for v in row if not 1 <= v <= n_left), None)
+        if bad is not None:
             raise EntryOutOfRangeError(f"entry {bad} outside [1, {n_left}]")
+        rows = np.array(lists, dtype=np.int64)
         return cls(n_left, rows.shape[0], t, rows0=rows - 1, label=label)
 
     @property

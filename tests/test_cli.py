@@ -276,6 +276,22 @@ def test_usage_error_exit_code(capsys):
             "min-distance", "--code", {"field": 2, "kind": "generator", "generator": [[1, 1.9]]},
             id="code-file-with-fractional-entry",
         ),
+        pytest.param(
+            "expansion-check", "--graph", {"n": 2.9, "m": 1, "t": 2, "lists": [[1, 2]]},
+            id="graph-file-with-fractional-header",
+        ),
+        pytest.param(
+            "min-distance", "--code", {"field": 7.9, "kind": "generator", "generator": [[1, 1, 1]]},
+            id="code-file-with-fractional-field",
+        ),
+        pytest.param(
+            "min-distance", "--code", {"field": 7, "kind": "reed_solomon", "n": 4, "k": "2"},
+            id="rs-file-with-string-dimension",
+        ),
+        pytest.param(
+            "expansion-check", "--graph", {"n": 3, "m": 1, "t": 2, "lists": [[1, 2**65]]},
+            id="graph-file-with-huge-entry",
+        ),
     ],
 )
 def test_incomplete_spec_is_a_usage_error(capsys, tmp_path, command, flag, spec):
