@@ -32,10 +32,11 @@ _CHUNK = 1 << 14
 
 
 def _coerce_symbols(field: Field, symbols) -> np.ndarray:
+    """A new array of the symbols as symbol_dtype(field), range-checked first."""
     if isinstance(symbols, np.ndarray):
         if symbols.dtype.kind not in "iu":
             raise ValueError(f"symbols must be integers, got dtype {symbols.dtype}")
-        values = symbols.astype(np.int64, copy=True)
+        values = symbols
     else:
         out = []
         for s in symbols:
@@ -55,11 +56,15 @@ def _coerce_symbols(field: Field, symbols) -> np.ndarray:
         raise ValueError("symbols must form a 1-d sequence")
     if values.size and (values.min() < 0 or values.max() >= field.q):
         raise ValueError(f"symbol values must lie in [0, {field.q})")
-    return values
+    return values.astype(symbol_dtype(field))
 
 
 class Word:
-    """A length-n vector of field residues.  Immutable."""
+    """A length-n vector of field residues.  Immutable.
+
+    ``values`` holds the symbols as symbol_dtype(field), the dtype of the
+    codeword tables, so the oracles compare words without converting them.
+    """
 
     __slots__ = ("field", "values")
 
@@ -175,21 +180,16 @@ def codeword_blocks(field: Field, k: int, encode_batch):
     _CHUNK (and at most q**k).  A group starting at message s holds
     codeword(s) + codeword(i) for i < q**j, by linearity: the first q**j
     codewords are encoded once, and each block adds the encoded group starts
-    to them.  A block stacks as many whole groups as fit in _CHUNK rows.  A
-    code with a single group is one block of encoded messages.
+    to them.  A block stacks as many whole groups as fit in _CHUNK rows.
     """
     total = _require_enumerable(field, k)
     q, dtype = field.q, symbol_dtype(field)
     span = 1
     while span < total and span * q <= _CHUNK:
         span *= q
-    first = encode_batch(_messages(0, span, 1, k, q))
-    if span == total:
-        yield 0, _laid_out(first, dtype)
-        return
     per_block = span * max(1, _CHUNK // span)
     wide = _unsigned(2 * (q - 1))
-    first = first.astype(wide)
+    first = encode_batch(_messages(0, span, 1, k, q)).astype(wide)
     for s in range(0, total, per_block):
         base = encode_batch(_messages(s, min(s + per_block, total), span, k, q)).astype(wide)
         sums = (base[:, None, :] + first[None, :, :]).reshape(-1, first.shape[1])
@@ -228,7 +228,6 @@ def nearest_codeword(
 ) -> tuple[np.ndarray, int]:
     """The first codeword in message order nearest to ``values``, and its distance."""
     best, best_ham = None, values.size + 1
-    values = values.astype(symbol_dtype(field))
     for _, block in codeword_blocks(field, k, encode_batch):
         hams = np.count_nonzero(block != values[None, :], axis=1)
         i = int(np.argmin(hams))

@@ -29,7 +29,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .code import LinearCode, Word, symbol_dtype
+from .code import LinearCode, Word
 from .config import ADJACENCY_BUDGET, REPETITIONS
 from .errors import (
     DegreeMismatchError,
@@ -148,7 +148,6 @@ class TestInstance:
     # --- plumbing -------------------------------------------------------------
 
     def _values(self, word: Word) -> np.ndarray:
-        """The word's symbols in the codeword tables' dtype, converted once per word."""
         if word.field != self.small.field:
             raise FieldMismatchError(
                 f"word over {word.field}, instance over {self.small.field}"
@@ -157,7 +156,7 @@ class TestInstance:
             raise LengthMismatchError(
                 f"word length {len(word)}, expected {self.graph.n_left}"
             )
-        return word.values.astype(symbol_dtype(word.field))
+        return word.values
 
     def _require_exact_views(self):
         total = self.graph.m_right * self.graph.t_degree

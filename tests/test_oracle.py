@@ -158,3 +158,20 @@ def test_nearest_breaks_ties_toward_the_smaller_message_across_blocks(q, chunk, 
         best, delta = code.nearest(Word(code.field, word))
     assert best.to_list() == table[int(np.argmin(hams))].tolist()
     assert delta * 4 == int(hams.min())
+
+
+@pytest.mark.parametrize("q", [2, 257])
+def test_word_values_take_the_table_dtype_after_the_range_check(q):
+    field = Field(q)
+    source = np.array([q - 1, 0], dtype=np.int64)
+    word = Word(field, source)
+    assert word.values.dtype == symbol_dtype(field)
+    assert word.to_list() == [q - 1, 0]
+    narrow = np.array([q - 1, 0], dtype=symbol_dtype(field))
+    copied = Word(field, narrow)
+    narrow[0] = 0
+    assert copied[0] == q - 1
+    # Narrowed before the check, 2**16 + 1 and 2**40 + 1 would wrap to 1.
+    for bad in (q, 2**16 + 1, 2**40 + 1):
+        with pytest.raises(ValueError):
+            Word(field, np.array([0, bad], dtype=np.int64))
