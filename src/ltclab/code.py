@@ -31,6 +31,13 @@ from .field import Field, FieldElement
 _CHUNK = 1 << 14
 
 
+def as_integer(value) -> int:
+    """``operator.index(value)``, refusing bools (JSON true and false) with a TypeError too."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a bool")
+    return operator.index(value)
+
+
 def _coerce_symbols(field: Field, symbols) -> np.ndarray:
     """A new array of the symbols as symbol_dtype(field), range-checked first."""
     if isinstance(symbols, np.ndarray):
@@ -48,7 +55,7 @@ def _coerce_symbols(field: Field, symbols) -> np.ndarray:
                 out.append(s.value)
             else:
                 try:
-                    out.append(operator.index(s))
+                    out.append(as_integer(s))
                 except TypeError:
                     raise ValueError(f"symbol {s!r} is not an integer") from None
         values = np.array(out, dtype=np.int64)

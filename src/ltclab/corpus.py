@@ -155,8 +155,8 @@ def _generate_part(instance, part: CorpusPart, rng, emit) -> None:
     q = field.q
     n = instance.graph.n_left
     if part.kind == "uniform":
-        for _ in range(part.count):
-            emit(rng.integers(0, q, size=n, dtype=np.int64), {"kind": "uniform"})
+        for values in rng.integers(0, q, size=(part.count, n), dtype=np.int64):
+            emit(values, {"kind": "uniform"})
     elif part.kind == "codewords":
         for _ in range(part.count):
             emit(_random_full_codeword(rng, instance), {"kind": "codewords"})

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,8 +33,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .code import LinearCode, Word, full_code, make_generator_code, reed_solomon, repetition
-from .config import DERIVED_PARITY_CELLS, EXPANSION_PAIRS
+from .code import LinearCode, Word, as_integer, full_code, make_generator_code, reed_solomon, repetition
+from .config import DERIVED_PARITY_CELLS, ENUMERATION_THRESHOLD, EXPANSION_PAIRS
 from .corpus import generate_corpus, parse_corpus_spec
 from .errors import TooLargeToEnumerateError
 from .field import Field
@@ -43,6 +42,7 @@ from .reports import frac_decimal, frac_str, json_bytes, write_csv
 from .tanner import (
     _ROW_BLOCK,
     OrderedGraph,
+    TannerCode,
     boundary_edge_count,
     iterated_graph,
     product_graph,
@@ -70,9 +70,7 @@ class _Fields(dict):
         """The value at ``key``, which must be an integer (not a float, a string or a bool)."""
         value = self[key]
         try:
-            if isinstance(value, bool):
-                raise TypeError
-            return operator.index(value)
+            return as_integer(value)
         except TypeError:
             raise ValueError(f"{self.source}: {key!r} must be an integer, got {value!r}") from None
 
@@ -165,8 +163,9 @@ def parse_word_file(path: str, field: Field) -> Word:
         doc = json.load(fh)
     if isinstance(doc, list):
         return Word(field, doc)
-    if isinstance(doc, dict) and "symbols" in doc:
-        if "field" in doc and int(doc["field"]) != field.q:
+    if isinstance(doc, dict) and isinstance(doc.get("symbols"), list):
+        doc = _Fields(f"word file {path!r}", doc)
+        if "field" in doc and doc.integer("field") != field.q:
             raise ValueError(
                 f"word file is over GF({doc['field']}), instance over GF({field.q})"
             )
@@ -199,20 +198,30 @@ def instance_from_specs(
 
     Without an explicit full code, the Tanner product code of (graph, small)
     is derived by parity stacking when small enough; otherwise delta falls
-    back to certified intervals.
+    back to certified intervals.  An explicit full code must be a subcode of
+    the Tanner product code, checked on its generator rows whenever its
+    codewords could be enumerated at all.
     """
     graph = parse_graph_spec(graph_spec)
     small = parse_flat_code_spec(small_spec)
-    full = None
     if full_spec:
         full = parse_code_spec(full_spec)
     else:
         try:
             full = tpc_linear_code(graph, small, max_cells=DERIVED_PARITY_CELLS)
-        except (TooLargeToEnumerateError, ValueError):
+        except TooLargeToEnumerateError:
             full = None
-    label = f"{graph_spec} / {small_spec}"
-    return TestInstance(graph, small, full=full, label=label)
+    instance = TestInstance(graph, small, full=full, label=f"{graph_spec} / {small_spec}")
+    if full_spec:
+        k = full.k if isinstance(full, LinearCode) else full.dimension
+        if small.field.q**k <= ENUMERATION_THRESHOLD:
+            rows = full.encode_batch(np.eye(k, dtype=np.int64))
+            if not TannerCode(graph, small).contains_batch(rows).all():
+                raise ValueError(
+                    f"reference code {full_spec!r} is not a subcode of the Tanner product code"
+                    f" of {graph_spec!r} and {small_spec!r}"
+                )
+    return instance
 
 
 # --- configuration ---------------------------------------------------------------
@@ -332,6 +341,17 @@ def run_sweep(config: ExperimentConfig, instance: Optional[TestInstance] = None)
 # --- composition check --------------------------------------------------------------
 
 
+def _least_ratio(sums: np.ndarray, deltas: np.ndarray, graph: OrderedGraph) -> Optional[str]:
+    """The least rho/delta = (sum / (m t)) / (delta / n) over deltas > 0, compared in integers."""
+    best = None  # (sum, delta): the least sum at each distinct delta, cross-multiplied
+    for den in np.unique(deltas[deltas > 0]).tolist():
+        num = int(sums[deltas == den].min())
+        if best is None or num * best[1] < best[0] * den:
+            best = (num, den)
+    entries = graph.m_right * graph.t_degree
+    return None if best is None else frac_str(Fraction(best[0] * graph.n_left, best[1] * entries))
+
+
 def run_compose_check(
     outer: OrderedGraph, inner: OrderedGraph, small: LinearCode, corpus: str, seed: int
 ) -> dict:
@@ -340,8 +360,9 @@ def run_compose_check(
     For every corpus word, the expected robustness over the composed graph
     must equal the mean over outer views of the inner tester's expected
     robustness on that view; the two sides are computed along independent
-    paths (composed adjacency vs nested projection).  Also reports the
-    empirical robustness constants of the outer, inner, and composed testers.
+    paths (composed adjacency vs outer rows followed by inner rows), each in
+    one batch over the corpus.  Also reports the empirical robustness
+    constants of the outer, inner, and composed testers.
     """
     t0 = time.perf_counter()
     composed = outer.compose(inner)
@@ -351,31 +372,17 @@ def run_compose_check(
     outer_instance = TestInstance(outer, medium, full=full, label="outer")
     inner_instance = TestInstance(inner, small, full=medium, label="inner")
     words = generate_corpus(comp_instance, parse_corpus_spec(corpus), seed)
-    mismatches = 0
-    field = small.field
-    mins = {"outer": None, "inner": None, "composed": None}
-
-    def _update(key, ratio):
-        if ratio is not None:
-            mins[key] = ratio if mins[key] is None else min(mins[key], ratio)
-
-    for word, _ in words:
-        lhs = comp_instance.expected_robustness(word)
-        inner_means = []
-        for j0 in range(outer.m_right):
-            view = Word(field, outer.view(word.values, j0 + 1))
-            inner_means.append(inner_instance.expected_robustness(view))
-            dv = inner_instance.delta_exact(view)
-            if dv != 0:
-                _update("inner", inner_means[-1] / dv)
-        rhs = sum(inner_means, Fraction(0)) / outer.m_right
-        if lhs != rhs:
-            mismatches += 1
-        d = comp_instance.delta_exact(word)
-        if d != 0:
-            _update("composed", lhs / d)
-            _update("outer", outer_instance.expected_robustness(word) / d)
-    wall = time.perf_counter() - t0
+    values = np.array([word.values for word, _ in words]).reshape(len(words), composed.n_left)
+    views = values[:, outer.rows0_block(0, outer.m_right)].reshape(-1, outer.t_degree)
+    comp_sums = comp_instance.view_hammings_batch(values).sum(axis=1)
+    inner_sums = inner_instance.view_hammings_batch(views).sum(axis=1)
+    inner_delta = inner_instance.delta_hammings_batch(views)
+    delta = comp_instance.delta_hammings_batch(values)
+    outer_sums = outer_instance.view_hammings_batch(values[delta > 0]).sum(axis=1)
+    # lhs = comp_sums / (m_c t_c) must equal rhs = (the word's inner_sums) / (m_o m_i t_i)
+    rhs_sums = inner_sums.reshape(len(words), outer.m_right).sum(axis=1)
+    lhs_den, rhs_den = composed.m_right * composed.t_degree, outer.m_right * inner.m_right * inner.t_degree
+    mismatches = int(np.count_nonzero(comp_sums * rhs_den != rhs_sums * lhs_den))
     report = {
         "outer": outer.label,
         "inner": inner.label,
@@ -384,11 +391,11 @@ def run_compose_check(
         "seed": seed,
         "words": len(words),
         "identity_mismatches": mismatches,
-        "measured_c_outer": frac_str(mins["outer"]) if mins["outer"] is not None else None,
-        "measured_c_inner": frac_str(mins["inner"]) if mins["inner"] is not None else None,
-        "measured_c_composed": frac_str(mins["composed"]) if mins["composed"] is not None else None,
+        "measured_c_outer": _least_ratio(outer_sums, delta[delta > 0], outer),
+        "measured_c_inner": _least_ratio(inner_sums, inner_delta, inner),
+        "measured_c_composed": _least_ratio(comp_sums, delta, composed),
     }
-    return {"report": report, "wall_time": wall, "exit_code": 0 if mismatches == 0 else 1}
+    return {"report": report, "wall_time": time.perf_counter() - t0, "exit_code": 0 if mismatches == 0 else 1}
 
 
 # --- expansion check -----------------------------------------------------------------

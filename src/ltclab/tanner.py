@@ -12,7 +12,6 @@ keep a computed row accessor so that sampled testing still works.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -20,7 +19,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .code import LinearCode, Word
+from .code import LinearCode, Word, as_integer
 from .config import ADJACENCY_BUDGET, PARITY_CELLS
 from .errors import (
     DegreeMismatchError,
@@ -73,7 +72,7 @@ class OrderedGraph:
     def from_lists(cls, n_left: int, lists: Sequence[Sequence[int]], label: str = "") -> "OrderedGraph":
         """Validate 1-based adjacency lists and build an explicit graph."""
         try:
-            lists = [[operator.index(v) for v in row] for row in lists]
+            lists = [[as_integer(v) for v in row] for row in lists]
         except TypeError:
             raise ValueError("neighbor lists must be lists of integers") from None
         if not lists:
@@ -340,6 +339,8 @@ def tpc_linear_code(graph: OrderedGraph, small: LinearCode, max_cells: int = PAR
     the null space.  Intended for desk-scale graphs; refuses when the stacked
     parity matrix would be too large.
     """
+    if small.n != graph.t_degree:
+        raise DegreeMismatchError(f"small code length {small.n} != right degree {graph.t_degree}")
     rows_per_view = small.parity_check.shape[0]
     n = graph.n_left
     total = graph.m_right * max(rows_per_view, 1)

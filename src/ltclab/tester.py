@@ -30,7 +30,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .code import LinearCode, Word
-from .config import ADJACENCY_BUDGET, REPETITIONS
+from .config import ADJACENCY_BUDGET, BROADCAST_CELLS, REPETITIONS
 from .errors import (
     DegreeMismatchError,
     FieldMismatchError,
@@ -135,6 +135,8 @@ class TestInstance:
                 f"small code length {small.n} != right degree {graph.t_degree}"
             )
         if full is not None:
+            if full.field != small.field:
+                raise FieldMismatchError(f"full code over {full.field}, small code over {small.field}")
             full_n = full.n if isinstance(full, LinearCode) else full.block_length
             if full_n != graph.n_left:
                 raise LengthMismatchError(
@@ -152,11 +154,12 @@ class TestInstance:
             raise FieldMismatchError(
                 f"word over {word.field}, instance over {self.small.field}"
             )
-        if len(word) != self.graph.n_left:
-            raise LengthMismatchError(
-                f"word length {len(word)}, expected {self.graph.n_left}"
-            )
-        return word.values
+        return self._rows(word.values[None])
+
+    def _rows(self, values: np.ndarray) -> np.ndarray:
+        if values.shape[1:] != (self.graph.n_left,):
+            raise LengthMismatchError(f"words of shape {values.shape}, expected (B, {self.graph.n_left})")
+        return values
 
     def _require_exact_views(self):
         total = self.graph.m_right * self.graph.t_degree
@@ -166,14 +169,25 @@ class TestInstance:
                 f"({total} adjacency entries)"
             )
 
+    def view_hammings_batch(self, values: np.ndarray) -> np.ndarray:
+        """(B, m) view distances from the small code of the rows of a (B, n_left) symbol array.
+
+        One gather and one oracle call per row block, for as many words as fit BROADCAST_CELLS.
+        """
+        self._require_exact_views()
+        values = self._rows(values)
+        out = np.empty((values.shape[0], self.graph.m_right), dtype=np.int64)
+        for start, block in self.graph.iter_row_blocks():
+            step = max(1, BROADCAST_CELLS // block.size)
+            for s in range(0, values.shape[0], step):
+                views = values[s : s + step, block]
+                hams = self.small.nearest_distance_batch(views.reshape(-1, self.graph.t_degree))
+                out[s : s + step, start : start + block.shape[0]] = hams.reshape(views.shape[:2])
+        return out
+
     def view_hammings(self, word: Word) -> np.ndarray:
         """Hamming distance of every view from the small code, in view order."""
-        self._require_exact_views()
-        values = self._values(word)
-        out = np.empty(self.graph.m_right, dtype=np.int64)
-        for start, block in self.graph.iter_row_blocks():
-            out[start : start + block.shape[0]] = self.small.nearest_distance_batch(values[block])
-        return out
+        return self.view_hammings_batch(self._values(word))[0]
 
     # --- the measured quantities ------------------------------------------------
 
@@ -182,14 +196,12 @@ class TestInstance:
         values = self._values(word)
         if not 1 <= j <= self.graph.m_right:
             raise IndexError(f"view {j} not in [1, {self.graph.m_right}]")
-        view = values[self.graph.row0(j - 1)]
-        ham = int(self.small.nearest_distance_batch(view[None, :])[0])
+        ham = int(self.small.nearest_distance_batch(values[:, self.graph.row0(j - 1)])[0])
         return Fraction(ham, self.graph.t_degree)
 
     def expected_robustness(self, word: Word) -> Fraction:
         """Exact mean view robustness under the uniform view distribution."""
-        hams = self.view_hammings(word)
-        return Fraction(int(hams.sum()), self.graph.m_right * self.graph.t_degree)
+        return Fraction(int(self.view_hammings(word).sum()), self.graph.m_right * self.graph.t_degree)
 
     def expected_robustness_sampled(self, word: Word, seed: int, samples: int) -> SampledEstimate:
         """Unbiased seeded estimate of the expected robustness.
@@ -199,7 +211,7 @@ class TestInstance:
         """
         if samples < 1:
             raise ValueError("need at least one sample")
-        values = self._values(word)
+        values = self._values(word)[0]
         rng = random.Random(seed)
         js = [rng.randrange(self.graph.m_right) for _ in range(samples)]
         rows = np.stack([self.graph.row0(j0) for j0 in js])
@@ -212,23 +224,24 @@ class TestInstance:
 
     def tau_soundness_error(self, word: Word, tau: Fraction) -> Fraction:
         """Fraction of views strictly more than tau-far from the small code."""
-        tau = Fraction(tau)
-        hams = self.view_hammings(word)
-        t = self.graph.t_degree
+        return self._soundness_error(self.view_hammings(word), Fraction(tau))
+
+    def _soundness_error(self, hams: np.ndarray, tau: Fraction) -> Fraction:
         # ham/t > tau  <=>  ham * tau.den > tau.num * t
-        count = int(np.count_nonzero(hams * tau.denominator > tau.numerator * t))
+        count = int(np.count_nonzero(hams * tau.denominator > tau.numerator * self.graph.t_degree))
         return Fraction(count, self.graph.m_right)
 
     # --- distance to the full code ------------------------------------------------
 
-    def delta_exact(self, word: Word) -> Fraction:
-        """delta(word): exact relative distance to the reference full code."""
+    def delta_hammings_batch(self, values: np.ndarray) -> np.ndarray:
+        """(B,) Hamming distances of the rows of a (B, n_left) symbol array from the full code."""
         if self.full is None:
             raise TooLargeToEnumerateError("no reference full code was attached")
-        values = self._values(word)
-        ham = int(self.full.nearest_distance_batch(values[None, :])[0])
-        n = len(word)
-        return Fraction(ham, n)
+        return self.full.nearest_distance_batch(self._rows(values))
+
+    def delta_exact(self, word: Word) -> Fraction:
+        """delta(word): exact relative distance to the reference full code."""
+        return Fraction(int(self.delta_hammings_batch(self._values(word))[0]), self.graph.n_left)
 
     def delta_bounds(self, word: Word, rho: Optional[Fraction] = None) -> tuple[Fraction, Fraction, bool]:
         """(lower, upper, exact) bounds on delta.
@@ -281,16 +294,9 @@ class TestInstance:
             else:
                 holds = None
             ratio = None
-        epsilon = None
-        if tau is not None:
-            tau = Fraction(tau)
-            count = int(np.count_nonzero(hams * tau.denominator > tau.numerator * t))
-            epsilon = Fraction(count, self.graph.m_right)
-        per_view = None
-        if with_views:
-            per_view = tuple(
-                (j + 1, Fraction(int(h), t)) for j, h in enumerate(hams)
-            )
+        tau = None if tau is None else Fraction(tau)
+        epsilon = None if tau is None else self._soundness_error(hams, tau)
+        per_view = tuple((j + 1, Fraction(int(h), t)) for j, h in enumerate(hams)) if with_views else None
         report = RobustnessReport(
             label=self.label,
             rho=rho,
@@ -320,8 +326,7 @@ class TestInstance:
         c = -(-alpha.denominator // alpha.numerator)  # ceil(1/alpha)
         if c > REPETITIONS:
             raise ValueError(f"{c} repetitions is beyond exact evaluation")
-        hams = self.view_hammings(word)
-        p = Fraction(int(np.count_nonzero(hams)), self.graph.m_right)
+        p = self._soundness_error(self.view_hammings(word), Fraction(0))
         reject = 1 - (1 - p) ** c
         delta = self.delta_exact(word)
         return AmplificationResult(c, p, reject, delta, reject >= delta / 2)

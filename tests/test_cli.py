@@ -292,6 +292,10 @@ def test_usage_error_exit_code(capsys):
             "expansion-check", "--graph", {"n": 3, "m": 1, "t": 2, "lists": [[1, 2**65]]},
             id="graph-file-with-huge-entry",
         ),
+        pytest.param(
+            "expansion-check", "--graph", {"n": 2, "m": 2, "t": 2, "lists": [[1, True], [2, 2]]},
+            id="graph-file-with-bool-entry",
+        ),
     ],
 )
 def test_incomplete_spec_is_a_usage_error(capsys, tmp_path, command, flag, spec):
@@ -303,6 +307,43 @@ def test_incomplete_spec_is_a_usage_error(capsys, tmp_path, command, flag, spec)
     assert code == 2
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"field": 2.5, "symbols": [0, 1]}, {"field": True, "symbols": [0, 1]}, [0, True], {"symbols": [False, 1]}],
+    ids=["fractional-field", "bool-field", "bool-symbol", "bool-symbol-in-document"],
+)
+def test_word_file_integers_are_strict(capsys, tmp_path, doc):
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "membership", "--code", "rep:q=2,n=2", "--word-file", str(path))
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "integer" in lines[0]
+
+
+def test_reference_code_outside_the_tanner_product_code_is_refused(capsys):
+    argv = ["robustness", "--graph", "product:n=3,m=2", "--small", "rep:q=2,n=3", "--word", "1,0,0,0,0,0,0,0,0"]
+    code, _, err = run_cli(capsys, *argv, "--code", "full:q=2,n=9")
+    assert code == 2
+    assert err.strip().splitlines() == [
+        "error: reference code 'full:q=2,n=9' is not a subcode of the Tanner product code"
+        " of 'product:n=3,m=2' and 'rep:q=2,n=3'"
+    ]
+    code, out, _ = run_cli(capsys, *argv, "--code", "rep:q=2,n=3^2")
+    assert code == 0
+    assert json.loads(out)["delta"] == "1/9"
+
+
+def test_trivial_tanner_product_code_is_a_usage_error(capsys, tmp_path):
+    # Views (x1, x2) and (x2, x1) both in span{(1, 2)} over GF(5) force x = 0.
+    graph, small = tmp_path / "graph.json", tmp_path / "small.json"
+    graph.write_text(json.dumps({"n": 2, "m": 2, "t": 2, "lists": [[1, 2], [2, 1]]}))
+    small.write_text(json.dumps({"field": 5, "generator": [[1, 2]]}))
+    code, _, err = run_cli(capsys, "robustness", "--graph", str(graph), "--small", str(small), "--word", "1,2")
+    assert code == 2
+    assert err.strip().splitlines() == ["error: Tanner product code is trivial (only the zero word)"]
 
 
 def test_unknown_subcommand_exits_2():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ltclab.code import repetition, reed_solomon
+from ltclab.code import Word, repetition, reed_solomon
 from ltclab.corpus import generate_corpus, parse_corpus_spec
 from ltclab.errors import TooLargeToEnumerateError
 from ltclab.field import Field
@@ -22,8 +22,9 @@ from ltclab.harness import (
     run_sweep,
 )
 from ltclab.reports import frac_decimal, frac_str, json_bytes, parse_fraction
-from ltclab.tanner import product_graph
+from ltclab.tanner import OrderedGraph, product_graph, tpc_linear_code
 from ltclab.tensor import TensorCode, tensor_power
+from ltclab.tester import TestInstance
 
 GF2 = Field(2)
 
@@ -251,6 +252,69 @@ def test_compose_check_exact_identity():
     result = run_compose_check(outer, inner, c2, "uniform:30", seed=8)
     assert result["report"]["identity_mismatches"] == 0
     assert result["exit_code"] == 0
+
+
+def _reference_compose_check(outer, inner, small, corpus, seed) -> dict:
+    """run_compose_check's report, one word and one outer view at a time, summing Fractions."""
+    composed = outer.compose(inner)
+    medium = tpc_linear_code(inner, small)
+    full = tpc_linear_code(outer, medium)
+    comp_instance = TestInstance(composed, small, full=full)
+    outer_instance = TestInstance(outer, medium, full=full)
+    inner_instance = TestInstance(inner, small, full=medium)
+    words = generate_corpus(comp_instance, parse_corpus_spec(corpus), seed)
+    mismatches = 0
+    mins = {"outer": None, "inner": None, "composed": None}
+
+    def update(key, ratio):
+        mins[key] = ratio if mins[key] is None else min(mins[key], ratio)
+
+    for word, _ in words:
+        lhs = comp_instance.expected_robustness(word)
+        inner_means = []
+        for j0 in range(outer.m_right):
+            view = Word(small.field, outer.view(word.values, j0 + 1))
+            inner_means.append(inner_instance.expected_robustness(view))
+            dv = inner_instance.delta_exact(view)
+            if dv != 0:
+                update("inner", inner_means[-1] / dv)
+        if lhs != sum(inner_means, Fraction(0)) / outer.m_right:
+            mismatches += 1
+        d = comp_instance.delta_exact(word)
+        if d != 0:
+            update("composed", lhs / d)
+            update("outer", outer_instance.expected_robustness(word) / d)
+    report = {
+        "outer": outer.label,
+        "inner": inner.label,
+        "composed": composed.label,
+        "corpus": corpus,
+        "seed": seed,
+        "words": len(words),
+        "identity_mismatches": mismatches,
+    }
+    for key, value in mins.items():
+        report[f"measured_c_{key}"] = frac_str(value) if value is not None else None
+    return report
+
+
+@pytest.mark.parametrize(
+    "outer, inner, small, corpus",
+    [
+        (product_graph(2, 4), product_graph(2, 3), tensor_power(repetition(GF2, 2), 2).as_linear_code(),
+         "uniform:40;low_weight,wmax=2"),
+        (product_graph(2, 4), product_graph(2, 3), tensor_power(repetition(GF2, 2), 2).as_linear_code(),
+         "uniform:0"),
+        (product_graph(3, 3), product_graph(3, 2), reed_solomon(Field(3), 3, 2), "mixed:30;codewords:2"),
+        (OrderedGraph.from_lists(6, [[1, 2, 3, 4], [3, 4, 5, 6], [6, 5, 2, 1]], label="ring"),
+         product_graph(2, 2), reed_solomon(Field(5), 2, 1), "mixed:30;low_weight,wmax=1"),
+    ],
+    ids=["gf2-axis", "gf2-empty", "gf3-axis", "gf5-from-lists"],
+)
+def test_compose_check_matches_reference_loop(outer, inner, small, corpus):
+    report = run_compose_check(outer, inner, small, corpus, seed=4)["report"]
+    assert report == _reference_compose_check(outer, inner, small, corpus, seed=4)
+    assert report["identity_mismatches"] == 0
 
 
 def test_expansion_check_exhaustive():

@@ -94,7 +94,7 @@ GRAPH_FILE_DEFECTS = st.one_of(
         st.just("lists"),
         st.sampled_from(
             [5, "x", [], [[]], [[1, 2], [1]], [[0, 1]], [[1, 4]], [[1, -1]], [[1, 2**65]],
-             [[1, 2.5]], [[1, "2"]], [[1, None]], [1, 2], [[1, 2], [1, 2]]]
+             [[1, 2.5]], [[1, "2"]], [[1, None]], [[True, 2]], [1, 2], [[1, 2], [1, 2]]]
         ),
     ),
     st.tuples(st.sampled_from(["m", "t"]), st.sampled_from([3, 0])),
@@ -106,6 +106,13 @@ CODE_FILE_DEFECTS = st.one_of(
     st.tuples(
         st.just("generator"),
         st.sampled_from([5, "x", [], [[]], [[1, 1], [1]], [[1, 1.5, 1]], [[1, "1", 1]], [[0, 0, 0]], [1, 1, 1]]),
+    ),
+)
+WORD_FILE_DEFECTS = st.one_of(
+    st.tuples(st.just("field"), st.sampled_from([2.0, 2.5, True, "2", None, 3])),
+    st.tuples(
+        st.just("symbols"),
+        st.sampled_from([[0, True], [False, 1], [0, 1.0], [0, "1"], [0, None], [[0, 1]], [0, 2], [0], 5, None, "01"]),
     ),
 )
 RS_FILE_DEFECTS = st.tuples(st.sampled_from(["n", "k"]), st.sampled_from([4.5, "4", None, 0, 9, KeyError]))
@@ -127,10 +134,10 @@ def _write(doc) -> str:
     return path
 
 
-def _assert_file_usage_error(command, flag, doc):
+def _assert_file_usage_error(command, flag, doc, *extra):
     path = _write(doc)
     try:
-        assert_usage_error(command, f"{flag}={path}")
+        assert_usage_error(command, *extra, f"{flag}={path}")
     finally:
         os.unlink(path)
 
@@ -138,6 +145,7 @@ def _assert_file_usage_error(command, flag, doc):
 GRAPH_FILE = {"n": 2, "m": 1, "t": 2, "lists": [[1, 2]]}
 CODE_FILE = {"field": 7, "kind": "generator", "generator": [[1, 1, 1]]}
 RS_FILE = {"field": 7, "kind": "reed_solomon", "n": 5, "k": 2}
+WORD_FILE = {"field": 2, "symbols": [0, 1]}
 
 
 def test_unbroken_inputs_are_accepted():
@@ -153,15 +161,16 @@ def test_unbroken_inputs_are_accepted():
     ):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(argv) == 0, argv
-    for command, flag, doc in (
+    for command, flag, doc, *extra in (
         ("expansion-check", "--graph", GRAPH_FILE),  # exhaustive: it is tiny
         ("min-distance", "--code", CODE_FILE),
         ("min-distance", "--code", RS_FILE),
+        ("membership", "--word-file", WORD_FILE, "--code=rep:q=2,n=2"),
     ):
         path = _write(doc)
         try:
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                assert main([command, f"{flag}={path}"]) == 0, doc
+                assert main([command, *extra, f"{flag}={path}"]) == 0, doc
         finally:
             os.unlink(path)
 
@@ -178,6 +187,11 @@ def test_malformed_code_file(defect):
     else:
         doc = _apply(dict(CODE_FILE), defect)
     _assert_file_usage_error("min-distance", "--code", doc)
+
+
+@given(WORD_FILE_DEFECTS)
+def test_malformed_word_file(defect):
+    _assert_file_usage_error("membership", "--word-file", _apply(dict(WORD_FILE), defect), "--code=rep:q=2,n=2")
 
 
 @st.composite

@@ -1,15 +1,19 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ltclab.code
+import ltclab.tester
 from ltclab.code import Word, repetition, reed_solomon
-from ltclab.errors import TooLargeToEnumerateError
+from ltclab.errors import LengthMismatchError, TooLargeToEnumerateError
 from ltclab.field import Field
 from ltclab.harness import product_instance
-from ltclab.tanner import TannerCode, product_graph
+from ltclab.tanner import OrderedGraph, TannerCode, product_graph, tpc_linear_code
 from ltclab.tensor import tensor_power
 from ltclab.tester import TestInstance
 
@@ -169,6 +173,61 @@ def test_delta_oracle_refusal_propagates(monkeypatch):
     w = Word(GF2, [1] + [0] * 8)
     with pytest.raises(TooLargeToEnumerateError):
         inst.delta_exact(w)
+
+
+# --- batch entry points ------------------------------------------------------------------
+
+
+def _computed(graph: OrderedGraph) -> OrderedGraph:
+    """The same graph behind a computed row accessor."""
+    return OrderedGraph(
+        graph.n_left, graph.m_right, graph.t_degree,
+        row_at_fn=lambda j0, positions: graph.row_at0(j0, positions), label=graph.label,
+    )
+
+
+def _batch_instance(kind: str, q: int) -> TestInstance:
+    field = Field(q)
+    if kind == "explicit":
+        graph = product_graph(3, 2)
+        small = repetition(field, 3) if q == 2 else reed_solomon(field, 3, 2)
+    else:
+        graph = _computed(product_graph(2, 3)).compose(product_graph(2, 2))
+        assert not graph.is_explicit
+        small = repetition(field, 2)
+    return TestInstance(graph, small, full=tpc_linear_code(graph, small))
+
+
+@given(
+    kind=st.sampled_from(["explicit", "composed"]),
+    q=st.sampled_from([2, 3, 5]),
+    batch=st.integers(0, 7),
+    cells=st.sampled_from([1, 100, 2**26]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_entry_points_match_batches_of_one(kind, q, batch, cells, seed):
+    instance = _batch_instance(kind, q)
+    words = [
+        Word(Field(q), row)
+        for row in np.random.default_rng(seed).integers(0, q, size=(batch, instance.graph.n_left))
+    ]
+    values = np.array([w.values for w in words]).reshape(batch, instance.graph.n_left)
+    with mock.patch.object(ltclab.tester, "BROADCAST_CELLS", cells):  # chunks of words
+        views = instance.view_hammings_batch(values)
+    deltas = instance.delta_hammings_batch(values)
+    assert views.shape == (batch, instance.graph.m_right) and deltas.shape == (batch,)
+    for w, row, ham in zip(words, views, deltas):
+        assert np.array_equal(row, instance.view_hammings(w))
+        assert ham == instance.delta_exact(w) * instance.graph.n_left
+
+
+def test_batch_entry_points_check_the_word_length(rep3_square):
+    for shape in [(2, 8), (9,), (1, 2, 9)]:
+        values = np.zeros(shape, dtype=np.uint8)
+        with pytest.raises(LengthMismatchError):
+            rep3_square.view_hammings_batch(values)
+        with pytest.raises(LengthMismatchError):
+            rep3_square.delta_hammings_batch(values)
 
 
 # --- amplification ------------------------------------------------------------------------
