@@ -344,7 +344,7 @@ def run_sweep(config: ExperimentConfig, instance: Optional[TestInstance] = None)
 def _least_ratio(sums: np.ndarray, deltas: np.ndarray, graph: OrderedGraph) -> Optional[str]:
     """The least rho/delta = (sum / (m t)) / (delta / n) over deltas > 0, compared in integers."""
     best = None  # (sum, delta): the least sum at each distinct delta, cross-multiplied
-    for den in np.unique(deltas[deltas > 0]).tolist():
+    for den in np.flatnonzero(np.bincount(deltas, minlength=1))[1:].tolist():
         num = int(sums[deltas == den].min())
         if best is None or num * best[1] < best[0] * den:
             best = (num, den)
@@ -371,8 +371,8 @@ def run_compose_check(
     comp_instance = TestInstance(composed, small, full=full, label="composed")
     outer_instance = TestInstance(outer, medium, full=full, label="outer")
     inner_instance = TestInstance(inner, small, full=medium, label="inner")
-    words = generate_corpus(comp_instance, parse_corpus_spec(corpus), seed)
-    values = np.array([word.values for word, _ in words]).reshape(len(words), composed.n_left)
+    values = np.array([w.values for w, _ in generate_corpus(comp_instance, parse_corpus_spec(corpus), seed)])
+    values = values.reshape(-1, composed.n_left)  # (B, n), also for an empty corpus
     views = values[:, outer.rows0_block(0, outer.m_right)].reshape(-1, outer.t_degree)
     comp_sums = comp_instance.view_hammings_batch(values).sum(axis=1)
     inner_sums = inner_instance.view_hammings_batch(views).sum(axis=1)
@@ -380,7 +380,7 @@ def run_compose_check(
     delta = comp_instance.delta_hammings_batch(values)
     outer_sums = outer_instance.view_hammings_batch(values[delta > 0]).sum(axis=1)
     # lhs = comp_sums / (m_c t_c) must equal rhs = (the word's inner_sums) / (m_o m_i t_i)
-    rhs_sums = inner_sums.reshape(len(words), outer.m_right).sum(axis=1)
+    rhs_sums = inner_sums.reshape(len(values), outer.m_right).sum(axis=1)
     lhs_den, rhs_den = composed.m_right * composed.t_degree, outer.m_right * inner.m_right * inner.t_degree
     mismatches = int(np.count_nonzero(comp_sums * rhs_den != rhs_sums * lhs_den))
     report = {
@@ -389,7 +389,7 @@ def run_compose_check(
         "composed": composed.label,
         "corpus": corpus,
         "seed": seed,
-        "words": len(words),
+        "words": len(values),
         "identity_mismatches": mismatches,
         "measured_c_outer": _least_ratio(outer_sums, delta[delta > 0], outer),
         "measured_c_inner": _least_ratio(inner_sums, inner_delta, inner),

@@ -29,7 +29,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .code import LinearCode, Word
+from .code import _CHUNK, LinearCode, Word
 from .config import ADJACENCY_BUDGET, BROADCAST_CELLS, REPETITIONS
 from .errors import (
     DegreeMismatchError,
@@ -151,9 +151,7 @@ class TestInstance:
 
     def _values(self, word: Word) -> np.ndarray:
         if word.field != self.small.field:
-            raise FieldMismatchError(
-                f"word over {word.field}, instance over {self.small.field}"
-            )
+            raise FieldMismatchError(f"word over {word.field}, instance over {self.small.field}")
         return self._rows(word.values[None])
 
     def _rows(self, values: np.ndarray) -> np.ndarray:
@@ -172,13 +170,14 @@ class TestInstance:
     def view_hammings_batch(self, values: np.ndarray) -> np.ndarray:
         """(B, m) view distances from the small code of the rows of a (B, n_left) symbol array.
 
-        One gather and one oracle call per row block, for as many words as fit BROADCAST_CELLS.
+        One gather and one oracle call per row block and chunk of words, a chunk holding at
+        most _CHUNK views and BROADCAST_CELLS cells, which bounds the temporaries of a batch.
         """
         self._require_exact_views()
         values = self._rows(values)
         out = np.empty((values.shape[0], self.graph.m_right), dtype=np.int64)
         for start, block in self.graph.iter_row_blocks():
-            step = max(1, BROADCAST_CELLS // block.size)
+            step = max(1, min(_CHUNK, BROADCAST_CELLS // self.graph.t_degree) // block.shape[0])
             for s in range(0, values.shape[0], step):
                 views = values[s : s + step, block]
                 hams = self.small.nearest_distance_batch(views.reshape(-1, self.graph.t_degree))
