@@ -29,7 +29,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .code import _CHUNK, LinearCode, Word
+from .code import _CHUNK, LinearCode, Word, _unsigned
 from .config import ADJACENCY_BUDGET, BROADCAST_CELLS, REPETITIONS
 from .errors import (
     DegreeMismatchError,
@@ -168,14 +168,14 @@ class TestInstance:
             )
 
     def view_hammings_batch(self, values: np.ndarray) -> np.ndarray:
-        """(B, m) view distances from the small code of the rows of a (B, n_left) symbol array.
+        """(B, m) distances from the small code of the views of (B, n_left) symbol rows.
 
-        One gather and one oracle call per row block and chunk of words, a chunk holding at
-        most _CHUNK views and BROADCAST_CELLS cells, which bounds the temporaries of a batch.
+        One gather and one oracle call per row block and chunk of at most _CHUNK views (and
+        BROADCAST_CELLS cells); the distances take the narrowest unsigned dtype holding t.
         """
         self._require_exact_views()
         values = self._rows(values)
-        out = np.empty((values.shape[0], self.graph.m_right), dtype=np.int64)
+        out = np.empty((values.shape[0], self.graph.m_right), dtype=_unsigned(self.graph.t_degree))
         for start, block in self.graph.iter_row_blocks():
             step = max(1, min(_CHUNK, BROADCAST_CELLS // self.graph.t_degree) // block.shape[0])
             for s in range(0, values.shape[0], step):
@@ -226,8 +226,8 @@ class TestInstance:
         return self._soundness_error(self.view_hammings(word), Fraction(tau))
 
     def _soundness_error(self, hams: np.ndarray, tau: Fraction) -> Fraction:
-        # ham/t > tau  <=>  ham * tau.den > tau.num * t
-        count = int(np.count_nonzero(hams * tau.denominator > tau.numerator * self.graph.t_degree))
+        # ham/t > tau  <=>  ham > floor(tau * t), for an integer ham
+        count = int(np.count_nonzero(hams > math.floor(tau * self.graph.t_degree)))
         return Fraction(count, self.graph.m_right)
 
     # --- distance to the full code ------------------------------------------------

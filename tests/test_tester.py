@@ -117,6 +117,10 @@ def test_tau_soundness_single_error(rep3_square):
     w = _e11(rep3_square)
     assert rep3_square.tau_soundness_error(w, Fraction(0)) == Fraction(1, 3)
     assert rep3_square.tau_soundness_error(w, Fraction(1, 2)) == 0
+    # Either side of the views' 1/3, with denominators far past the distances' dtype.
+    assert rep3_square.tau_soundness_error(w, Fraction(2**70 - 1, 3 * 2**70)) == Fraction(1, 3)
+    assert rep3_square.tau_soundness_error(w, Fraction(1, 3)) == 0
+    assert rep3_square.tau_soundness_error(w, Fraction(-2**70, 3)) == 1
 
 
 # --- certification ---------------------------------------------------------------------
