@@ -139,6 +139,11 @@ def distance(x: Word, y: Word) -> tuple[int, Fraction]:
 # any other array is row-major.  The layout follows from the shape alone.
 
 
+def rows_per_call(n: int) -> int:
+    """How many length-n rows one oracle call should take: at most _CHUNK rows and BROADCAST_CELLS cells."""
+    return max(1, min(_CHUNK, BROADCAST_CELLS // n))
+
+
 def _unsigned(top: int) -> type:
     """The narrowest unsigned type holding 0..top, for top < 2**32.
 

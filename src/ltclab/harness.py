@@ -344,7 +344,7 @@ def run_sweep(config: ExperimentConfig, instance: Optional[TestInstance] = None)
 def _least_ratio(sums: np.ndarray, deltas: np.ndarray, graph: OrderedGraph) -> Optional[str]:
     """The least rho/delta = (sum / (m t)) / (delta / n) over deltas > 0, compared in integers."""
     best = None  # (sum, delta): the least sum at each distinct delta, cross-multiplied
-    for den in np.flatnonzero(np.bincount(deltas, minlength=1))[1:].tolist():
+    for den in (np.flatnonzero(np.bincount(deltas, minlength=1)[1:]) + 1).tolist():
         num = int(sums[deltas == den].min())
         if best is None or num * best[1] < best[0] * den:
             best = (num, den)

@@ -308,8 +308,13 @@ def _reference_compose_check(outer, inner, small, corpus, seed) -> dict:
         (product_graph(3, 3), product_graph(3, 2), reed_solomon(Field(3), 3, 2), "mixed:30;codewords:2"),
         (OrderedGraph.from_lists(6, [[1, 2, 3, 4], [3, 4, 5, 6], [6, 5, 2, 1]], label="ring"),
          product_graph(2, 2), reed_solomon(Field(5), 2, 1), "mixed:30;low_weight,wmax=1"),
+        # no word at delta 0: the least ratio may sit at the smallest delta that occurs
+        (product_graph(2, 4), product_graph(2, 3), tensor_power(repetition(GF2, 2), 2).as_linear_code(),
+         "codeword_plus_weight:5,w=1"),
+        (product_graph(2, 4), product_graph(2, 3), tensor_power(repetition(GF2, 2), 2).as_linear_code(),
+         "low_weight,wmax=1"),
     ],
-    ids=["gf2-axis", "gf2-empty", "gf3-axis", "gf5-from-lists"],
+    ids=["gf2-axis", "gf2-empty", "gf3-axis", "gf5-from-lists", "gf2-all-at-delta-1", "gf2-weight-1"],
 )
 def test_compose_check_matches_reference_loop(outer, inner, small, corpus):
     report = run_compose_check(outer, inner, small, corpus, seed=4)["report"]

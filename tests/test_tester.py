@@ -206,7 +206,7 @@ def _batch_instance(kind: str, q: int) -> TestInstance:
     kind=st.sampled_from(["explicit", "composed"]),
     q=st.sampled_from([2, 3, 5]),
     batch=st.integers(0, 7),
-    cells=st.sampled_from([1, 100, 2**26]),
+    cells=st.sampled_from([1, 40, 100, 2**26]),  # chunks of 1 to 5 words, or all
     seed=st.integers(0, 2**32 - 1),
 )
 def test_batch_entry_points_match_batches_of_one(kind, q, batch, cells, seed):
@@ -216,12 +216,14 @@ def test_batch_entry_points_match_batches_of_one(kind, q, batch, cells, seed):
         for row in np.random.default_rng(seed).integers(0, q, size=(batch, instance.graph.n_left))
     ]
     values = np.array([w.values for w in words]).reshape(batch, instance.graph.n_left)
-    with mock.patch.object(ltclab.tester, "BROADCAST_CELLS", cells):  # chunks of words
+    with mock.patch.object(ltclab.code, "BROADCAST_CELLS", cells):  # chunks of words
         views = instance.view_hammings_batch(values)
     deltas = instance.delta_hammings_batch(values)
     assert views.shape == (batch, instance.graph.m_right) and deltas.shape == (batch,)
+    assert views.dtype == np.uint8  # the narrow batch dtype; view_hammings keeps int64
     for w, row, ham in zip(words, views, deltas):
-        assert np.array_equal(row, instance.view_hammings(w))
+        hams = instance.view_hammings(w)
+        assert hams.dtype == np.int64 and np.array_equal(row, hams)
         assert ham == instance.delta_exact(w) * instance.graph.n_left
 
 
