@@ -1,10 +1,11 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ltclab.code import Word, repetition, reed_solomon
+from ltclab.code import LinearCode, Word, repetition, reed_solomon
 from ltclab.corpus import generate_corpus, parse_corpus_spec
 from ltclab.errors import TooLargeToEnumerateError
 from ltclab.field import Field
@@ -141,6 +142,48 @@ def test_corpus_low_weight_enumerates_all():
     assert len(words) == 11
     weights = sorted(w.weight() for w, _ in words)
     assert weights == [0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2]
+
+
+_STREAM_SPECS = {
+    "uniform": "uniform:5",
+    "codewords": "codewords:4",
+    "codeword_plus_weight": "codeword_plus_weight:6",
+    "codeword_plus_weight_w": "codeword_plus_weight:4,w=2",
+    "planted_slice": "planted_slice:5",
+    "low_weight": "low_weight,wmax=2",
+    "mixed": "mixed:10",
+}
+_STREAM_DIGESTS = {
+    ("linear", "uniform"): "2d102eac168271ce4377dac6be096612f1a7df411f7c2fa936f8dbe42c54ff68",
+    ("linear", "codewords"): "3563a057977f7825b8569a620373a13af89ee2fe9e3df462e284f0a34eaf853d",
+    ("linear", "codeword_plus_weight"): "e042227d832d313a99683c9122875eed6e542aeb3eea8a854376f7a32bfaa300",
+    ("linear", "codeword_plus_weight_w"): "e865c4d0f4df2c28773ec67853c172dd7eac34a2cdfdce4ebbb70e0b26c15e79",
+    ("linear", "planted_slice"): "f771032671a5ae5173498ecefd0df11afbb01d45f9dac6ff2fe6877ef8b8547e",
+    ("linear", "low_weight"): "5736e80a973034ce94c3353016674504f910429aac9717aba06e5fb943c6bafe",
+    ("linear", "mixed"): "141a39344815f3c827437d17740ee791513cecfa51792af0b9e86c9f48f0125a",
+    ("tensor", "uniform"): "e40d9d33b35484b71222060022ed9d05502fb40212f016b01f6ed0d10626f69e",
+    ("tensor", "codewords"): "13fb05c9e936aaf7be42d29f41e04a0ec2d625013044ded59031bb731567e1a9",
+    ("tensor", "codeword_plus_weight"): "74395ae28ee9b0321c07eb54b0f723a10f7c2ddffba87c01d409ee5879eb3c19",
+    ("tensor", "codeword_plus_weight_w"): "c6091ee1ec394450fc63cd88c4ecdbc5ea749e7d087ebcd2c7c01f71e2329093",
+    ("tensor", "planted_slice"): "6579990c27d72d20b293c96b9ab1c37672876857710b78c5eebd4792fb56c4ee",
+    ("tensor", "low_weight"): "30331703be8080ba2a3ed0d0645ab95a1a1f115f5f03b15e2865fcf1a01f2404",
+    ("tensor", "mixed"): "b81d2608cdb990db789b1e8dcf18d8a7a2d773f8c5ff6e1239b385b14ebe3539",
+}
+
+
+@pytest.mark.parametrize("full, kind", sorted(_STREAM_DIGESTS))
+def test_corpus_streams_are_pinned(full, kind):
+    """Every corpus kind yields the same words and sources for a seed, on both kinds of full code."""
+    if full == "linear":  # a derived Tanner product code
+        inst = instance_from_specs("product:n=3,m=2", "rs:q=5,n=3,k=2")
+        assert isinstance(inst.full, LinearCode)
+    else:
+        inst = product_instance(reed_solomon(Field(5), 4, 2), 2)
+        assert isinstance(inst.full, TensorCode)
+    words = generate_corpus(inst, parse_corpus_spec(_STREAM_SPECS[kind]), seed=11)
+    values = np.array([w.values for w, _ in words], dtype=np.int64).reshape(len(words), inst.graph.n_left)
+    digest = hashlib.sha256(values.tobytes() + json.dumps([s for _, s in words]).encode())
+    assert digest.hexdigest() == _STREAM_DIGESTS[full, kind]
 
 
 def test_corpus_low_weight_refuses_explosion():
