@@ -5,7 +5,6 @@ from .code import (
     Word,
     distance,
     full_code,
-    make_generator_code,
     reed_solomon,
     repetition,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "Word",
     "distance",
     "full_code",
-    "make_generator_code",
     "reed_solomon",
     "repetition",
     "TensorCode",

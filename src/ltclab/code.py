@@ -38,8 +38,11 @@ def as_integer(value) -> int:
     return operator.index(value)
 
 
-def _coerce_symbols(field: Field, symbols) -> np.ndarray:
-    """A new array of the symbols as symbol_dtype(field), range-checked first."""
+def _coerce_symbols(field: Field, symbols, ndim: int = 1) -> np.ndarray:
+    """A new ``ndim``-d array of the symbols as symbol_dtype(field), range-checked first.
+
+    Refuses a float, bool or object array and any symbol outside [0, q) with a ValueError.
+    """
     if isinstance(symbols, np.ndarray):
         if symbols.dtype.kind not in "iu":
             raise ValueError(f"symbols must be integers, got dtype {symbols.dtype}")
@@ -59,8 +62,8 @@ def _coerce_symbols(field: Field, symbols) -> np.ndarray:
                 except TypeError:
                     raise ValueError(f"symbol {s!r} is not an integer") from None
         values = np.array(out, dtype=np.int64)
-    if values.ndim != 1:
-        raise ValueError("symbols must form a 1-d sequence")
+    if values.ndim != ndim:
+        raise ValueError(f"symbols must form a {ndim}-d array, got {values.ndim} dimensions")
     if values.size and (values.min() < 0 or values.max() >= field.q):
         raise ValueError(f"symbol values must lie in [0, {field.q})")
     return values.astype(symbol_dtype(field))
@@ -137,11 +140,6 @@ def distance(x: Word, y: Word) -> tuple[int, Fraction]:
 # with more rows than columns is laid out codeword-major (its transpose is
 # C-contiguous), so the compare kernel streams whole rows of the transpose;
 # any other array is row-major.  The layout follows from the shape alone.
-
-
-def rows_per_call(n: int) -> int:
-    """How many length-n rows one oracle call should take: at most _CHUNK rows and BROADCAST_CELLS cells."""
-    return max(1, min(_CHUNK, BROADCAST_CELLS // n))
 
 
 def _unsigned(top: int) -> type:
@@ -446,11 +444,6 @@ class LinearCode:
     def __repr__(self):
         d = self.d_known if self.d_known is not None else "?"
         return f"LinearCode[{self.n},{self.k},{d}] over GF({self.field.q})"
-
-
-def make_generator_code(field: Field, rows, d_known: Optional[int] = None) -> LinearCode:
-    """Functional alias for LinearCode.from_rows."""
-    return LinearCode.from_rows(field, rows, d_known=d_known)
 
 
 def reed_solomon(field: Field, n: int, k: int) -> LinearCode:

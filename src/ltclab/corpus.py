@@ -31,9 +31,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .code import LinearCode, Word
+from .code import LinearCode, Word, symbol_dtype
 from .config import LOW_WEIGHT_WORDS
-from .tensor import TensorCode
 from .tester import TestInstance
 
 
@@ -74,115 +73,96 @@ def parse_corpus_spec(text: str) -> tuple[CorpusPart, ...]:
     return tuple(parts)
 
 
-def _random_message(rng: np.random.Generator, q: int, k: int) -> np.ndarray:
-    return rng.integers(0, q, size=k, dtype=np.int64)
-
-
-def _random_full_codeword(rng: np.random.Generator, instance: TestInstance) -> np.ndarray:
-    full = instance.full
-    if full is None:
-        raise ValueError("this corpus kind needs a reference full code on the instance")
-    q = instance.small.field.q
-    if isinstance(full, LinearCode):
-        msg = _random_message(rng, q, full.k)
-        return (msg @ full.generator) % q
-    assert isinstance(full, TensorCode)
-    kshape = tuple(c.k for c in full.factors)
-    msg = rng.integers(0, q, size=kshape, dtype=np.int64)
-    return full.encode_tensor(msg).array.reshape(-1)
-
-
-def _plant_errors(rng: np.random.Generator, values: np.ndarray, q: int, weight: int) -> np.ndarray:
-    n = values.size
-    weight = min(weight, n)
-    out = values.copy()
-    positions = rng.choice(n, size=weight, replace=False)
-    offsets = rng.integers(1, q, size=weight, dtype=np.int64)
-    out[positions] = (out[positions] + offsets) % q
-    return out
-
-
 def _weight_ladder(n: int) -> list[int]:
-    ladder = sorted({1, max(1, n // 64), max(1, n // 16), max(1, n // 8)})
-    return ladder
+    return sorted({1, max(1, n // 64), max(1, n // 16), max(1, n // 8)})
 
 
-def _low_weight_words(q: int, n: int, wmax: int):
-    total = sum(math.comb(n, w) * (q - 1) ** w for w in range(wmax + 1))
-    if total > LOW_WEIGHT_WORDS:
-        raise ValueError(
-            f"low_weight corpus would enumerate {total} words; lower wmax"
+def _expand(part: CorpusPart, q: int, n: int) -> tuple[CorpusPart, ...]:
+    """A part as parts of known word counts: a mixed part in thirds, a low_weight part counted."""
+    if part.kind == "mixed":
+        third = part.count // 3
+        return (
+            CorpusPart("uniform", third),
+            CorpusPart("codeword_plus_weight", third, dict(part.params)),
+            CorpusPart("planted_slice", part.count - 2 * third),
         )
-    for w in range(wmax + 1):
-        for positions in itertools.combinations(range(n), w):
-            for symbols in itertools.product(range(1, q), repeat=w):
-                values = np.zeros(n, dtype=np.int64)
-                for p, s in zip(positions, symbols):
-                    values[p] = s
-                yield values
+    if part.kind == "low_weight":
+        wmax = part.params.get("wmax", 2)
+        total = sum(math.comb(n, w) * (q - 1) ** w for w in range(wmax + 1))
+        if total > LOW_WEIGHT_WORDS:
+            raise ValueError(f"low_weight corpus would enumerate {total} words; lower wmax")
+        return (CorpusPart("low_weight", total, {"wmax": wmax}),)
+    return (part,)
+
+
+def corpus_values(
+    instance: TestInstance, parts: tuple[CorpusPart, ...], seed: int
+) -> tuple[np.ndarray, list[dict]]:
+    """The corpus as one (B, n_left) symbol_dtype array and its B source descriptions."""
+    field, n = instance.small.field, instance.graph.n_left
+    plan = [sub for part in parts for sub in _expand(part, field.q, n)]
+    values = np.empty((sum(sub.count for sub in plan), n), dtype=symbol_dtype(field))
+    rng = np.random.default_rng(seed)
+    sources: list[dict] = []
+    for sub in plan:
+        sources += _fill_part(instance, sub, rng, values[len(sources) : len(sources) + sub.count])
+    for i, source in enumerate(sources):
+        source["index"] = i
+    return values, sources
 
 
 def generate_corpus(
     instance: TestInstance, parts: tuple[CorpusPart, ...], seed: int
 ) -> list[tuple[Word, dict]]:
     """Materialize the corpus as (word, source-description) pairs."""
-    rng = np.random.default_rng(seed)
+    values, sources = corpus_values(instance, parts, seed)
     field = instance.small.field
-    out: list[tuple[Word, dict]] = []
-
-    def emit(values: np.ndarray, source: dict) -> None:
-        out.append((Word(field, values), source))
-
-    for part in parts:
-        if part.kind == "mixed":
-            third = part.count // 3
-            expanded = (
-                CorpusPart("uniform", third),
-                CorpusPart("codeword_plus_weight", third, dict(part.params)),
-                CorpusPart("planted_slice", part.count - 2 * third),
-            )
-            for sub in expanded:
-                _generate_part(instance, sub, rng, emit)
-        else:
-            _generate_part(instance, part, rng, emit)
-    for i, (_, source) in enumerate(out):
-        source["index"] = i
-    return out
+    return [(Word(field, row), source) for row, source in zip(values, sources)]
 
 
-def _generate_part(instance, part: CorpusPart, rng, emit) -> None:
-    field = instance.small.field
-    q = field.q
-    n = instance.graph.n_left
+def _fill_part(instance: TestInstance, part: CorpusPart, rng, out: np.ndarray) -> list[dict]:
+    """Write the part's words into the (count, n) array ``out``; return their sources."""
+    q = instance.small.field.q
+    count, n = out.shape
+    if count == 0:
+        return []
     if part.kind == "uniform":
-        for values in rng.integers(0, q, size=(part.count, n), dtype=np.int64):
-            emit(values, {"kind": "uniform"})
-    elif part.kind == "codewords":
-        for _ in range(part.count):
-            emit(_random_full_codeword(rng, instance), {"kind": "codewords"})
-    elif part.kind == "codeword_plus_weight":
-        ladder = (
-            [part.params["w"]] if "w" in part.params else _weight_ladder(n)
-        )
-        for i in range(part.count):
-            w = ladder[i % len(ladder)]
-            base = _random_full_codeword(rng, instance)
-            emit(
-                _plant_errors(rng, base, q, w),
-                {"kind": "codeword_plus_weight", "w": w},
-            )
-    elif part.kind == "planted_slice":
-        small = instance.small
-        for _ in range(part.count):
-            values = rng.integers(0, q, size=n, dtype=np.int64)
+        out[...] = rng.integers(0, q, size=(count, n), dtype=np.int64)
+        return [{"kind": "uniform"} for _ in range(count)]
+    if part.kind == "low_weight":
+        out[...] = 0
+        r = 0
+        for w in range(part.params["wmax"] + 1):
+            # word r + i * len(symbols) + j holds symbols[j] at positions[i]
+            positions = np.array(list(itertools.combinations(range(n), w)), dtype=np.int64)
+            symbols = np.array(list(itertools.product(range(1, q), repeat=w)), dtype=out.dtype)
+            c, s = math.comb(n, w), (q - 1) ** w
+            out[r + np.arange(c * s).reshape(c, s, 1), positions.reshape(c, 1, w)] = symbols.reshape(1, s, w)
+            r += c * s
+        return [{"kind": "low_weight", "wmax": part.params["wmax"]} for _ in range(count)]
+    if part.kind == "planted_slice":
+        small, sources = instance.small, []
+        for row in out:
+            row[...] = rng.integers(0, q, size=n, dtype=np.int64)
             j0 = int(rng.integers(0, instance.graph.m_right))
-            msg = _random_message(rng, q, small.k)
-            codeword = (msg @ small.generator) % q
-            values[instance.graph.row0(j0)] = codeword
-            emit(values, {"kind": "planted_slice", "view": j0 + 1})
-    elif part.kind == "low_weight":
-        wmax = part.params.get("wmax", 2)
-        for values in _low_weight_words(q, n, wmax):
-            emit(values, {"kind": "low_weight", "wmax": wmax})
-    else:  # pragma: no cover - guarded by the parser
-        raise ValueError(f"unknown corpus kind {part.kind!r}")
+            message = rng.integers(0, q, size=(1, small.k), dtype=np.int64)
+            row[instance.graph.row0(j0)] = small.encode_batch(message)[0]
+            sources.append({"kind": "planted_slice", "view": j0 + 1})
+        return sources
+    # codewords, and codeword_plus_weight: random codewords of the full code, plus w errors
+    full = instance.full
+    if full is None:
+        raise ValueError("this corpus kind needs a reference full code on the instance")
+    k = full.k if isinstance(full, LinearCode) else full.dimension
+    ladder = [part.params["w"]] if "w" in part.params else _weight_ladder(n)
+    sources = []
+    for i, row in enumerate(out):
+        row[...] = full.encode_batch(rng.integers(0, q, size=(1, k), dtype=np.int64))[0]
+        if part.kind == "codewords":
+            sources.append({"kind": "codewords"})
+            continue
+        w = ladder[i % len(ladder)]
+        positions = rng.choice(n, size=min(w, n), replace=False)
+        row[positions] = (row[positions] + rng.integers(1, q, size=positions.size, dtype=np.int64)) % q
+        sources.append({"kind": "codeword_plus_weight", "w": w})
+    return sources

@@ -33,9 +33,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .code import LinearCode, Word, as_integer, full_code, make_generator_code, reed_solomon, repetition
+from .code import LinearCode, Word, as_integer, full_code, reed_solomon, repetition
 from .config import DERIVED_PARITY_CELLS, ENUMERATION_THRESHOLD, EXPANSION_PAIRS
-from .corpus import generate_corpus, parse_corpus_spec
+from .corpus import corpus_values, generate_corpus, parse_corpus_spec
 from .errors import TooLargeToEnumerateError
 from .field import Field
 from .reports import frac_decimal, frac_str, json_bytes, write_csv
@@ -125,7 +125,11 @@ def load_code_file(path: str) -> LinearCode:
     if kind == "reed_solomon":
         return reed_solomon(field, doc.integer("n"), doc.integer("k"))
     if kind == "generator":
-        return make_generator_code(field, doc["generator"])
+        try:
+            rows = [[as_integer(v) for v in row] for row in doc["generator"]]
+        except TypeError:
+            raise ValueError(f"{doc.source}: generator rows must be lists of integers") from None
+        return LinearCode.from_rows(field, rows)
     raise ValueError(f"unknown code kind {kind!r} in {path}")
 
 
@@ -371,8 +375,7 @@ def run_compose_check(
     comp_instance = TestInstance(composed, small, full=full, label="composed")
     outer_instance = TestInstance(outer, medium, full=full, label="outer")
     inner_instance = TestInstance(inner, small, full=medium, label="inner")
-    values = np.array([w.values for w, _ in generate_corpus(comp_instance, parse_corpus_spec(corpus), seed)])
-    values = values.reshape(-1, composed.n_left)  # (B, n), also for an empty corpus
+    values, _ = corpus_values(comp_instance, parse_corpus_spec(corpus), seed)
     views = values[:, outer.rows0_block(0, outer.m_right)].reshape(-1, outer.t_degree)
     comp_sums = comp_instance.view_hammings_batch(values).sum(axis=1)
     inner_sums = inner_instance.view_hammings_batch(views).sum(axis=1)

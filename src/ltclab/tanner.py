@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .code import LinearCode, Word, as_integer
+from .code import LinearCode, Word, as_integer, full_code
 from .config import ADJACENCY_BUDGET, PARITY_CELLS
 from .errors import (
     DegreeMismatchError,
@@ -135,20 +135,6 @@ class OrderedGraph:
                 "graph is stored as a computed accessor; materialize via rows0_block"
             )
         return tuple(tuple(int(v) + 1 for v in row) for row in self._rows0)
-
-    def materialized(self) -> "OrderedGraph":
-        """An explicit copy (error if over the adjacency budget)."""
-        if self.is_explicit:
-            return self
-        if self.m_right * self.t_degree > ADJACENCY_BUDGET:
-            raise GraphTooLargeError(
-                f"{self.m_right} x {self.t_degree} adjacency entries exceed the budget"
-            )
-        rows = self.rows0_block(0, self.m_right)
-        return OrderedGraph(
-            self.n_left, self.m_right, self.t_degree, rows0=rows,
-            left_degree=self.left_degree, label=self.label,
-        )
 
     # --- views ------------------------------------------------------------------
 
@@ -341,8 +327,8 @@ def tpc_linear_code(graph: OrderedGraph, small: LinearCode, max_cells: int = PAR
     """
     if small.n != graph.t_degree:
         raise DegreeMismatchError(f"small code length {small.n} != right degree {graph.t_degree}")
-    rows_per_view = small.parity_check.shape[0]
-    n = graph.n_left
+    parity = small.parity_check
+    rows_per_view, n = parity.shape[0], graph.n_left
     total = graph.m_right * max(rows_per_view, 1)
     if total * n > max_cells:
         raise TooLargeToEnumerateError(
@@ -350,17 +336,14 @@ def tpc_linear_code(graph: OrderedGraph, small: LinearCode, max_cells: int = PAR
         )
     if rows_per_view == 0:
         # The small code is the full space: every word qualifies.
-        return LinearCode(
-            small.field, np.eye(n, dtype=np.int64), d_known=1, _reduced=True
-        )
-    stacked = np.zeros((total, n), dtype=np.int64)
-    r = 0
-    for _, block in graph.iter_row_blocks():
-        for row in block:
-            for h in small.parity_check:
-                np.add.at(stacked[r], row, h)
-                r += 1
-    stacked %= small.field.q
+        return full_code(small.field, n)
+    stacked = np.zeros((graph.m_right, rows_per_view, n), dtype=np.int64)
+    for start, block in graph.iter_row_blocks():
+        # parity row h of view j adds h[i] at left vertex block[j, i], summing repeated neighbours
+        views = np.arange(start, start + block.shape[0]).reshape(-1, 1, 1)
+        parity_rows = np.arange(rows_per_view).reshape(1, -1, 1)
+        np.add.at(stacked, (views, parity_rows, block[:, None, :]), parity[None])
+    stacked = stacked.reshape(total, n) % small.field.q
     basis = linalg.null_space(stacked, small.field.q)
     if basis.shape[0] == 0:
         raise ValueError("Tanner product code is trivial (only the zero word)")

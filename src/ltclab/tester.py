@@ -29,8 +29,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .code import LinearCode, Word, rows_per_call
-from .config import ADJACENCY_BUDGET, REPETITIONS
+from .code import LinearCode, Word, _coerce_symbols
+from .config import ADJACENCY_BUDGET, BROADCAST_CELLS, REPETITIONS
 from .errors import (
     DegreeMismatchError,
     FieldMismatchError,
@@ -155,9 +155,10 @@ class TestInstance:
         return self._rows(word.values[None])
 
     def _rows(self, values: np.ndarray) -> np.ndarray:
+        """The (B, n_left) rows as symbol_dtype; refuses symbols that are not residues mod q."""
         if values.shape[1:] != (self.graph.n_left,):
             raise LengthMismatchError(f"words of shape {values.shape}, expected (B, {self.graph.n_left})")
-        return values
+        return _coerce_symbols(self.small.field, values, ndim=2)
 
     def _require_exact_views(self):
         total = self.graph.m_right * self.graph.t_degree
@@ -168,26 +169,26 @@ class TestInstance:
             )
 
     def view_hammings_batch(self, values: np.ndarray) -> np.ndarray:
-        """(B, m) distances from the small code of the views of (B, n_left) symbol rows.
+        """(B, m) int64 distances from the small code of the views of (B, n_left) symbol rows.
 
-        One gather and one oracle call per row block and chunk of ``rows_per_call(t)`` views;
-        held in the narrowest unsigned dtype holding t, so convert before subtracting.
+        One gather and one oracle call per row block and chunk of words, a chunk
+        holding at most BROADCAST_CELLS view symbols.
         """
         self._require_exact_views()
         values = self._rows(values)
-        out = np.empty((values.shape[0], self.graph.m_right), dtype=np.min_scalar_type(self.graph.t_degree))
+        t = self.graph.t_degree
+        out = np.empty((values.shape[0], self.graph.m_right), dtype=np.int64)
         for start, block in self.graph.iter_row_blocks():
-            step = max(1, rows_per_call(self.graph.t_degree) // block.shape[0])
+            step = max(1, BROADCAST_CELLS // (block.shape[0] * t))
             for s in range(0, values.shape[0], step):
-                # a 1-D index is the fastest gather for one word; take beats mixed indexing 3x on many
-                views = values[s][block][None] if len(values) == 1 else values[s : s + step].take(block, axis=1)
-                hams = self.small.nearest_distance_batch(views.reshape(-1, self.graph.t_degree))
+                views = values[s : s + step].take(block, axis=1)
+                hams = self.small.nearest_distance_batch(views.reshape(-1, t))
                 out[s : s + step, start : start + block.shape[0]] = hams.reshape(views.shape[:2])
         return out
 
     def view_hammings(self, word: Word) -> np.ndarray:
-        """Hamming distance of every view from the small code, in view order, as int64."""
-        return self.view_hammings_batch(self._values(word))[0].astype(np.int64)
+        """Hamming distance of every view from the small code, in view order."""
+        return self.view_hammings_batch(self._values(word))[0]
 
     # --- the measured quantities ------------------------------------------------
 

@@ -296,6 +296,10 @@ def test_usage_error_exit_code(capsys):
             "expansion-check", "--graph", {"n": 2, "m": 2, "t": 2, "lists": [[1, True], [2, 2]]},
             id="graph-file-with-bool-entry",
         ),
+        pytest.param(
+            "min-distance", "--code", {"field": 2, "generator": [[1, True, 1]]},
+            id="code-file-with-bool-entry",
+        ),
     ],
 )
 def test_incomplete_spec_is_a_usage_error(capsys, tmp_path, command, flag, spec):

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 import ltclab.code
 from ltclab.code import (
+    LinearCode,
     Word,
     distance,
     full_code,
-    make_generator_code,
     repetition,
     reed_solomon,
 )
@@ -35,13 +35,13 @@ GF7 = Field(7)
 
 
 def test_repetition_from_single_row():
-    c = make_generator_code(GF2, [[1, 1, 1]])
+    c = LinearCode.from_rows(GF2, [[1, 1, 1]])
     assert (c.n, c.k) == (3, 1)
     assert not np.any((c.parity_check @ c.generator.T) % 2)
 
 
 def test_identity_generator_full_space():
-    c = make_generator_code(GF2, [[1, 0], [0, 1]])
+    c = LinearCode.from_rows(GF2, [[1, 0], [0, 1]])
     assert (c.n, c.k) == (2, 2)
     assert c.parity_check.shape == (0, 2)
     assert c.contains(Word(GF2, [1, 0]))
@@ -49,7 +49,7 @@ def test_identity_generator_full_space():
 
 def test_duplicate_rows_warn_and_reduce():
     with pytest.warns(RankDeficiencyWarning):
-        c = make_generator_code(GF2, [[1, 1], [1, 1]])
+        c = LinearCode.from_rows(GF2, [[1, 1], [1, 1]])
     assert c.k == 1
 
 
@@ -196,7 +196,7 @@ def test_min_distance_threshold_refusal(monkeypatch):
 
 def test_codeword_table_memory_guard():
     # 2^21 codewords of length 64 would need 2^27 table cells.
-    big = make_generator_code(GF2, np.eye(21, 64, dtype=np.int64).tolist())
+    big = LinearCode.from_rows(GF2, np.eye(21, 64, dtype=np.int64).tolist())
     with pytest.raises(TooLargeToEnumerateError):
         big.codewords()
 
@@ -217,7 +217,7 @@ def test_threshold_refuses_on_a_warm_table(monkeypatch):
 def test_nearest_distance_streams_past_the_table_limit():
     # 2^21 <= 2^24 codewords, but a 2^27-cell table: the oracle streams.  The
     # code holds exactly the words that vanish off the first 21 coordinates.
-    big = make_generator_code(GF2, np.eye(21, 64, dtype=np.int64).tolist())
+    big = LinearCode.from_rows(GF2, np.eye(21, 64, dtype=np.int64).tolist())
     words = np.random.default_rng(9).integers(0, 2, size=(3, 64))
     hams = big.nearest_distance_batch(words)
     assert hams.tolist() == np.count_nonzero(words[:, 21:], axis=1).tolist()
@@ -325,7 +325,7 @@ def random_codes(draw):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
-        return f, make_generator_code(f, rows)
+        return f, LinearCode.from_rows(f, rows)
 
 
 @given(random_codes(), st.data())

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ltclab.tanner
-from ltclab.code import Word, repetition
+from ltclab.code import LinearCode, Word, full_code, repetition
 from ltclab.errors import (
     DegreeMismatchError,
     EntryOutOfRangeError,
@@ -241,7 +241,6 @@ def test_lazy_graph_matches_explicit(monkeypatch):
     assert np.array_equal(lazy.rows0_block(0, 9), explicit.rows0_block(0, 9))
     with pytest.raises(GraphTooLargeError):
         _ = lazy.lists
-    assert np.array_equal(lazy.materialized().rows0_block(0, 9), explicit.rows0_block(0, 9))
 
 
 def test_lazy_composition_matches_explicit(monkeypatch):
@@ -253,6 +252,27 @@ def test_lazy_composition_matches_explicit(monkeypatch):
         lazy.rows0_block(0, explicit.m_right),
         explicit.rows0_block(0, explicit.m_right),
     )
+
+
+def _tpc_cases(monkeypatch):
+    repeated = OrderedGraph.from_lists(4, [[1, 1, 2], [2, 3, 4], [3, 4, 1]])  # x1 twice in view 1
+    even = LinearCode.from_rows(GF2, [[1, 1, 0], [0, 1, 1]])
+    yield repeated, even
+    yield repeated, full_code(GF2, 3)
+    monkeypatch.setattr(ltclab.tanner, "ADJACENCY_BUDGET", 4)  # force the accessor form
+    lazy = product_graph(2, 3)
+    assert not lazy.is_explicit
+    yield lazy, repetition(GF2, 4)
+    yield lazy, LinearCode.from_rows(GF2, [[1, 1, 0, 0], [0, 0, 1, 1]])
+
+
+def test_tpc_linear_code_is_the_tanner_code(monkeypatch):
+    """The derived code's codewords are exactly the members of TPC(G, C), over all of GF(2)^n."""
+    for graph, small in _tpc_cases(monkeypatch):
+        words = np.array(list(itertools.product(range(2), repeat=graph.n_left)), dtype=np.int64)
+        members = words[TannerCode(graph, small).contains_batch(words)]
+        codewords = tpc_linear_code(graph, small).codewords()
+        assert sorted(map(tuple, codewords.tolist())) == sorted(map(tuple, members.tolist()))
 
 
 def test_tpc_linear_code_of_product_graph_is_tensor_square():

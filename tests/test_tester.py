@@ -215,12 +215,13 @@ def test_batch_entry_points_match_batches_of_one(kind, q, batch, cells, seed):
         Word(Field(q), row)
         for row in np.random.default_rng(seed).integers(0, q, size=(batch, instance.graph.n_left))
     ]
-    values = np.array([w.values for w in words]).reshape(batch, instance.graph.n_left)
-    with mock.patch.object(ltclab.code, "BROADCAST_CELLS", cells):  # chunks of words
-        views = instance.view_hammings_batch(values)
+    values = np.array([w.values for w in words], dtype=np.int64).reshape(batch, instance.graph.n_left)
+    with mock.patch.object(ltclab.tester, "BROADCAST_CELLS", cells):  # chunks of words
+        with mock.patch.object(ltclab.code, "BROADCAST_CELLS", cells):  # chunks of the compare
+            views = instance.view_hammings_batch(values)
     deltas = instance.delta_hammings_batch(values)
     assert views.shape == (batch, instance.graph.m_right) and deltas.shape == (batch,)
-    assert views.dtype == np.uint8  # the narrow batch dtype; view_hammings keeps int64
+    assert views.dtype == np.int64
     for w, row, ham in zip(words, views, deltas):
         hams = instance.view_hammings(w)
         assert hams.dtype == np.int64 and np.array_equal(row, hams)
@@ -234,6 +235,19 @@ def test_batch_entry_points_check_the_word_length(rep3_square):
             rep3_square.view_hammings_batch(values)
         with pytest.raises(LengthMismatchError):
             rep3_square.delta_hammings_batch(values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.full((1, 9), 0.5), np.full((1, 9), 7), np.full((2, 9), -1), np.ones((1, 9), dtype=bool),
+     np.zeros((1, 9), dtype=object)],
+    ids=["float", "above-q", "negative", "bool", "object"],
+)
+def test_batch_entry_points_refuse_meaningless_symbols(rep3_square, values):
+    with pytest.raises(ValueError):
+        rep3_square.view_hammings_batch(values)
+    with pytest.raises(ValueError):
+        rep3_square.delta_hammings_batch(values)
 
 
 # --- amplification ------------------------------------------------------------------------
