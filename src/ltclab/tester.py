@@ -150,9 +150,12 @@ class TestInstance:
     # --- plumbing -------------------------------------------------------------
 
     def _values(self, word: Word) -> np.ndarray:
+        """A word's symbols as a batch of one; a Word's symbols are residues already."""
         if word.field != self.small.field:
             raise FieldMismatchError(f"word over {word.field}, instance over {self.small.field}")
-        return self._rows(word.values[None])
+        if len(word) != self.graph.n_left:
+            raise LengthMismatchError(f"word of length {len(word)}, expected {self.graph.n_left}")
+        return word.values[None]
 
     def _rows(self, values: np.ndarray) -> np.ndarray:
         """The (B, n_left) rows as symbol_dtype; refuses symbols that are not residues mod q."""
