@@ -74,7 +74,8 @@ def parse_corpus_spec(text: str) -> tuple[CorpusPart, ...]:
 
 
 def _weight_ladder(n: int) -> list[int]:
-    return sorted({1, max(1, n // 64), max(1, n // 16), max(1, n // 8)})
+    ladder = sorted({1, max(1, n // 64), max(1, n // 16), max(1, n // 8)})
+    return ladder
 
 
 def _expand(part: CorpusPart, q: int, n: int) -> tuple[CorpusPart, ...]:
