@@ -8,6 +8,7 @@ refuse beyond it; nothing here ever estimates.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import warnings
 from fractions import Fraction
@@ -136,10 +137,11 @@ def distance(x: Word, y: Word) -> tuple[int, Fraction]:
 # the threshold on every call.  Messages are enumerated in lexicographic order,
 # about _CHUNK at a time, so ties break toward the smallest message.
 #
-# Codeword symbols are stored as symbol_dtype(field).  An array of codewords
-# with more rows than columns is laid out codeword-major (its transpose is
-# C-contiguous), so the compare kernel streams whole rows of the transpose;
-# any other array is row-major.  The layout follows from the shape alone.
+# Codeword symbols are stored row-major as symbol_dtype(field).  A cached table
+# with more codewords than coordinates (a tall table) also keeps its bit-planes:
+# plane p holds bit p of every symbol, b = bitlength(q - 1) planes of uint64,
+# each row padded with zero bits to 64 * W.  Tall tables are compared plane by
+# plane, wide tables and streamed blocks symbol by symbol.
 
 
 def _unsigned(top: int) -> type:
@@ -153,20 +155,6 @@ def _unsigned(top: int) -> type:
 def symbol_dtype(field: Field) -> type:
     """The narrowest unsigned dtype holding every residue: uint8 or uint16."""
     return _unsigned(field.q - 1)
-
-
-def _empty_table(rows: int, n: int, dtype) -> np.ndarray:
-    """An uninitialised (rows, n) array in the layout its shape calls for."""
-    if rows > n:
-        return np.empty((n, rows), dtype=dtype).T
-    return np.empty((rows, n), dtype=dtype)
-
-
-def _laid_out(rows: np.ndarray, dtype) -> np.ndarray:
-    """A copy of a (rows, n) array as ``dtype``, in the layout its shape calls for."""
-    out = _empty_table(rows.shape[0], rows.shape[1], dtype)
-    out[...] = rows
-    return out
 
 
 def _require_enumerable(field: Field, k: int) -> int:
@@ -205,14 +193,15 @@ def codeword_blocks(field: Field, k: int, encode_batch):
         sums = (base[:, None, :] + first[None, :, :]).reshape(-1, first.shape[1])
         # Below q, sums - q wraps past the top of ``wide``, so this is sums mod q.
         np.minimum(sums, sums - q, out=sums)
-        yield s, _laid_out(sums, dtype)
+        yield s, sums.astype(dtype, copy=False)
 
 
-def codeword_table(field: Field, k: int, encode_batch, cached=None) -> np.ndarray:
-    """All q**k codewords as one read-only array; ``cached`` when given.
+def codeword_table(field: Field, k: int, encode_batch, cached=None):
+    """All q**k codewords as a read-only (table, planes) pair; ``cached`` when given.
 
-    Refuses past the threshold even when cached, and refuses a table of more
-    than TABLE_CELLS cells.
+    ``planes`` holds the bit-planes of a tall table, packed from each block
+    as it is written, and is None for a wide one.  Refuses past the threshold
+    even when cached, and refuses a table of more than TABLE_CELLS cells.
     """
     total = _require_enumerable(field, k)
     if cached is not None:
@@ -222,15 +211,34 @@ def codeword_table(field: Field, k: int, encode_batch, cached=None) -> np.ndarra
     n = block.shape[1]
     if total * n > TABLE_CELLS:
         raise TooLargeToEnumerateError(f"codeword table would hold {total * n} cells")
-    if block.shape[0] == total:
-        table = block
-    else:
-        table = _empty_table(total, n, block.dtype)
-        table[: block.shape[0]] = block
-        for s, block in blocks:
-            table[s : s + block.shape[0]] = block
+    table = block if block.shape[0] == total else np.empty((total, n), dtype=block.dtype)
+    bits, width = (field.q - 1).bit_length(), -(-n // 64)
+    planes = np.zeros((bits, total, width), dtype=np.uint64) if total > n else None
+    for s, block in itertools.chain([(0, block)], blocks):
+        rows = slice(s, s + block.shape[0])
+        if block is not table:
+            table[rows] = block
+        if planes is not None:
+            _pack(block, planes[:, rows])
     table.setflags(write=False)
-    return table
+    if planes is not None:
+        planes.setflags(write=False)
+    return table, planes
+
+
+def _pack(values: np.ndarray, out: np.ndarray) -> None:
+    """Write bit p of each symbol of a (R, n) array into ``out[p]``, zeroed (b, R, W) planes.
+
+    Bits past n are left zero.
+    """
+    rows, n = values.shape
+    used = -(-n // 8)
+    octets = out.view(np.uint8)
+    for p in range(out.shape[0]):
+        bit = values & (1 << p)
+        # Rows of whole octets pack as one flat run, several times faster than row by row.
+        packed = np.packbits(bit.reshape(-1) if n % 8 == 0 else bit, axis=-1)
+        octets[p, :, :used] = packed.reshape(rows, used)
 
 
 def nearest_codeword(
@@ -247,17 +255,19 @@ def nearest_codeword(
 
 
 def nearest_distances(
-    field: Field, k: int, encode_batch, codewords, words: np.ndarray
+    field: Field, k: int, encode_batch, table, words: np.ndarray
 ) -> np.ndarray:
     """Per-row Hamming distance from a (B, n) array to the nearest codeword.
 
-    Compares against the table ``codewords()`` when the table fits in
-    TABLE_CELLS cells; otherwise streams codeword blocks, keeping a running
-    minimum.  The compare is fastest when ``words`` has the table's dtype,
-    symbol_dtype(field).
+    ``words`` must hold residues in [0, q).  Compares against the cached
+    table ``table()`` returns, by its bit-planes when it has them, when the
+    table fits in TABLE_CELLS cells; otherwise streams codeword blocks,
+    keeping a running minimum.  The symbol compare is fastest when ``words``
+    has the table's dtype, symbol_dtype(field).
     """
     if field.q**k * words.shape[1] <= TABLE_CELLS:
-        return _min_hammings(words, codewords())
+        codewords, planes = table()
+        return _min_hammings(words, codewords) if planes is None else _min_plane_hammings(words, planes)
     best = None
     for _, block in codeword_blocks(field, k, encode_batch):
         hams = _min_hammings(words, block)
@@ -268,21 +278,37 @@ def nearest_distances(
 def _min_hammings(words: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Per-row minimum Hamming distance from (B, n) words to the rows of a table.
 
-    Compares along the table's layout: coordinate by coordinate over the
-    transpose of a codeword-major table, row by row otherwise.  The sums are
-    held in the narrowest dtype that holds n.
+    The sums are held in the narrowest dtype that holds n.
     """
-    rows, n = table.shape
-    acc = _unsigned(n)
+    acc = _unsigned(table.shape[1])
     out = np.empty(words.shape[0], dtype=np.int64)
     step = BROADCAST_CELLS // table.size or 1
     for s in range(0, words.shape[0], step):
-        if rows > n:
-            diff = words[s : s + step, :, None] != table.T[None, :, :]
-            out[s : s + step] = diff.sum(axis=1, dtype=acc).min(axis=1)
-        else:
-            diff = words[s : s + step, None, :] != table[None, :, :]
-            out[s : s + step] = diff.sum(axis=2, dtype=acc).min(axis=1)
+        diff = words[s : s + step, None, :] != table[None, :, :]
+        out[s : s + step] = diff.sum(axis=2, dtype=acc).min(axis=1)
+    return out
+
+
+def _min_plane_hammings(words: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """Per-row minimum Hamming distance from (B, n) residues to a table's bit-planes.
+
+    Two symbols below 2**b differ exactly when one of their b bits does, so
+    the distance is the popcount of the OR over planes of (codeword XOR word).
+    Each step compares every word with a block of rows, about _CHUNK uint64
+    per plane, so that its arrays stay in cache.
+    """
+    bits, rows, width = planes.shape
+    packed = np.zeros((bits, words.shape[0], 1, width), dtype=np.uint64)
+    _pack(words, packed[:, :, 0])
+    acc = _unsigned(64 * width)
+    out = np.full(words.shape[0], 64 * width, dtype=np.int64)
+    step = _CHUNK // (words.shape[0] * width or 1) or 1
+    for s in range(0, rows, step):
+        block = planes[:, s : s + step]
+        diff = block[0] ^ packed[0]
+        for p in range(1, bits):
+            diff |= block[p] ^ packed[p]
+        np.minimum(out, np.bitwise_count(diff).sum(axis=2, dtype=acc).min(axis=1), out=out)
     return out
 
 
@@ -309,7 +335,7 @@ class LinearCode:
         parity.setflags(write=False)
         self.parity_check = parity
         self.d_known = d_known
-        self._codewords: Optional[np.ndarray] = None
+        self._codewords: Optional[tuple] = None  # (table, planes), see codeword_table
 
     # --- construction -----------------------------------------------------
 
@@ -378,10 +404,14 @@ class LinearCode:
 
         Row order is lexicographic in the message symbols, so row index i
         encodes the message ``unravel_index(i, (q,)*k)``.  Symbols are
-        ``symbol_dtype(field)``; when q**k > n the array is the transpose of a
-        C-contiguous (n, q**k) array.
+        ``symbol_dtype(field)``, row-major.
         """
         self._codewords = codeword_table(self.field, self.k, self.encode_batch, self._codewords)
+        return self._codewords[0]
+
+    def _table(self):
+        """The cached (table, planes) pair, read through ``codewords()``."""
+        self.codewords()
         return self._codewords
 
     def min_distance(self) -> int:
@@ -410,7 +440,7 @@ class LinearCode:
 
     def nearest_distance_batch(self, words: np.ndarray) -> np.ndarray:
         """Per-row Hamming distance from a (B, n) array to the nearest codeword."""
-        return nearest_distances(self.field, self.k, self.encode_batch, self.codewords, words)
+        return nearest_distances(self.field, self.k, self.encode_batch, self._table, words)
 
     # --- projection ---------------------------------------------------------
 

@@ -43,6 +43,9 @@ class CorpusPart:
     params: dict = dc_field(default_factory=dict)
 
 
+# int64 symbols per draw of a uniform part.
+_DRAW_SYMBOLS = 1 << 16
+
 _KINDS = {"uniform", "codeword_plus_weight", "planted_slice", "low_weight", "codewords", "mixed"}
 
 
@@ -128,7 +131,11 @@ def _fill_part(instance: TestInstance, part: CorpusPart, rng, out: np.ndarray) -
     if count == 0:
         return []
     if part.kind == "uniform":
-        out[...] = rng.integers(0, q, size=(count, n), dtype=np.int64)
+        # Drawn a few rows at a time: the int64 draw is eight times the symbols,
+        # and row chunks give the same stream as one (count, n) draw.
+        step = max(1, _DRAW_SYMBOLS // n)
+        for s in range(0, count, step):
+            out[s : s + step] = rng.integers(0, q, size=out[s : s + step].shape, dtype=np.int64)
         return [{"kind": "uniform"} for _ in range(count)]
     if part.kind == "low_weight":
         out[...] = 0

@@ -300,7 +300,7 @@ def run_sweep(config: ExperimentConfig, instance: Optional[TestInstance] = None)
     undecided = 0
     for word, source in words:
         if config.mode == "sampled":
-            est = instance.expected_robustness_sampled(word, config.seed + source["index"], config.samples)
+            est = instance.expected_robustness_sampled(word, config.seed, config.samples, source["index"])
             lower, upper, exact = instance.delta_bounds(word, None)
             rep_dict = {
                 "instance": instance.label,

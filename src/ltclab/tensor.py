@@ -159,7 +159,7 @@ class TensorCode:
         self.distance: Optional[int] = (
             int(np.prod(ds)) if all(d is not None for d in ds) else None
         )
-        self._codewords: Optional[np.ndarray] = None
+        self._codewords: Optional[tuple] = None  # (table, planes), see codeword_table
         self._linear: Optional[LinearCode] = None
 
     @property
@@ -227,6 +227,11 @@ class TensorCode:
         self._codewords = codeword_table(
             self.field, self.dimension, self.encode_batch, self._codewords
         )
+        return self._codewords[0]
+
+    def _table(self):
+        """The cached (table, planes) pair, read through ``codewords()``."""
+        self.codewords()
         return self._codewords
 
     def nearest(self, word: TensorWord) -> tuple[TensorWord, Fraction]:
@@ -238,7 +243,7 @@ class TensorCode:
     def nearest_distance_batch(self, flat_words: np.ndarray) -> np.ndarray:
         """Per-row Hamming distance from (B, N) flattened words to the code."""
         return nearest_distances(
-            self.field, self.dimension, self.encode_batch, self.codewords, flat_words
+            self.field, self.dimension, self.encode_batch, self._table, flat_words
         )
 
     def as_linear_code(self) -> LinearCode:

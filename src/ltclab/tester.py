@@ -22,7 +22,6 @@ sampled estimates; every comparison is made on exact rationals.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional, Union
@@ -207,18 +206,21 @@ class TestInstance:
         """Exact mean view robustness under the uniform view distribution."""
         return Fraction(int(self.view_hammings(word).sum()), self.graph.m_right * self.graph.t_degree)
 
-    def expected_robustness_sampled(self, word: Word, seed: int, samples: int) -> SampledEstimate:
+    def expected_robustness_sampled(
+        self, word: Word, seed: int, samples: int, index: int = 0
+    ) -> SampledEstimate:
         """Unbiased seeded estimate of the expected robustness.
 
-        The same seed always selects the same views, so the estimate is
-        reproducible byte for byte.
+        The views are drawn from ``np.random.default_rng([seed, index])``, so
+        the same seed and index always select the same views (the estimate is
+        reproducible byte for byte), and the words of one corpus, numbered by
+        ``index``, draw independent views under one seed.
         """
         if samples < 1:
             raise ValueError("need at least one sample")
         values = self._values(word)[0]
-        rng = random.Random(seed)
-        js = [rng.randrange(self.graph.m_right) for _ in range(samples)]
-        rows = np.stack([self.graph.row0(j0) for j0 in js])
+        js = np.random.default_rng([seed, index]).integers(0, self.graph.m_right, size=samples)
+        rows = np.stack([self.graph.row0(int(j0)) for j0 in js])
         hams = self.small.nearest_distance_batch(values[rows])
         t = self.graph.t_degree
         mean = Fraction(int(hams.sum()), samples * t)

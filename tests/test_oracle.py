@@ -1,7 +1,7 @@
 """The exact enumeration oracle against int64 brute force.
 
-Codeword tables hold symbols in the narrowest unsigned dtype, laid out by
-shape (codeword-major when there are more codewords than coordinates), and
+Codeword tables hold symbols row-major in the narrowest unsigned dtype, with
+packed bit-planes beside a tall table (more codewords than coordinates), and
 are enumerated by linearity in groups of q**j messages.  Every check here
 compares against a reference that shares none of that: messages from
 itertools.product, an int64 matmul, and a per-row count.
@@ -87,6 +87,80 @@ def test_nearest_distance_batch_matches_brute_force(q, k, n, streamed, seed, bat
             assert got.tolist() == expected
 
 
+# The bit-plane path: n around multiples of 64 (one to three uint64 per plane),
+# q = 2 (one plane), q just above a power of two (17, 257: a nearly empty top
+# plane), and uint16 symbols (257).  k is the least with q**k > n, so every
+# cached table is tall.
+PLANE_QS = [2, 3, 5, 17, 257]
+PLANE_NS = [1, 63, 64, 65, 129]
+
+
+def tall_code(q: int, n: int) -> LinearCode:
+    k = 1
+    while q**k <= n:
+        k += 1
+    return systematic_code(q, k, n, seed=q * 1000 + n)
+
+
+@pytest.mark.parametrize("path", ["table", "chunked", "streamed"])
+@pytest.mark.parametrize("batch", [0, 1, 5])
+@pytest.mark.parametrize("n", PLANE_NS)
+@pytest.mark.parametrize("q", PLANE_QS)
+def test_plane_compare_matches_brute_force(q, n, batch, path):
+    code = tall_code(q, n)
+    table = reference_table(code)
+    rng = np.random.default_rng([q, n, batch])
+    words = rng.integers(0, q, size=(batch, n))
+    if batch:
+        words[:, 0], words[:, -1] = 0, q - 1
+    if batch > 2:
+        words[1], words[2] = q - 1, table[rng.integers(len(table))]
+        words[2, 0] = (words[2, 0] + 1) % q  # one symbol off a codeword
+    expected = reference_distances(table, words)
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "chunked":
+            mp.setattr(ltclab.code, "_CHUNK", 40)  # a few rows per compare step
+        if path == "streamed":
+            mp.setattr(ltclab.code, "TABLE_CELLS", 0)
+            mp.setattr(ltclab.code, "_CHUNK", 40)
+        for dtype in (symbol_dtype(code.field), np.int64):
+            got = code.nearest_distance_batch(words.astype(dtype))
+            assert got.dtype == np.int64
+            assert got.tolist() == expected
+    assert (code._codewords is None) == (path == "streamed")
+
+
+@pytest.mark.parametrize("n", PLANE_NS)
+@pytest.mark.parametrize("q", PLANE_QS)
+def test_planes_unpack_to_the_codewords(q, n):
+    code = tall_code(q, n)
+    symbols = code.codewords()
+    _, planes = code._codewords
+    bits, rows, width = planes.shape
+    assert (bits, rows, width) == ((q - 1).bit_length(), q**code.k, -(-n // 64))
+    assert planes.dtype == np.uint64 and not planes.flags.writeable
+    unpacked = np.unpackbits(planes.view(np.uint8), axis=2).astype(np.int64)
+    assert not unpacked[:, :, n:].any()  # the padding past n is zero
+    assert np.array_equal((unpacked[:, :, :n] << np.arange(bits)[:, None, None]).sum(axis=0), symbols)
+
+
+def test_wide_tables_have_no_planes():
+    code = systematic_code(5, 2, 30, seed=1)  # 25 codewords, 30 coordinates
+    code.codewords()
+    assert code._codewords[1] is None
+
+
+@pytest.mark.parametrize("q, k", [(2, 9), (3, 6)])
+def test_plane_sums_hold_distances_past_255(q, k):
+    # [I_k | 0] of length 300: the all-(q - 1) word is 300 - k from every codeword.
+    n = 300
+    gen = np.eye(k, n, dtype=np.int64)
+    code = LinearCode(Field(q), gen)
+    words = np.array([[q - 1] * n, [0] * n, [1] * k + [0] * (n - k)], dtype=np.int64)
+    assert code.nearest_distance_batch(words).tolist() == [n - k, 0, 0]
+    assert code._codewords[1].shape[2] == 5
+
+
 @pytest.mark.parametrize("chunk", [7, 100, ltclab.code._CHUNK])
 @pytest.mark.parametrize(
     "code",
@@ -106,8 +180,7 @@ def test_codewords_follow_message_order(monkeypatch, code, chunk):
     assert np.array_equal(table, message_order(code, k))
     assert table.dtype == symbol_dtype(code.field)
     assert not table.flags.writeable
-    rows, n = table.shape
-    assert (table.T if rows > n else table).flags.c_contiguous
+    assert table.flags.c_contiguous
 
 
 def test_rs131_blocks_are_whole_groups_in_message_order():

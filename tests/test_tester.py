@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 from unittest import mock
 
@@ -86,9 +85,8 @@ def test_sampled_estimator_deterministic(rep3_square):
 
 def test_sampled_estimator_matches_per_view_loop(rep3_square):
     w = Word(GF2, np.random.default_rng(44).integers(0, 2, size=9))
-    rng = random.Random(5)
-    js = [rng.randrange(rep3_square.graph.m_right) for _ in range(50)]
-    per_view = [rep3_square.view_robustness(w, j0 + 1) for j0 in js]
+    js = np.random.default_rng([5, 0]).integers(0, rep3_square.graph.m_right, size=50)
+    per_view = [rep3_square.view_robustness(w, int(j0) + 1) for j0 in js]
     est = rep3_square.expected_robustness_sampled(w, seed=5, samples=50)
     assert est.value == sum(per_view, Fraction(0)) / 50
 
