@@ -263,6 +263,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for option, low, kind in (("seed", 0, "non-negative"), ("samples", 1, "positive")):
+            value = getattr(args, option, None)
+            if value is not None and value < low:
+                raise ValueError(f"--{option} must be a {kind} integer, got {value}")
         return _HANDLERS[args.command](args)
     except (LtcLabError, ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

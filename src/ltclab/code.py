@@ -62,7 +62,10 @@ def _coerce_symbols(field: Field, symbols, ndim: int = 1) -> np.ndarray:
                     out.append(as_integer(s))
                 except TypeError:
                     raise ValueError(f"symbol {s!r} is not an integer") from None
-        values = np.array(out, dtype=np.int64)
+        try:
+            values = np.array(out, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"symbol values must lie in [0, {field.q})") from None
     if values.ndim != ndim:
         raise ValueError(f"symbols must form a {ndim}-d array, got {values.ndim} dimensions")
     if values.size and (values.min() < 0 or values.max() >= field.q):

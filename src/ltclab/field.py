@@ -53,10 +53,6 @@ class Field:
         return FieldElement(self, value % self.q)
 
     @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
     def one(self) -> "FieldElement":
         return FieldElement(self, 1)
 

@@ -6,8 +6,10 @@ vertices (1-based).  A Tanner product code TPC(G, C_small) consists of the
 words over the left vertices whose every right-vertex view (the ordered
 projection onto a neighbor list) is a codeword of the small code.
 
-Graphs small enough are materialized as a dense (m, t) array; larger ones
-keep a computed row accessor so that sampled testing still works.
+Each graph family has one row formula, ``rows_at_fn(js, positions)``, vectorized
+over rows.  ``OrderedGraph.from_formula`` materializes it as a dense (m, t) array
+when m * t <= ADJACENCY_BUDGET and keeps it as a computed row accessor past
+that, so that sampled testing still works.
 """
 
 from __future__ import annotations
@@ -32,8 +34,11 @@ from .errors import (
     TooLargeToEnumerateError,
 )
 
-# Left-vertex block size when streaming rows of a lazy graph.
+# Right-vertex block size when streaming or materializing the rows of a graph.
 _ROW_BLOCK = 1 << 12
+
+# A row formula: (B,) 0-based rows and (p,) or (B, p) 0-based positions to (B, p) entries.
+RowsAtFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class OrderedGraph:
@@ -44,17 +49,11 @@ class OrderedGraph:
     """
 
     def __init__(
-        self,
-        n_left: int,
-        m_right: int,
-        t_degree: int,
-        rows0: Optional[np.ndarray] = None,
-        row_at_fn: Optional[Callable[[int, np.ndarray], np.ndarray]] = None,
-        left_degree: Optional[int] = None,
-        label: str = "",
+        self, n_left: int, m_right: int, t_degree: int, rows0: Optional[np.ndarray] = None,
+        rows_at_fn: Optional[RowsAtFn] = None, left_degree: Optional[int] = None, label: str = "",
     ):
-        if (rows0 is None) == (row_at_fn is None):
-            raise ValueError("exactly one of rows0 / row_at_fn must be given")
+        if (rows0 is None) == (rows_at_fn is None):
+            raise ValueError("exactly one of rows0 / rows_at_fn must be given")
         self.n_left = int(n_left)
         self.m_right = int(m_right)
         self.t_degree = int(t_degree)
@@ -64,7 +63,7 @@ class OrderedGraph:
             rows0 = np.asarray(rows0, dtype=np.int64)
             rows0.setflags(write=False)
         self._rows0 = rows0
-        self._row_at_fn = row_at_fn
+        self._rows_at_fn = rows_at_fn
 
     # --- construction -------------------------------------------------------
 
@@ -90,6 +89,24 @@ class OrderedGraph:
         rows = np.array(lists, dtype=np.int64)
         return cls(n_left, rows.shape[0], t, rows0=rows - 1, label=label)
 
+    @classmethod
+    def from_formula(
+        cls, n_left: int, m_right: int, t_degree: int, rows_at_fn: RowsAtFn,
+        left_degree: Optional[int] = None, label: str = "",
+    ) -> "OrderedGraph":
+        """A graph given by its row formula, materialized when m * t <= ADJACENCY_BUDGET.
+
+        The dense array is filled one _ROW_BLOCK of rows at a time, so that the
+        formula's temporaries stay bounded near the budget.
+        """
+        graph = cls(n_left, m_right, t_degree, rows_at_fn=rows_at_fn, left_degree=left_degree, label=label)
+        if m_right * t_degree > ADJACENCY_BUDGET:
+            return graph
+        rows = np.empty((m_right, t_degree), dtype=np.int64)
+        for start in range(0, m_right, _ROW_BLOCK):
+            rows[start : start + _ROW_BLOCK] = graph.rows0_block(start, start + _ROW_BLOCK)
+        return cls(n_left, m_right, t_degree, rows0=rows, left_degree=left_degree, label=label)
+
     @property
     def is_explicit(self) -> bool:
         return self._rows0 is not None
@@ -99,25 +116,25 @@ class OrderedGraph:
 
     # --- row access -----------------------------------------------------------
 
-    def row_at0(self, j0: int, positions: np.ndarray) -> np.ndarray:
-        """Entries of 0-based row j0 at the given 0-based positions."""
-        if self._rows0 is not None:
-            return self._rows0[j0][positions]
-        return self._row_at_fn(j0, positions)
+    def rows_at(self, js: np.ndarray, positions: Optional[np.ndarray] = None) -> np.ndarray:
+        """(B, p) entries of 0-based rows js at 0-based positions (p,) or (B, p); whole rows by default."""
+        js = np.asarray(js, dtype=np.int64)
+        if self._rows0 is None:
+            return self._rows_at_fn(js, np.arange(self.t_degree) if positions is None else positions)
+        return self._rows0[js] if positions is None else self._rows0[js[:, None], positions]
 
     def row0(self, j0: int) -> np.ndarray:
         """0-based neighbor row of 0-based right vertex j0."""
         if not 0 <= j0 < self.m_right:
             raise IndexError(f"right vertex {j0} not in [0, {self.m_right})")
-        if self._rows0 is not None:
-            return self._rows0[j0]
-        return self._row_at_fn(j0, np.arange(self.t_degree, dtype=np.int64))
+        return self.rows0_block(j0, j0 + 1)[0]
 
     def rows0_block(self, start: int, stop: int) -> np.ndarray:
+        """Rows start..stop-1 (0-based); a read-only view on an explicit graph."""
         stop = min(stop, self.m_right)
         if self._rows0 is not None:
             return self._rows0[start:stop]
-        return np.stack([self.row0(j0) for j0 in range(start, stop)])
+        return self.rows_at(np.arange(start, stop))
 
     def iter_row_blocks(self, block: int = _ROW_BLOCK) -> Iterable[tuple[int, np.ndarray]]:
         for start in range(0, self.m_right, block):
@@ -172,40 +189,16 @@ class OrderedGraph:
             raise DegreeMismatchError(
                 f"inner graph has {inner.n_left} left vertices, outer degree is {self.t_degree}"
             )
-        m_total = self.m_right * inner.m_right
-        label = f"({self.label or '?'} (c) {inner.label or '?'})"
-        ld = None
-        if self.left_degree is not None and inner.left_degree is not None:
-            ld = self.left_degree * inner.left_degree
-        if (
-            self.is_explicit
-            and inner.is_explicit
-            and m_total * inner.t_degree <= ADJACENCY_BUDGET
-        ):
-            rows = self._rows0[:, inner._rows0].reshape(m_total, inner.t_degree)
-            return OrderedGraph(
-                self.n_left, m_total, inner.t_degree, rows0=rows,
-                left_degree=ld, label=label,
-            )
+        ld = None if None in (self.left_degree, inner.left_degree) else self.left_degree * inner.left_degree
 
-        outer = self
+        def rows_at_fn(js: np.ndarray, positions: np.ndarray) -> np.ndarray:
+            j0s, jp0s = np.divmod(js, inner.m_right)
+            return self.rows_at(j0s, inner.rows_at(jp0s, positions))
 
-        def row_at_fn(jj0: int, positions: np.ndarray) -> np.ndarray:
-            j0, jp0 = divmod(jj0, inner.m_right)
-            return outer.row_at0(j0, inner.row_at0(jp0, positions))
-
-        return OrderedGraph(
-            self.n_left, m_total, inner.t_degree, row_at_fn=row_at_fn,
-            left_degree=ld, label=label,
+        return OrderedGraph.from_formula(
+            self.n_left, self.m_right * inner.m_right, inner.t_degree, rows_at_fn,
+            left_degree=ld, label=f"({self.label or '?'} (c) {inner.label or '?'})",
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n_left,
-            "m": self.m_right,
-            "t": self.t_degree,
-            "lists": [list(row) for row in self.lists],
-        }
 
     def __repr__(self):
         kind = "explicit" if self.is_explicit else "computed"
@@ -234,24 +227,23 @@ def product_graph(n: int, m: int) -> OrderedGraph:
     if n_left > 2**62:
         # Vertex positions must fit int64 even in accessor form.
         raise GraphTooLargeError(f"{n}^{m} left vertices cannot be indexed")
-    m_right = m * n
-    t = n ** (m - 1)
-    label = f"product:n={n},m={m}"
-    if m_right * t <= ADJACENCY_BUDGET:
-        idx = np.arange(n_left, dtype=np.int64).reshape((n,) * m)
-        blocks = [np.moveaxis(idx, b0, 0).reshape(n, -1) for b0 in range(m)]
-        rows = np.concatenate(blocks, axis=0)
-        return OrderedGraph(n_left, m_right, t, rows0=rows, left_degree=m, label=label)
 
-    def row_at_fn(j0: int, positions: np.ndarray) -> np.ndarray:
+    def rows_at_fn(js: np.ndarray, positions: np.ndarray) -> np.ndarray:
         # Positions enumerate the remaining m-1 coordinates lexicographically;
-        # splice coordinate i back in at axis b.
-        b0, i0 = divmod(j0, n)
-        hi_stride = n ** (m - 1 - b0)
-        high, low = np.divmod(positions, hi_stride)
-        return high * (hi_stride * n) + i0 * hi_stride + low
+        # splice coordinate i back in at axis b: a position high * s + low, with
+        # s = n^(m-1-b) and low < s, becomes high * s * n + i * s + low, which is
+        # the position plus high * s * (n-1) + i * s (in place: one (B, p) array).
+        b0, i0 = np.divmod(js[:, None], n)
+        stride = n ** (m - 1 - b0)
+        rows = positions // stride
+        rows *= stride * (n - 1)
+        rows += positions
+        rows += i0 * stride
+        return rows
 
-    return OrderedGraph(n_left, m_right, t, row_at_fn=row_at_fn, left_degree=m, label=label)
+    return OrderedGraph.from_formula(
+        n_left, m * n, n ** (m - 1), rows_at_fn, left_degree=m, label=f"product:n={n},m={m}"
+    )
 
 
 def iterated_graph(n: int, m: int, mp: int) -> OrderedGraph:

@@ -198,11 +198,13 @@ class TensorCode:
 
     def encode_tensor(self, message: np.ndarray) -> TensorWord:
         """Encode a k_1 x ... x k_m message grid into a codeword."""
-        msg = np.mod(np.asarray(message, dtype=np.int64), self.field.q)
+        # Nested lists stay Python objects, so that bools and floats are refused symbol by symbol.
+        msg = message if isinstance(message, np.ndarray) else np.array(message, dtype=object)
         kshape = tuple(c.k for c in self.factors)
         if msg.shape != kshape:
             raise ShapeMismatchError(f"message shape {msg.shape}, expected {kshape}")
-        arr = self._contract(msg[None, ...])[0]
+        msg = _coerce_symbols(self.field, msg.ravel().tolist() if msg.dtype == object else msg.ravel())
+        arr = self._contract(msg.reshape((1,) + kshape))[0]
         return TensorWord.from_array(self.field, arr)
 
     def _contract(self, batch: np.ndarray) -> np.ndarray:

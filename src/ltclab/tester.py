@@ -220,7 +220,7 @@ class TestInstance:
             raise ValueError("need at least one sample")
         values = self._values(word)[0]
         js = np.random.default_rng([seed, index]).integers(0, self.graph.m_right, size=samples)
-        rows = np.stack([self.graph.row0(int(j0)) for j0 in js])
+        rows = self.graph.rows_at(js)
         hams = self.small.nearest_distance_batch(values[rows])
         t = self.graph.t_degree
         mean = Fraction(int(hams.sum()), samples * t)

@@ -327,6 +327,12 @@ def test_word_file_integers_are_strict(capsys, tmp_path, doc):
     assert len(lines) == 1 and lines[0].startswith("error:") and "integer" in lines[0]
 
 
+def test_symbol_too_large_for_int64_is_a_usage_error(capsys):
+    code, _, err = run_cli(capsys, "membership", "--code", "rep:q=2,n=2", "--word", f"0,{2**70}")
+    assert code == 2
+    assert err.strip().splitlines() == ["error: symbol values must lie in [0, 2)"]
+
+
 def test_reference_code_outside_the_tanner_product_code_is_refused(capsys):
     argv = ["robustness", "--graph", "product:n=3,m=2", "--small", "rep:q=2,n=3", "--word", "1,0,0,0,0,0,0,0,0"]
     code, _, err = run_cli(capsys, *argv, "--code", "full:q=2,n=9")
@@ -348,6 +354,35 @@ def test_trivial_tanner_product_code_is_a_usage_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "robustness", "--graph", str(graph), "--small", str(small), "--word", "1,2")
     assert code == 2
     assert err.strip().splitlines() == ["error: Tanner product code is trivial (only the zero word)"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["expansion-check", "--graph", "product:n=2,m=2", "--seed", "-1"],
+         "--seed must be a non-negative integer, got -1"),
+        (["compose-check", "--graph", "product:n=2,m=3", "--graph2", "product:n=2,m=2",
+          "--small", "rep:q=2,n=2", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+        (["sweep", "--graph", "product:n=2,m=2", "--small", "rep:q=2,n=2", "--seed", "-4"],
+         "--seed must be a non-negative integer, got -4"),
+        (["robustness", "--graph", "product:n=2,m=2", "--small", "rep:q=2,n=2", "--word", "0,0,0,0",
+          "--sampled", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+        (["expansion-check", "--graph", "product:n=2,m=2", "--sampled", "--samples", "0"],
+         "--samples must be a positive integer, got 0"),
+        (["expansion-check", "--graph", "product:n=2,m=2", "--sampled", "--samples", "-3"],
+         "--samples must be a positive integer, got -3"),
+        (["robustness", "--graph", "product:n=2,m=2", "--small", "rep:q=2,n=2", "--word", "0,0,0,0",
+          "--sampled", "--samples", "0"], "--samples must be a positive integer, got 0"),
+        (["sweep", "--graph", "product:n=2,m=2", "--small", "rep:q=2,n=2", "--sampled", "--samples", "-3"],
+         "--samples must be a positive integer, got -3"),
+    ],
+    ids=["expansion-seed", "compose-seed", "sweep-seed", "robustness-seed", "expansion-samples-0",
+         "expansion-samples-negative", "robustness-samples-0", "sweep-samples-negative"],
+)
+def test_negative_seed_and_nonpositive_samples_are_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.strip().splitlines() == [f"error: {message}"]
 
 
 def test_unknown_subcommand_exits_2():

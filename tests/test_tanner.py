@@ -254,6 +254,49 @@ def test_lazy_composition_matches_explicit(monkeypatch):
     )
 
 
+_FAMILIES = {
+    "product": lambda: product_graph(3, 3),
+    "iterated": lambda: iterated_graph(2, 4, 2),
+    "square": lambda: square_test_graph(2, 3),
+}
+
+
+def _accessor_form(monkeypatch, build) -> OrderedGraph:
+    with monkeypatch.context() as patch:
+        patch.setattr(ltclab.tanner, "ADJACENCY_BUDGET", 0)  # every level in accessor form
+        graph = build()
+    assert not graph.is_explicit
+    return graph
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_rows_at_unsorted_repeated_rows_match_explicit_rows(monkeypatch, family):
+    explicit = _FAMILIES[family]()
+    accessor = _accessor_form(monkeypatch, _FAMILIES[family])
+    assert explicit.is_explicit
+    rng = np.random.default_rng(47)
+    js = rng.integers(0, explicit.m_right, size=30)
+    js = np.concatenate([js, js[::-1], [js[0]] * 3])  # unsorted, with repeats
+    expect = np.stack([np.array(explicit.neighbors(int(j0) + 1)) - 1 for j0 in js])
+    assert np.array_equal(accessor.rows_at(js, np.arange(explicit.t_degree)), expect)
+    positions = rng.integers(0, explicit.t_degree, size=(js.size, 5))
+    picked = np.take_along_axis(expect, positions, axis=1)
+    for graph in (explicit, accessor):
+        assert np.array_equal(graph.rows_at(js), expect)  # whole rows
+        assert np.array_equal(graph.rows_at(js, positions), picked)
+
+
+@pytest.mark.parametrize("row_block", [1, 3])
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_materialized_rows_equal_accessor_rows(monkeypatch, family, row_block):
+    accessor = _accessor_form(monkeypatch, _FAMILIES[family])
+    monkeypatch.setattr(ltclab.tanner, "_ROW_BLOCK", row_block)
+    explicit = _FAMILIES[family]()
+    assert explicit.is_explicit
+    m = explicit.m_right
+    assert np.array_equal(explicit.rows0_block(0, m), accessor.rows0_block(0, m))
+
+
 def _tpc_cases(monkeypatch):
     repeated = OrderedGraph.from_lists(4, [[1, 1, 2], [2, 3, 4], [3, 4, 1]])  # x1 twice in view 1
     even = LinearCode.from_rows(GF2, [[1, 1, 0], [0, 1, 1]])
@@ -352,7 +395,7 @@ def test_batched_boundary_count_matches_per_edge_count(case):
     explicit = OrderedGraph.from_lists(s_masks.shape[1], lists)
     accessor = OrderedGraph(
         explicit.n_left, explicit.m_right, explicit.t_degree,
-        row_at_fn=explicit.row_at0,
+        rows_at_fn=explicit.rows_at,
     )
     expect = [
         sum(bool(s[u - 1]) != bool(t[j]) for j, row in enumerate(lists) for u in row)

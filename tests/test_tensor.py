@@ -147,6 +147,17 @@ def test_encoded_grid_is_member():
     assert t.contains(w)
 
 
+@pytest.mark.parametrize(
+    "message",
+    [[[0.9, 1.7], [7, -1]], [[0, 1], [2, 5]], [[0, 1], [2, -1]], [[True, False], [0, 1]], [[0, 1], [2, 2**70]]],
+    ids=["float", "above-q", "negative", "bool", "huge"],
+)
+def test_encode_tensor_refuses_meaningless_symbols(message):
+    t = tensor_power(reed_solomon(GF5, 5, 2), 2)
+    with pytest.raises(ValueError):
+        t.encode_tensor(message)
+
+
 def test_zero_tensor_is_member():
     t = tensor_power(repetition(GF2, 2), 3)
     assert t.contains(TensorWord(GF2, (2, 2, 2), [0] * 8))

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ltclab.code
+import ltclab.tanner
 import ltclab.tester
 from ltclab.code import Word, repetition, reed_solomon
 from ltclab.errors import LengthMismatchError, TooLargeToEnumerateError
@@ -184,7 +185,7 @@ def _computed(graph: OrderedGraph) -> OrderedGraph:
     """The same graph behind a computed row accessor."""
     return OrderedGraph(
         graph.n_left, graph.m_right, graph.t_degree,
-        row_at_fn=lambda j0, positions: graph.row_at0(j0, positions), label=graph.label,
+        rows_at_fn=graph.rows_at, label=graph.label,
     )
 
 
@@ -194,10 +195,24 @@ def _batch_instance(kind: str, q: int) -> TestInstance:
         graph = product_graph(3, 2)
         small = repetition(field, 3) if q == 2 else reed_solomon(field, 3, 2)
     else:
-        graph = _computed(product_graph(2, 3)).compose(product_graph(2, 2))
+        graph = _computed(product_graph(2, 3).compose(product_graph(2, 2)))
         assert not graph.is_explicit
         small = repetition(field, 2)
     return TestInstance(graph, small, full=tpc_linear_code(graph, small))
+
+
+@pytest.mark.parametrize("index", [0, 5])
+def test_sampled_estimator_on_accessor_graphs_matches_the_explicit_graph(index):
+    explicit = TestInstance(product_graph(2, 3).compose(product_graph(2, 2)), repetition(Field(3), 2))
+    with mock.patch.object(ltclab.tanner, "ADJACENCY_BUDGET", 0):  # the composition formula itself
+        formula = product_graph(2, 3).compose(product_graph(2, 2))
+    w = Word(Field(3), np.random.default_rng(53).integers(0, 3, size=explicit.graph.n_left))
+    expect = explicit.expected_robustness_sampled(w, seed=17, samples=64, index=index)
+    assert explicit.graph.is_explicit
+    for graph in (_computed(explicit.graph), formula):
+        assert not graph.is_explicit
+        accessor = TestInstance(graph, explicit.small)
+        assert accessor.expected_robustness_sampled(w, seed=17, samples=64, index=index) == expect
 
 
 @given(
