@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .config import BROADCAST_CELLS, ENUMERATION_THRESHOLD, TABLE_CELLS
+from .config import ENUMERATION_THRESHOLD, TABLE_CELLS
 from .errors import (
     EmptyProjectionError,
     FieldMismatchError,
@@ -140,11 +140,10 @@ def distance(x: Word, y: Word) -> tuple[int, Fraction]:
 # the threshold on every call.  Messages are enumerated in lexicographic order,
 # about _CHUNK at a time, so ties break toward the smallest message.
 #
-# Codeword symbols are stored row-major as symbol_dtype(field).  A cached table
-# with more codewords than coordinates (a tall table) also keeps its bit-planes:
-# plane p holds bit p of every symbol, b = bitlength(q - 1) planes of uint64,
-# each row padded with zero bits to 64 * W.  Tall tables are compared plane by
-# plane, wide tables and streamed blocks symbol by symbol.
+# Codeword symbols are stored row-major as symbol_dtype(field).  Every cached
+# table also keeps its bit-planes: plane p holds bit p of every symbol,
+# b = bitlength(q - 1) planes of uint64, each row padded with zero bits to
+# 64 * W.  Cached tables and streamed blocks are compared plane by plane.
 
 
 def _unsigned(top: int) -> type:
@@ -202,9 +201,9 @@ def codeword_blocks(field: Field, k: int, encode_batch):
 def codeword_table(field: Field, k: int, encode_batch, cached=None):
     """All q**k codewords as a read-only (table, planes) pair; ``cached`` when given.
 
-    ``planes`` holds the bit-planes of a tall table, packed from each block
-    as it is written, and is None for a wide one.  Refuses past the threshold
-    even when cached, and refuses a table of more than TABLE_CELLS cells.
+    ``planes`` holds the table's bit-planes, packed from each block as it is
+    written.  Refuses past the threshold even when cached, and refuses a table
+    of more than TABLE_CELLS cells.
     """
     total = _require_enumerable(field, k)
     if cached is not None:
@@ -216,32 +215,30 @@ def codeword_table(field: Field, k: int, encode_batch, cached=None):
         raise TooLargeToEnumerateError(f"codeword table would hold {total * n} cells")
     table = block if block.shape[0] == total else np.empty((total, n), dtype=block.dtype)
     bits, width = (field.q - 1).bit_length(), -(-n // 64)
-    planes = np.zeros((bits, total, width), dtype=np.uint64) if total > n else None
+    planes = np.zeros((bits, total, width), dtype=np.uint64)
     for s, block in itertools.chain([(0, block)], blocks):
         rows = slice(s, s + block.shape[0])
         if block is not table:
             table[rows] = block
-        if planes is not None:
-            _pack(block, planes[:, rows])
+        _pack(block, planes[:, rows])
     table.setflags(write=False)
-    if planes is not None:
-        planes.setflags(write=False)
+    planes.setflags(write=False)
     return table, planes
 
 
 def _pack(values: np.ndarray, out: np.ndarray) -> None:
     """Write bit p of each symbol of a (R, n) array into ``out[p]``, zeroed (b, R, W) planes.
 
-    Bits past n are left zero.
+    The rows are copied into zero-padded rows of whole octets, so each plane
+    packs as one flat run and the bits past n are zero.
     """
     rows, n = values.shape
     used = -(-n // 8)
+    padded = np.zeros((rows, 8 * used), dtype=values.dtype)
+    padded[:, :n] = values
     octets = out.view(np.uint8)
     for p in range(out.shape[0]):
-        bit = values & (1 << p)
-        # Rows of whole octets pack as one flat run, several times faster than row by row.
-        packed = np.packbits(bit.reshape(-1) if n % 8 == 0 else bit, axis=-1)
-        octets[p, :, :used] = packed.reshape(rows, used)
+        octets[p, :, :used] = np.packbits(padded & (1 << p)).reshape(rows, used)
 
 
 def nearest_codeword(
@@ -262,57 +259,43 @@ def nearest_distances(
 ) -> np.ndarray:
     """Per-row Hamming distance from a (B, n) array to the nearest codeword.
 
-    ``words`` must hold residues in [0, q).  Compares against the cached
-    table ``table()`` returns, by its bit-planes when it has them, when the
-    table fits in TABLE_CELLS cells; otherwise streams codeword blocks,
-    keeping a running minimum.  The symbol compare is fastest when ``words``
-    has the table's dtype, symbol_dtype(field).
+    ``words`` must hold residues in [0, q); they are packed into bit-planes
+    once.  Compares against the planes of the cached table ``table()``
+    returns when the table fits in TABLE_CELLS cells; otherwise packs each
+    streamed codeword block, keeping a running minimum.
     """
-    if field.q**k * words.shape[1] <= TABLE_CELLS:
-        codewords, planes = table()
-        return _min_hammings(words, codewords) if planes is None else _min_plane_hammings(words, planes)
-    best = None
+    bits, (batch, n) = (field.q - 1).bit_length(), words.shape
+    packed = np.zeros((bits, batch, 1, -(-n // 64)), dtype=np.uint64)
+    _pack(words, packed[:, :, 0])
+    out = np.full(batch, n, dtype=np.int64)
+    if field.q**k * n <= TABLE_CELLS:
+        _min_plane_hammings(packed, table()[1], out)
+        return out
     for _, block in codeword_blocks(field, k, encode_batch):
-        hams = _min_hammings(words, block)
-        best = hams if best is None else np.minimum(best, hams, out=best)
-    return best
-
-
-def _min_hammings(words: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Per-row minimum Hamming distance from (B, n) words to the rows of a table.
-
-    The sums are held in the narrowest dtype that holds n.
-    """
-    acc = _unsigned(table.shape[1])
-    out = np.empty(words.shape[0], dtype=np.int64)
-    step = BROADCAST_CELLS // table.size or 1
-    for s in range(0, words.shape[0], step):
-        diff = words[s : s + step, None, :] != table[None, :, :]
-        out[s : s + step] = diff.sum(axis=2, dtype=acc).min(axis=1)
+        planes = np.zeros((bits, block.shape[0], packed.shape[3]), dtype=np.uint64)
+        _pack(block, planes)
+        _min_plane_hammings(packed, planes, out)
     return out
 
 
-def _min_plane_hammings(words: np.ndarray, planes: np.ndarray) -> np.ndarray:
-    """Per-row minimum Hamming distance from (B, n) residues to a table's bit-planes.
+def _min_plane_hammings(packed: np.ndarray, planes: np.ndarray, out: np.ndarray) -> None:
+    """Lower ``out`` to each word's minimum Hamming distance to the rows of (b, R, W) planes.
 
-    Two symbols below 2**b differ exactly when one of their b bits does, so
-    the distance is the popcount of the OR over planes of (codeword XOR word).
-    Each step compares every word with a block of rows, about _CHUNK uint64
-    per plane, so that its arrays stay in cache.
+    ``packed`` holds the (b, B, 1, W) planes of B words.  Two symbols below
+    2**b differ exactly when one of their b bits does, so the distance is the
+    popcount of the OR over planes of (codeword XOR word).  Each step compares
+    every word with a block of rows, about _CHUNK uint64 per plane, so that
+    its arrays stay in cache.
     """
     bits, rows, width = planes.shape
-    packed = np.zeros((bits, words.shape[0], 1, width), dtype=np.uint64)
-    _pack(words, packed[:, :, 0])
     acc = _unsigned(64 * width)
-    out = np.full(words.shape[0], 64 * width, dtype=np.int64)
-    step = _CHUNK // (words.shape[0] * width or 1) or 1
+    step = _CHUNK // (packed.shape[1] * width or 1) or 1
     for s in range(0, rows, step):
         block = planes[:, s : s + step]
         diff = block[0] ^ packed[0]
         for p in range(1, bits):
             diff |= block[p] ^ packed[p]
         np.minimum(out, np.bitwise_count(diff).sum(axis=2, dtype=acc).min(axis=1), out=out)
-    return out
 
 
 class LinearCode:

@@ -18,8 +18,8 @@ ADJACENCY_BUDGET = 2**26
 # not fit.
 TABLE_CELLS = 2**26
 
-# Maximum cells (words x codewords x block length) of one broadcast compare
-# in the nearest-distance kernel.
+# Maximum view symbols (words x views x view length) of one chunk of
+# view_hammings_batch: one gather and one small-code oracle call.
 BROADCAST_CELLS = 2**26
 
 # Maximum cells of a tensor code's flat Kronecker generator.

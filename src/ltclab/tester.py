@@ -36,7 +36,7 @@ from .errors import (
     LengthMismatchError,
     TooLargeToEnumerateError,
 )
-from .tanner import OrderedGraph
+from .tanner import _ROW_BLOCK, OrderedGraph
 from .tensor import TensorCode
 
 FullCode = Union[LinearCode, TensorCode, None]
@@ -214,14 +214,17 @@ class TestInstance:
         The views are drawn from ``np.random.default_rng([seed, index])``, so
         the same seed and index always select the same views (the estimate is
         reproducible byte for byte), and the words of one corpus, numbered by
-        ``index``, draw independent views under one seed.
+        ``index``, draw independent views under one seed.  The sampled views
+        are gathered _ROW_BLOCK at a time, so no (samples, t) index is built.
         """
         if samples < 1:
             raise ValueError("need at least one sample")
         values = self._values(word)[0]
         js = np.random.default_rng([seed, index]).integers(0, self.graph.m_right, size=samples)
-        rows = self.graph.rows_at(js)
-        hams = self.small.nearest_distance_batch(values[rows])
+        hams = np.empty(samples, dtype=np.int64)
+        for s in range(0, samples, _ROW_BLOCK):
+            views = values[self.graph.rows_at(js[s : s + _ROW_BLOCK])]
+            hams[s : s + _ROW_BLOCK] = self.small.nearest_distance_batch(views)
         t = self.graph.t_degree
         mean = Fraction(int(hams.sum()), samples * t)
         rel = hams / t

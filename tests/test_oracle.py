@@ -1,10 +1,11 @@
 """The exact enumeration oracle against int64 brute force.
 
 Codeword tables hold symbols row-major in the narrowest unsigned dtype, with
-packed bit-planes beside a tall table (more codewords than coordinates), and
-are enumerated by linearity in groups of q**j messages.  Every check here
-compares against a reference that shares none of that: messages from
-itertools.product, an int64 matmul, and a per-row count.
+packed bit-planes beside every table, wide and tall, and are enumerated by
+linearity in groups of q**j messages.  Cached tables and streamed blocks are
+compared by their bit-planes.  Every check here compares against a reference
+that shares none of that: messages from itertools.product, an int64 matmul,
+and a per-row count.
 """
 
 import itertools
@@ -77,10 +78,9 @@ def test_nearest_distance_batch_matches_brute_force(q, k, n, streamed, seed, bat
     expected = reference_distances(table, words)
     with pytest.MonkeyPatch.context() as mp:
         if streamed:
-            # No table fits; several short blocks, and one word per compare.
+            # No table fits; several short blocks, and a few rows per compare step.
             mp.setattr(ltclab.code, "TABLE_CELLS", 0)
             mp.setattr(ltclab.code, "_CHUNK", 40)
-            mp.setattr(ltclab.code, "BROADCAST_CELLS", 1)
         for dtype in (symbol_dtype(code.field), np.int64):
             got = code.nearest_distance_batch(words.astype(dtype))
             assert got.dtype == np.int64
@@ -89,10 +89,12 @@ def test_nearest_distance_batch_matches_brute_force(q, k, n, streamed, seed, bat
 
 # The bit-plane path: n around multiples of 64 (one to three uint64 per plane),
 # q = 2 (one plane), q just above a power of two (17, 257: a nearly empty top
-# plane), and uint16 symbols (257).  k is the least with q**k > n, so every
-# cached table is tall.
+# plane), and uint16 symbols (257).  Tall codes take the least k with
+# q**k > n; wide codes take k = 1 (q <= n), and n = 4 and 12 (q = 2, k = 2
+# and 3) give wide tables whose rows are not whole uint64 or whole octets.
 PLANE_QS = [2, 3, 5, 17, 257]
 PLANE_NS = [1, 63, 64, 65, 129]
+WIDE_SHAPES = [(2, 2, 4), (2, 3, 12), (3, 1, 4), (5, 1, 12), (17, 1, 65), (2, 6, 64), (257, 1, 300)]
 
 
 def tall_code(q: int, n: int) -> LinearCode:
@@ -102,12 +104,26 @@ def tall_code(q: int, n: int) -> LinearCode:
     return systematic_code(q, k, n, seed=q * 1000 + n)
 
 
+def wide_code(q: int, k: int, n: int) -> LinearCode:
+    assert q**k <= n
+    return systematic_code(q, k, n, seed=q * 1000 + n)
+
+
+# (q, k, n) with k None for the tall code of tall_code(q, n).
+PLANE_CODES = [pytest.param(q, None, n, id=f"{q}-{n}") for q in PLANE_QS for n in PLANE_NS] + [
+    pytest.param(q, k, n, id=f"wide-{q}-{k}-{n}") for q, k, n in WIDE_SHAPES
+]
+
+
+def plane_code(q: int, k, n: int) -> LinearCode:
+    return tall_code(q, n) if k is None else wide_code(q, k, n)
+
+
 @pytest.mark.parametrize("path", ["table", "chunked", "streamed"])
 @pytest.mark.parametrize("batch", [0, 1, 5])
-@pytest.mark.parametrize("n", PLANE_NS)
-@pytest.mark.parametrize("q", PLANE_QS)
-def test_plane_compare_matches_brute_force(q, n, batch, path):
-    code = tall_code(q, n)
+@pytest.mark.parametrize("q, k, n", PLANE_CODES)
+def test_plane_compare_matches_brute_force(q, k, n, batch, path):
+    code = plane_code(q, k, n)
     table = reference_table(code)
     rng = np.random.default_rng([q, n, batch])
     words = rng.integers(0, q, size=(batch, n))
@@ -130,10 +146,9 @@ def test_plane_compare_matches_brute_force(q, n, batch, path):
     assert (code._codewords is None) == (path == "streamed")
 
 
-@pytest.mark.parametrize("n", PLANE_NS)
-@pytest.mark.parametrize("q", PLANE_QS)
-def test_planes_unpack_to_the_codewords(q, n):
-    code = tall_code(q, n)
+@pytest.mark.parametrize("q, k, n", PLANE_CODES)
+def test_planes_unpack_to_the_codewords(q, k, n):
+    code = plane_code(q, k, n)
     symbols = code.codewords()
     _, planes = code._codewords
     bits, rows, width = planes.shape
@@ -144,10 +159,36 @@ def test_planes_unpack_to_the_codewords(q, n):
     assert np.array_equal((unpacked[:, :, :n] << np.arange(bits)[:, None, None]).sum(axis=0), symbols)
 
 
-def test_wide_tables_have_no_planes():
-    code = systematic_code(5, 2, 30, seed=1)  # 25 codewords, 30 coordinates
+@pytest.mark.parametrize(
+    "q, k, n",
+    [(5, 2, 30), (2, 2, 4), (2, 3, 12), (31, 1, 40), (2, 6, 10), (5, 3, 20), (257, 1, 20)],
+)
+def test_every_cached_table_has_planes(q, k, n):
+    # Wide (q**k <= n) and tall tables alike, of both symbol dtypes.
+    code = systematic_code(q, k, n, seed=1)
     code.codewords()
-    assert code._codewords[1] is None
+    planes = code._codewords[1]
+    assert planes.shape == ((q - 1).bit_length(), q**k, -(-n // 64))
+    assert planes.dtype == np.uint64 and not planes.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 8, 9, 65])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+def test_pack_matches_per_row_packbits(n, dtype):
+    bits = 9 if dtype != np.uint8 else 8
+    values = np.random.default_rng(n).integers(0, 1 << bits, size=(5, n)).astype(dtype)
+    values[0], values[1] = 0, (1 << bits) - 1
+    width = -(-n // 64)
+    out = np.zeros((bits, 5, width), dtype=np.uint64)
+    ltclab.code._pack(values, out)
+    octets = out.view(np.uint8)
+    for p in range(bits):
+        for r in range(5):
+            expected = np.packbits([(int(v) >> p) & 1 for v in values[r]])
+            assert octets[p, r, : expected.size].tolist() == expected.tolist()
+            assert not octets[p, r, expected.size :].any()  # padding past the octets of n
+        # Bits past n inside the last octet are zero too.
+        assert not np.unpackbits(octets[p], axis=1)[:, n:].any()
 
 
 @pytest.mark.parametrize("q, k", [(2, 9), (3, 6)])

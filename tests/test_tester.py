@@ -92,6 +92,17 @@ def test_sampled_estimator_matches_per_view_loop(rep3_square):
     assert est.value == sum(per_view, Fraction(0)) / 50
 
 
+@pytest.mark.parametrize("block", [1, 3])
+def test_sampled_estimator_is_the_same_in_row_blocks(rs31_cube, block):
+    # 10 samples in blocks of 1 or 3 views (the last block short), against one block.
+    w = Word(Field(31), np.random.default_rng(45).integers(0, 31, size=rs31_cube.graph.n_left))
+    expect = rs31_cube.expected_robustness_sampled(w, seed=9, samples=10, index=2)
+    with mock.patch.object(ltclab.tester, "_ROW_BLOCK", block):
+        got = rs31_cube.expected_robustness_sampled(w, seed=9, samples=10, index=2)
+    assert got == expect
+    assert expect.stderr > 0
+
+
 def test_sampled_estimator_near_exact(rep3_square):
     rng = np.random.default_rng(43)
     w = Word(GF2, rng.integers(0, 2, size=9))
@@ -230,7 +241,7 @@ def test_batch_entry_points_match_batches_of_one(kind, q, batch, cells, seed):
     ]
     values = np.array([w.values for w in words], dtype=np.int64).reshape(batch, instance.graph.n_left)
     with mock.patch.object(ltclab.tester, "BROADCAST_CELLS", cells):  # chunks of words
-        with mock.patch.object(ltclab.code, "BROADCAST_CELLS", cells):  # chunks of the compare
+        with mock.patch.object(ltclab.code, "_CHUNK", cells):  # steps of the compare
             views = instance.view_hammings_batch(values)
     deltas = instance.delta_hammings_batch(values)
     assert views.shape == (batch, instance.graph.m_right) and deltas.shape == (batch,)
