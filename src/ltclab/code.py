@@ -1,13 +1,14 @@
 """Linear block codes over prime fields, with exact brute-force oracles.
 
-A code is held as a full-rank generator matrix (reduced at construction) plus
-the derived parity-check matrix.  Minimum distance and nearest-codeword
-queries enumerate codewords exhaustively up to ENUMERATION_THRESHOLD and
-refuse beyond it; nothing here ever estimates.
+A code is held as a full-rank generator matrix, reduced at construction; its
+parity-check matrix is derived on first use.  Minimum distance and
+nearest-codeword queries enumerate codewords exhaustively up to
+ENUMERATION_THRESHOLD and refuse beyond it; nothing here ever estimates.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import warnings
@@ -134,9 +135,10 @@ def distance(x: Word, y: Word) -> tuple[int, Fraction]:
 
 # --- the exact enumeration oracle ------------------------------------------------
 #
-# LinearCode and TensorCode share these functions.  A code enters only through
-# its field, its message length k and an ``encode_batch`` mapping a (B, k)
-# array of messages to a (B, n) array of codewords.  Every entry point checks
+# A code enters only through its field, its message length k and an
+# ``encode_batch`` mapping a (B, k) array of messages to a (B, n) array of
+# codewords, so a TensorCode enumerates through its axis contraction, without
+# a Kronecker generator.  Every entry point checks
 # the threshold on every call.  Messages are enumerated in lexicographic order,
 # about _CHUNK at a time, so ties break toward the smallest message.
 #
@@ -317,9 +319,6 @@ class LinearCode:
         self.field = field
         self.generator = generator
         self.k, self.n = generator.shape
-        parity = linalg.null_space(generator, field.q)
-        parity.setflags(write=False)
-        self.parity_check = parity
         self.d_known = d_known
         self._codewords: Optional[tuple] = None  # (table, planes), see codeword_table
 
@@ -347,6 +346,13 @@ class LinearCode:
             )
         return cls(field, basis, d_known=d_known, _reduced=True)
 
+    @functools.cached_property
+    def parity_check(self) -> np.ndarray:
+        """The read-only (n - k, n) parity-check matrix, derived on first use."""
+        parity = linalg.null_space(self.generator, self.field.q)
+        parity.setflags(write=False)
+        return parity
+
     # --- basic queries -----------------------------------------------------
 
     def params(self) -> tuple[int, int, Optional[int]]:
@@ -356,11 +362,11 @@ class LinearCode:
         return self.field.q**self.k
 
     def encode(self, message) -> Word:
-        """Encode a length-k message as message @ generator."""
+        """Encode a length-k message, as a batch of one."""
         msg = _coerce_symbols(self.field, message)
         if msg.size != self.k:
             raise LengthMismatchError(f"message length {msg.size}, expected {self.k}")
-        return Word(self.field, (msg @ self.generator) % self.field.q)
+        return Word(self.field, self.encode_batch(msg[None])[0])
 
     def encode_batch(self, messages: np.ndarray) -> np.ndarray:
         """Encode a (B, k) batch of messages into a (B, n) array."""
@@ -459,7 +465,7 @@ class LinearCode:
 
     def __repr__(self):
         d = self.d_known if self.d_known is not None else "?"
-        return f"LinearCode[{self.n},{self.k},{d}] over GF({self.field.q})"
+        return f"{type(self).__name__}[{self.n},{self.k},{d}] over GF({self.field.q})"
 
 
 def reed_solomon(field: Field, n: int, k: int) -> LinearCode:

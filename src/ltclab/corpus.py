@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .code import LinearCode, Word, symbol_dtype
+from .code import Word, symbol_dtype
 from .config import LOW_WEIGHT_WORDS
 from .tester import TestInstance
 
@@ -161,11 +161,10 @@ def _fill_part(instance: TestInstance, part: CorpusPart, rng, out: np.ndarray) -
     full = instance.full
     if full is None:
         raise ValueError("this corpus kind needs a reference full code on the instance")
-    k = full.k if isinstance(full, LinearCode) else full.dimension
     ladder = [part.params["w"]] if "w" in part.params else _weight_ladder(n)
     sources = []
     for i, row in enumerate(out):
-        row[...] = full.encode_batch(rng.integers(0, q, size=(1, k), dtype=np.int64))[0]
+        row[...] = full.encode_batch(rng.integers(0, q, size=(1, full.k), dtype=np.int64))[0]
         if part.kind == "codewords":
             sources.append({"kind": "codewords"})
             continue

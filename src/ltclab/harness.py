@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -85,7 +85,7 @@ def _parse_kv(text: str, body: str) -> _Fields:
     return _Fields(f"spec {text!r}", out)
 
 
-def parse_code_spec(text: str) -> Union[LinearCode, TensorCode]:
+def parse_code_spec(text: str) -> LinearCode:
     """Parse an inline code spec, optionally raised to a tensor power."""
     text = text.strip()
     base_text, caret, power_s = text.rpartition("^")
@@ -217,9 +217,8 @@ def instance_from_specs(
             full = None
     instance = TestInstance(graph, small, full=full, label=f"{graph_spec} / {small_spec}")
     if full_spec:
-        k = full.k if isinstance(full, LinearCode) else full.dimension
-        if small.field.q**k <= ENUMERATION_THRESHOLD:
-            rows = full.encode_batch(np.eye(k, dtype=np.int64))
+        if small.field.q**full.k <= ENUMERATION_THRESHOLD:
+            rows = full.encode_batch(np.eye(full.k, dtype=np.int64))
             if not TannerCode(graph, small).contains_batch(rows).all():
                 raise ValueError(
                     f"reference code {full_spec!r} is not a subcode of the Tanner product code"

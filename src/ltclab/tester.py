@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -37,9 +37,6 @@ from .errors import (
     TooLargeToEnumerateError,
 )
 from .tanner import _ROW_BLOCK, OrderedGraph
-from .tensor import TensorCode
-
-FullCode = Union[LinearCode, TensorCode, None]
 
 
 @dataclass(frozen=True)
@@ -126,7 +123,7 @@ class TestInstance:
         self,
         graph: OrderedGraph,
         small: LinearCode,
-        full: FullCode = None,
+        full: Optional[LinearCode] = None,
         label: str = "",
     ):
         if small.n != graph.t_degree:
@@ -136,11 +133,8 @@ class TestInstance:
         if full is not None:
             if full.field != small.field:
                 raise FieldMismatchError(f"full code over {full.field}, small code over {small.field}")
-            full_n = full.n if isinstance(full, LinearCode) else full.block_length
-            if full_n != graph.n_left:
-                raise LengthMismatchError(
-                    f"full code length {full_n} != {graph.n_left} left vertices"
-                )
+            if full.n != graph.n_left:
+                raise LengthMismatchError(f"full code length {full.n} != {graph.n_left} left vertices")
         self.graph = graph
         self.small = small
         self.full = full

@@ -23,6 +23,13 @@ def test_min_distance_of_power(capsys):
     assert out.strip() == "36"
 
 
+def test_power_too_large_for_a_generator_is_a_usage_error(capsys):
+    code, _, err = run_cli(capsys, "min-distance", "--code", "rs:q=5,n=4,k=2^99")
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: generator would hold")
+
+
 def test_membership_tpc_true(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -47,6 +47,14 @@ def test_identity_generator_full_space():
     assert c.contains(Word(GF2, [1, 0]))
 
 
+def test_parity_check_is_derived_by_the_first_membership_query():
+    c = reed_solomon(GF7, 7, 3)
+    assert "parity_check" not in c.__dict__
+    assert c.contains(c.encode([1, 2, 3]))
+    assert c.parity_check.shape == (4, 7)
+    assert not c.parity_check.flags.writeable
+
+
 def test_duplicate_rows_warn_and_reduce():
     with pytest.warns(RankDeficiencyWarning):
         c = LinearCode.from_rows(GF2, [[1, 1], [1, 1]])

@@ -46,7 +46,7 @@ def test_parse_rep_and_full_specs():
 def test_parse_power_spec():
     t = parse_code_spec("rs:q=31,n=31,k=1^2")
     assert isinstance(t, TensorCode)
-    assert (t.block_length, t.dimension, t.distance) == (961, 1, 961)
+    assert (t.block_length, t.dimension, t.d_known) == (961, 1, 961)
 
 
 def test_parse_unknown_spec():
@@ -184,6 +184,15 @@ def test_corpus_streams_are_pinned(full, kind):
     values = np.array([w.values for w, _ in words], dtype=np.int64).reshape(len(words), inst.graph.n_left)
     digest = hashlib.sha256(values.tobytes() + json.dumps([s for _, s in words]).encode())
     assert digest.hexdigest() == _STREAM_DIGESTS[full, kind]
+
+
+def test_cube_sweep_derives_no_parity_check_or_flat_generator():
+    inst = product_instance(reed_solomon(Field(31), 31, 1), 3)
+    inst.small.codewords()
+    inst.full.codewords()
+    inst.view_hammings(Word(Field(31), [0] * 31**3))
+    assert "parity_check" not in inst.small.__dict__
+    assert "parity_check" not in inst.full.__dict__ and "generator" not in inst.full.__dict__
 
 
 def test_corpus_low_weight_refuses_explosion():

@@ -216,9 +216,8 @@ def test_plane_sums_hold_distances_past_255(q, k):
 def test_codewords_follow_message_order(monkeypatch, code, chunk):
     monkeypatch.setattr(ltclab.code, "_CHUNK", chunk)
     code._codewords = None
-    k = code.k if isinstance(code, LinearCode) else code.dimension
     table = code.codewords()
-    assert np.array_equal(table, message_order(code, k))
+    assert np.array_equal(table, message_order(code, code.k))
     assert table.dtype == symbol_dtype(code.field)
     assert not table.flags.writeable
     assert table.flags.c_contiguous

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ltclab.code
-from ltclab.code import full_code, repetition, reed_solomon
+from ltclab.code import LinearCode, full_code, repetition, reed_solomon
 from ltclab.errors import (
     FieldMismatchError,
     IndexOutOfRangeError,
+    LengthMismatchError,
     NotACodewordError,
     ShapeMismatchError,
     TooLargeToEnumerateError,
@@ -64,19 +65,30 @@ def test_threshold_refuses_on_a_warm_table(monkeypatch):
 def test_power_one_is_the_code():
     rs = reed_solomon(GF7, 7, 2)
     t = tensor_power(rs, 1)
-    assert t.block_length == 7 and t.dimension == 2 and t.distance == 6
+    assert t.block_length == 7 and t.dimension == 2 and t.d_known == 6
     w = rs.encode([1, 2])
-    assert t.contains(TensorWord(GF7, (7,), w.values))
+    assert t.contains(w)
 
 
 def test_power_two_parameters():
     t = tensor_power(repetition(GF2, 3), 2)
-    assert (t.block_length, t.dimension, t.distance) == (9, 1, 9)
+    assert (t.block_length, t.dimension, t.d_known) == (9, 1, 9)
 
 
 def test_power_three_parameters():
     t = tensor_power(reed_solomon(Field(31), 31, 1), 3)
-    assert (t.block_length, t.dimension, t.distance) == (29791, 1, 29791)
+    assert (t.block_length, t.dimension, t.d_known) == (29791, 1, 29791)
+
+
+def test_power_sizes_are_exact_past_int64():
+    t = tensor_power(reed_solomon(GF5, 4, 2), 40)
+    assert (t.k, t.n, t.d_known) == (2**40, 4**40, 3**40)
+
+
+def test_tensor_code_is_a_linear_code():
+    t = tensor_power(repetition(GF2, 2), 2)
+    assert isinstance(t, LinearCode)
+    assert t.min_distance() == 4
 
 
 def test_distance_multiplicative_mixed_factors():
@@ -144,7 +156,7 @@ def test_shape_mismatch_on_construction():
 def test_encoded_grid_is_member():
     t = tensor_power(reed_solomon(GF5, 5, 2), 2)
     w = t.encode_tensor(np.array([[1, 2], [3, 4]]))
-    assert t.contains(w)
+    assert t.contains(w.flatten())
 
 
 @pytest.mark.parametrize(
@@ -160,20 +172,20 @@ def test_encode_tensor_refuses_meaningless_symbols(message):
 
 def test_zero_tensor_is_member():
     t = tensor_power(repetition(GF2, 2), 3)
-    assert t.contains(TensorWord(GF2, (2, 2, 2), [0] * 8))
+    assert t.contains(TensorWord(GF2, (2, 2, 2), [0] * 8).flatten())
 
 
 def test_single_flip_breaks_membership():
     t = tensor_power(repetition(GF2, 3), 2)
     arr = t.encode_tensor(np.array([[1]])).array.copy()
     arr[0, 0] ^= 1
-    assert not t.contains(TensorWord.from_array(GF2, arr))
+    assert not t.contains(TensorWord.from_array(GF2, arr).flatten())
 
 
-def test_membership_shape_checked():
+def test_membership_length_checked():
     t = tensor_power(repetition(GF2, 2), 2)
-    with pytest.raises(ShapeMismatchError):
-        t.contains(TensorWord(GF2, (4,), [0, 0, 0, 0]))
+    with pytest.raises(LengthMismatchError):
+        t.contains(TensorWord(GF2, (2, 2, 2), [0] * 8).flatten())
 
 
 def test_axis_membership_equals_flat_parity_exhaustive():
@@ -182,7 +194,7 @@ def test_axis_membership_equals_flat_parity_exhaustive():
     flat = t.as_linear_code()
     for bits in itertools.product((0, 1), repeat=4):
         w = TensorWord(GF2, (2, 2), bits)
-        assert t.contains(w) == flat.contains(w.flatten())
+        assert t.contains(w.flatten()) == flat.contains(w.flatten())
 
 
 def test_axis_membership_equals_flat_parity_sampled():
@@ -203,7 +215,7 @@ def test_axis_membership_three_dimensional():
     flat = t.as_linear_code()
     for bits in itertools.product((0, 1), repeat=8):
         w = TensorWord(GF2, (2, 2, 2), bits)
-        assert t.contains(w) == flat.contains(w.flatten())
+        assert t.contains(w.flatten()) == flat.contains(w.flatten())
 
 
 def test_slices_of_codewords_are_subproduct_codewords():
@@ -215,7 +227,7 @@ def test_slices_of_codewords_are_subproduct_codewords():
         w = t.encode_tensor(msg)
         for b in (1, 2, 3):
             for i in range(1, 6):
-                assert sub.contains(w.axis_slice(b, i))
+                assert sub.contains(w.axis_slice(b, i).flatten())
 
 
 # --- extension ---------------------------------------------------------------------
