@@ -1,8 +1,9 @@
 """Linear block codes over prime fields, with exact brute-force oracles.
 
 A code is held as a full-rank generator matrix, reduced at construction; its
-parity-check matrix is derived on first use.  Minimum distance and
-nearest-codeword queries enumerate codewords exhaustively up to
+parity-check matrix and its codeword table are derived on first use.  The
+oracles are LinearCode methods: minimum distance and nearest-codeword queries
+enumerate codewords exhaustively through ``encode_batch`` up to
 ENUMERATION_THRESHOLD and refuse beyond it; nothing here ever estimates.
 """
 
@@ -133,14 +134,23 @@ def distance(x: Word, y: Word) -> tuple[int, Fraction]:
     return ham, Fraction(ham, len(x))
 
 
+def word_values(word: Word, field: Field, n: int) -> np.ndarray:
+    """The symbols of ``word``, refusing a word not over ``field`` or not of length ``n``."""
+    if word.field != field:
+        raise FieldMismatchError(f"word over {word.field}, expected {field}")
+    if len(word) != n:
+        raise LengthMismatchError(f"word of length {len(word)}, expected {n}")
+    return word.values
+
+
 # --- the exact enumeration oracle ------------------------------------------------
 #
-# A code enters only through its field, its message length k and an
-# ``encode_batch`` mapping a (B, k) array of messages to a (B, n) array of
-# codewords, so a TensorCode enumerates through its axis contraction, without
-# a Kronecker generator.  Every entry point checks
-# the threshold on every call.  Messages are enumerated in lexicographic order,
-# about _CHUNK at a time, so ties break toward the smallest message.
+# The oracle is the LinearCode methods below.  They enumerate codewords only
+# through ``encode_batch``, so a TensorCode enumerates through its axis
+# contraction, without a Kronecker generator.  Every entry point checks the
+# threshold on every call, cached table or not.  Messages are enumerated in
+# lexicographic order, about _CHUNK at a time, so ties break toward the
+# smallest message.
 #
 # Codeword symbols are stored row-major as symbol_dtype(field).  Every cached
 # table also keeps its bit-planes: plane p holds bit p of every symbol,
@@ -175,59 +185,6 @@ def _messages(start: int, stop: int, step: int, k: int, q: int) -> np.ndarray:
     return np.stack(np.unravel_index(idx, (q,) * k), axis=1)
 
 
-def codeword_blocks(field: Field, k: int, encode_batch):
-    """Yield (start, codewords) for blocks of about _CHUNK consecutive messages.
-
-    Messages split into groups of q**j, the largest power of q that is at most
-    _CHUNK (and at most q**k).  A group starting at message s holds
-    codeword(s) + codeword(i) for i < q**j, by linearity: the first q**j
-    codewords are encoded once, and each block adds the encoded group starts
-    to them.  A block stacks as many whole groups as fit in _CHUNK rows.
-    """
-    total = _require_enumerable(field, k)
-    q, dtype = field.q, symbol_dtype(field)
-    span = 1
-    while span < total and span * q <= _CHUNK:
-        span *= q
-    per_block = span * max(1, _CHUNK // span)
-    wide = _unsigned(2 * (q - 1))
-    first = encode_batch(_messages(0, span, 1, k, q)).astype(wide)
-    for s in range(0, total, per_block):
-        base = encode_batch(_messages(s, min(s + per_block, total), span, k, q)).astype(wide)
-        sums = (base[:, None, :] + first[None, :, :]).reshape(-1, first.shape[1])
-        # Below q, sums - q wraps past the top of ``wide``, so this is sums mod q.
-        np.minimum(sums, sums - q, out=sums)
-        yield s, sums.astype(dtype, copy=False)
-
-
-def codeword_table(field: Field, k: int, encode_batch, cached=None):
-    """All q**k codewords as a read-only (table, planes) pair; ``cached`` when given.
-
-    ``planes`` holds the table's bit-planes, packed from each block as it is
-    written.  Refuses past the threshold even when cached, and refuses a table
-    of more than TABLE_CELLS cells.
-    """
-    total = _require_enumerable(field, k)
-    if cached is not None:
-        return cached
-    blocks = codeword_blocks(field, k, encode_batch)
-    _, block = next(blocks)
-    n = block.shape[1]
-    if total * n > TABLE_CELLS:
-        raise TooLargeToEnumerateError(f"codeword table would hold {total * n} cells")
-    table = block if block.shape[0] == total else np.empty((total, n), dtype=block.dtype)
-    bits, width = (field.q - 1).bit_length(), -(-n // 64)
-    planes = np.zeros((bits, total, width), dtype=np.uint64)
-    for s, block in itertools.chain([(0, block)], blocks):
-        rows = slice(s, s + block.shape[0])
-        if block is not table:
-            table[rows] = block
-        _pack(block, planes[:, rows])
-    table.setflags(write=False)
-    planes.setflags(write=False)
-    return table, planes
-
-
 def _pack(values: np.ndarray, out: np.ndarray) -> None:
     """Write bit p of each symbol of a (R, n) array into ``out[p]``, zeroed (b, R, W) planes.
 
@@ -241,43 +198,6 @@ def _pack(values: np.ndarray, out: np.ndarray) -> None:
     octets = out.view(np.uint8)
     for p in range(out.shape[0]):
         octets[p, :, :used] = np.packbits(padded & (1 << p)).reshape(rows, used)
-
-
-def nearest_codeword(
-    field: Field, k: int, encode_batch, values: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """The first codeword in message order nearest to ``values``, and its distance."""
-    best, best_ham = None, values.size + 1
-    for _, block in codeword_blocks(field, k, encode_batch):
-        hams = np.count_nonzero(block != values[None, :], axis=1)
-        i = int(np.argmin(hams))
-        if int(hams[i]) < best_ham:
-            best, best_ham = block[i].copy(), int(hams[i])
-    return best, best_ham
-
-
-def nearest_distances(
-    field: Field, k: int, encode_batch, table, words: np.ndarray
-) -> np.ndarray:
-    """Per-row Hamming distance from a (B, n) array to the nearest codeword.
-
-    ``words`` must hold residues in [0, q); they are packed into bit-planes
-    once.  Compares against the planes of the cached table ``table()``
-    returns when the table fits in TABLE_CELLS cells; otherwise packs each
-    streamed codeword block, keeping a running minimum.
-    """
-    bits, (batch, n) = (field.q - 1).bit_length(), words.shape
-    packed = np.zeros((bits, batch, 1, -(-n // 64)), dtype=np.uint64)
-    _pack(words, packed[:, :, 0])
-    out = np.full(batch, n, dtype=np.int64)
-    if field.q**k * n <= TABLE_CELLS:
-        _min_plane_hammings(packed, table()[1], out)
-        return out
-    for _, block in codeword_blocks(field, k, encode_batch):
-        planes = np.zeros((bits, block.shape[0], packed.shape[3]), dtype=np.uint64)
-        _pack(block, planes)
-        _min_plane_hammings(packed, planes, out)
-    return out
 
 
 def _min_plane_hammings(packed: np.ndarray, planes: np.ndarray, out: np.ndarray) -> None:
@@ -320,7 +240,6 @@ class LinearCode:
         self.generator = generator
         self.k, self.n = generator.shape
         self.d_known = d_known
-        self._codewords: Optional[tuple] = None  # (table, planes), see codeword_table
 
     # --- construction -----------------------------------------------------
 
@@ -374,7 +293,7 @@ class LinearCode:
 
     def contains(self, word: Word) -> bool:
         """Membership via the parity check."""
-        return bool(self.contains_batch(self._check_word(word)[None])[0])
+        return bool(self.contains_batch(word_values(word, self.field, self.n)[None])[0])
 
     def contains_batch(self, words: np.ndarray) -> np.ndarray:
         """Vectorized membership for a (B, n) array of words."""
@@ -382,14 +301,56 @@ class LinearCode:
             return np.ones(words.shape[0], dtype=bool)
         return ~np.any((words @ self.parity_check.T) % self.field.q, axis=1)
 
-    def _check_word(self, word: Word) -> np.ndarray:
-        if word.field != self.field:
-            raise FieldMismatchError(f"word over {word.field}, code over {self.field}")
-        if len(word) != self.n:
-            raise LengthMismatchError(f"word length {len(word)}, block length {self.n}")
-        return word.values
-
     # --- exhaustive oracles -------------------------------------------------
+
+    def _blocks(self):
+        """Yield (start, codewords) for blocks of about _CHUNK consecutive messages.
+
+        Messages split into groups of q**j, the largest power of q that is at most
+        _CHUNK (and at most q**k).  A group starting at message s holds
+        codeword(s) + codeword(i) for i < q**j, by linearity: the first q**j
+        codewords are encoded once, and each block adds the encoded group starts
+        to them.  A block stacks as many whole groups as fit in _CHUNK rows.
+        """
+        total = _require_enumerable(self.field, self.k)
+        q, k, dtype = self.field.q, self.k, symbol_dtype(self.field)
+        span = 1
+        while span < total and span * q <= _CHUNK:
+            span *= q
+        per_block = span * max(1, _CHUNK // span)
+        wide = _unsigned(2 * (q - 1))
+        first = self.encode_batch(_messages(0, span, 1, k, q)).astype(wide)
+        for s in range(0, total, per_block):
+            base = self.encode_batch(_messages(s, min(s + per_block, total), span, k, q)).astype(wide)
+            sums = (base[:, None, :] + first[None, :, :]).reshape(-1, first.shape[1])
+            # Below q, sums - q wraps past the top of ``wide``, so this is sums mod q.
+            np.minimum(sums, sums - q, out=sums)
+            yield s, sums.astype(dtype, copy=False)
+
+    @functools.cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """All q**k codewords and their bit-planes, as a read-only (table, planes) pair.
+
+        Built on first use, packing the planes from each block as it is
+        written.  Refuses a table of more than TABLE_CELLS cells.  Read it
+        through ``codewords()``, which checks the threshold on every call.
+        """
+        blocks = self._blocks()
+        _, block = next(blocks)
+        total, n = self.num_codewords(), block.shape[1]
+        if total * n > TABLE_CELLS:
+            raise TooLargeToEnumerateError(f"codeword table would hold {total * n} cells")
+        table = block if block.shape[0] == total else np.empty((total, n), dtype=block.dtype)
+        bits, width = (self.field.q - 1).bit_length(), -(-n // 64)
+        planes = np.zeros((bits, total, width), dtype=np.uint64)
+        for s, block in itertools.chain([(0, block)], blocks):
+            rows = slice(s, s + block.shape[0])
+            if block is not table:
+                table[rows] = block
+            _pack(block, planes[:, rows])
+        table.setflags(write=False)
+        planes.setflags(write=False)
+        return table, planes
 
     def codewords(self) -> np.ndarray:
         """All q**k codewords as a read-only (q**k, n) array, cached.
@@ -398,18 +359,13 @@ class LinearCode:
         encodes the message ``unravel_index(i, (q,)*k)``.  Symbols are
         ``symbol_dtype(field)``, row-major.
         """
-        self._codewords = codeword_table(self.field, self.k, self.encode_batch, self._codewords)
-        return self._codewords[0]
-
-    def _table(self):
-        """The cached (table, planes) pair, read through ``codewords()``."""
-        self.codewords()
-        return self._codewords
+        _require_enumerable(self.field, self.k)
+        return self._tables[0]
 
     def min_distance(self) -> int:
         """Exact minimum distance by enumerating nonzero codewords."""
         best = self.n + 1
-        for s, block in codeword_blocks(self.field, self.k, self.encode_batch):
+        for s, block in self._blocks():
             w = np.count_nonzero(block, axis=1)
             if s == 0:
                 w = w[1:]  # skip the zero codeword
@@ -423,16 +379,39 @@ class LinearCode:
         """A codeword minimizing relative distance to ``word``.
 
         Ties break toward the lexicographically smallest message, which is the
-        first minimum in enumeration order.  Streams codewords from the
-        generator and never reads the cached table.
+        first minimum in enumeration order.  Streams codewords from
+        ``encode_batch`` and never reads the cached table.
         """
-        values = self._check_word(word)
-        best, ham = nearest_codeword(self.field, self.k, self.encode_batch, values)
-        return Word(self.field, best), Fraction(ham, self.n)
+        values = word_values(word, self.field, self.n)
+        best, best_ham = None, self.n + 1
+        for _, block in self._blocks():
+            hams = np.count_nonzero(block != values[None, :], axis=1)
+            i = int(np.argmin(hams))
+            if int(hams[i]) < best_ham:
+                best, best_ham = block[i].copy(), int(hams[i])
+        return Word(self.field, best), Fraction(best_ham, self.n)
 
     def nearest_distance_batch(self, words: np.ndarray) -> np.ndarray:
-        """Per-row Hamming distance from a (B, n) array to the nearest codeword."""
-        return nearest_distances(self.field, self.k, self.encode_batch, self._table, words)
+        """Per-row Hamming distance from a (B, n) array to the nearest codeword.
+
+        ``words`` must hold residues in [0, q); they are packed into bit-planes
+        once.  Compares against the planes of the cached table when it fits in
+        TABLE_CELLS cells; otherwise packs each streamed codeword block,
+        keeping a running minimum.
+        """
+        bits, (batch, n) = (self.field.q - 1).bit_length(), words.shape
+        packed = np.zeros((bits, batch, 1, -(-n // 64)), dtype=np.uint64)
+        _pack(words, packed[:, :, 0])
+        out = np.full(batch, n, dtype=np.int64)
+        if self.num_codewords() * n <= TABLE_CELLS:
+            self.codewords()  # the threshold check, on a warm table too
+            _min_plane_hammings(packed, self._tables[1], out)
+            return out
+        for _, block in self._blocks():
+            planes = np.zeros((bits, block.shape[0], packed.shape[3]), dtype=np.uint64)
+            _pack(block, planes)
+            _min_plane_hammings(packed, planes, out)
+        return out
 
     # --- projection ---------------------------------------------------------
 

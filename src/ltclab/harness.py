@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .code import LinearCode, Word, as_integer, full_code, reed_solomon, repetition
-from .config import DERIVED_PARITY_CELLS, ENUMERATION_THRESHOLD, EXPANSION_PAIRS
+from .config import BROADCAST_CELLS, DERIVED_PARITY_CELLS, EXPANSION_PAIRS
 from .corpus import corpus_values, generate_corpus, parse_corpus_spec
 from .errors import TooLargeToEnumerateError
 from .field import Field
@@ -203,8 +203,8 @@ def instance_from_specs(
     Without an explicit full code, the Tanner product code of (graph, small)
     is derived by parity stacking when small enough; otherwise delta falls
     back to certified intervals.  An explicit full code must be a subcode of
-    the Tanner product code, checked on its generator rows whenever its
-    codewords could be enumerated at all.
+    the Tanner product code, checked on its generator rows, a chunk of them
+    at a time.
     """
     graph = parse_graph_spec(graph_spec)
     small = parse_flat_code_spec(small_spec)
@@ -217,9 +217,11 @@ def instance_from_specs(
             full = None
     instance = TestInstance(graph, small, full=full, label=f"{graph_spec} / {small_spec}")
     if full_spec:
-        if small.field.q**full.k <= ENUMERATION_THRESHOLD:
-            rows = full.encode_batch(np.eye(full.k, dtype=np.int64))
-            if not TannerCode(graph, small).contains_batch(rows).all():
+        tanner = TannerCode(graph, small)
+        step = max(1, BROADCAST_CELLS // max(full.n, graph.m_right * graph.t_degree))
+        for start in range(0, full.k, step):
+            rows = full.encode_batch(np.eye(min(step, full.k - start), full.k, start, dtype=np.int64))
+            if not tanner.contains_batch(rows).all():
                 raise ValueError(
                     f"reference code {full_spec!r} is not a subcode of the Tanner product code"
                     f" of {graph_spec!r} and {small_spec!r}"

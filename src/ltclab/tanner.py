@@ -21,15 +21,13 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .code import LinearCode, Word, as_integer, full_code
+from .code import LinearCode, Word, as_integer, full_code, word_values
 from .config import ADJACENCY_BUDGET, PARITY_CELLS
 from .errors import (
     DegreeMismatchError,
     EntryOutOfRangeError,
-    FieldMismatchError,
     GraphTooLargeError,
     InapplicableError,
-    LengthMismatchError,
     RaggedListsError,
     TooLargeToEnumerateError,
 )
@@ -286,15 +284,7 @@ class TannerCode:
         self.small = small
 
     def contains(self, word: Word) -> bool:
-        if word.field != self.small.field:
-            raise FieldMismatchError(
-                f"word over {word.field}, small code over {self.small.field}"
-            )
-        if len(word) != self.graph.n_left:
-            raise LengthMismatchError(
-                f"word length {len(word)}, graph has {self.graph.n_left} left vertices"
-            )
-        return bool(self.contains_batch(word.values[None])[0])
+        return bool(self.contains_batch(word_values(word, self.small.field, self.graph.n_left)[None])[0])
 
     def contains_batch(self, words: np.ndarray) -> np.ndarray:
         """Vectorized membership for a (B, n_left) array of word values."""

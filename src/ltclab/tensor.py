@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -161,15 +161,6 @@ class TensorCode(LinearCode):
         self.n = math.prod(self.shape)
         ds = [c.d_known for c in factors]
         self.d_known = math.prod(ds) if None not in ds else None
-        self._codewords: Optional[tuple] = None  # (table, planes), see codeword_table
-
-    @property
-    def dimension(self) -> int:
-        return self.k
-
-    @property
-    def block_length(self) -> int:
-        return self.n
 
     @property
     def m(self) -> int:
@@ -211,21 +202,17 @@ class TensorCode(LinearCode):
         if msg.shape != kshape:
             raise ShapeMismatchError(f"message shape {msg.shape}, expected {kshape}")
         msg = _coerce_symbols(self.field, msg.ravel().tolist() if msg.dtype == object else msg.ravel())
-        arr = self._contract(msg.reshape((1,) + kshape))[0]
-        return TensorWord.from_array(self.field, arr)
+        return TensorWord.from_array(self.field, self.encode_batch(msg[None]).reshape(self.shape))
 
-    def _contract(self, batch: np.ndarray) -> np.ndarray:
-        """Apply each factor generator along its axis of a (B, k_1..k_m) batch."""
-        arr = batch
+    def encode_batch(self, messages: np.ndarray) -> np.ndarray:
+        """Encode a (B, k) batch of flattened message grids into (B, n).
+
+        Contracts each factor generator along its axis of the (B, k_1..k_m) grids.
+        """
+        arr = messages.reshape((messages.shape[0],) + tuple(c.k for c in self.factors))
         for b0, factor in enumerate(self.factors):
             arr = np.tensordot(arr, factor.generator, axes=([1 + b0], [0]))
             arr = np.moveaxis(arr, -1, 1 + b0) % self.field.q
-        return arr
-
-    def encode_batch(self, messages: np.ndarray) -> np.ndarray:
-        """Encode a (B, k) batch of flattened message grids into (B, n)."""
-        kshape = tuple(c.k for c in self.factors)
-        arr = self._contract(messages.reshape((messages.shape[0],) + kshape))
         return arr.reshape(messages.shape[0], self.n)
 
     def as_linear_code(self) -> LinearCode:

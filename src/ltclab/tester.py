@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .code import LinearCode, Word, _coerce_symbols
+from .code import LinearCode, Word, _coerce_symbols, word_values
 from .config import ADJACENCY_BUDGET, BROADCAST_CELLS, REPETITIONS
 from .errors import (
     DegreeMismatchError,
@@ -144,11 +144,7 @@ class TestInstance:
 
     def _values(self, word: Word) -> np.ndarray:
         """A word's symbols as a batch of one; a Word's symbols are residues already."""
-        if word.field != self.small.field:
-            raise FieldMismatchError(f"word over {word.field}, instance over {self.small.field}")
-        if len(word) != self.graph.n_left:
-            raise LengthMismatchError(f"word of length {len(word)}, expected {self.graph.n_left}")
-        return word.values[None]
+        return word_values(word, self.small.field, self.graph.n_left)[None]
 
     def _rows(self, values: np.ndarray) -> np.ndarray:
         """The (B, n_left) rows as symbol_dtype; refuses symbols that are not residues mod q."""

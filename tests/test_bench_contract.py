@@ -9,7 +9,7 @@ import pathlib
 import numpy as np
 
 from ltclab import harness, tanner
-from ltclab.code import Word, reed_solomon
+from ltclab.code import Word, reed_solomon, repetition
 from ltclab.field import Field
 from ltclab.tensor import tensor_power
 
@@ -54,3 +54,25 @@ def test_streaming_code_nearest_takes_flat_words(monkeypatch):
     for values in np.random.default_rng(5).integers(0, 5, size=(4, 9)):
         word = Word(Field(5), values)
         assert stream.nearest(word) == flat.nearest(word)
+
+
+def _traced_warm_call(code, words):
+    """The span calls and counters that one nearest_distance_batch call adds on a warm table."""
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        code.codewords()
+        calls, counts = dict(tracer.calls), dict(tracer.counts)
+        code.nearest_distance_batch(words)
+    added = {name: n - calls[name] for name, n in tracer.calls.items() if n != calls[name]}
+    return added, {name: n - counts.get(name, 0) for name, n in tracer.counts.items()}
+
+
+def test_a_warm_oracle_call_reads_the_table_once_in_its_own_span():
+    flat = reed_solomon(Field(5), 4, 2)
+    calls, counts = _traced_warm_call(flat, np.zeros((3, 4), dtype=np.int64))
+    assert calls == {"code.nearest_distance_batch": 1, "code.codewords": 1}
+    assert (counts.get("code.codewords.hits"), counts.get("code.codewords.misses", 0)) == (1, 0)
+    t = tensor_power(repetition(Field(2), 3), 2)
+    calls, counts = _traced_warm_call(t, np.zeros((3, 9), dtype=np.int64))
+    assert calls == {"tensor.nearest_distance_batch": 1, "code.codewords": 1}
+    assert (counts.get("code.codewords.hits"), counts.get("code.codewords.misses", 0)) == (1, 0)

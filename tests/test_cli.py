@@ -351,6 +351,17 @@ def test_reference_code_outside_the_tanner_product_code_is_refused(capsys):
     code, out, _ = run_cli(capsys, *argv, "--code", "rep:q=2,n=3^2")
     assert code == 0
     assert json.loads(out)["delta"] == "1/9"
+    # 5^25 codewords, past ENUMERATION_THRESHOLD: the generator rows are checked all the same.
+    word = ",".join(["1"] + ["0"] * 24)
+    code, _, err = run_cli(
+        capsys, "robustness", "--graph", "product:n=5,m=2", "--small", "rs:q=5,n=5,k=4",
+        "--code", "full:q=5,n=25", "--word", word,
+    )
+    assert code == 2
+    assert err.strip().splitlines() == [
+        "error: reference code 'full:q=5,n=25' is not a subcode of the Tanner product code"
+        " of 'product:n=5,m=2' and 'rs:q=5,n=5,k=4'"
+    ]
 
 
 def test_trivial_tanner_product_code_is_a_usage_error(capsys, tmp_path):

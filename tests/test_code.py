@@ -209,6 +209,17 @@ def test_codeword_table_memory_guard():
         big.codewords()
 
 
+def test_a_refused_table_is_not_cached(monkeypatch):
+    c = reed_solomon(GF7, 7, 2)  # 49 codewords of length 7
+    monkeypatch.setattr(ltclab.code, "TABLE_CELLS", 49 * 7 - 1)
+    with pytest.raises(TooLargeToEnumerateError):
+        c.codewords()
+    assert "_tables" not in c.__dict__
+    monkeypatch.undo()
+    assert c.codewords().shape == (49, 7)
+    assert "_tables" in c.__dict__
+
+
 def test_threshold_refuses_on_a_warm_table(monkeypatch):
     c = reed_solomon(GF7, 7, 2)  # 49 codewords
     c.codewords()

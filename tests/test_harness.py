@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ltclab.harness
 from ltclab.code import LinearCode, Word, repetition, reed_solomon
 from ltclab.corpus import generate_corpus, parse_corpus_spec
 from ltclab.errors import TooLargeToEnumerateError
@@ -46,7 +47,7 @@ def test_parse_rep_and_full_specs():
 def test_parse_power_spec():
     t = parse_code_spec("rs:q=31,n=31,k=1^2")
     assert isinstance(t, TensorCode)
-    assert (t.block_length, t.dimension, t.d_known) == (961, 1, 961)
+    assert (t.n, t.k, t.d_known) == (961, 1, 961)
 
 
 def test_parse_unknown_spec():
@@ -430,3 +431,13 @@ def test_instance_from_specs_derives_full_code():
     inst = instance_from_specs("product:n=3,m=2", "rep:q=2,n=3")
     assert inst.full is not None
     assert inst.full.k == 1  # the repetition square
+
+
+def test_reference_code_rows_are_checked_in_every_chunk(monkeypatch):
+    # 5^16 codewords, past ENUMERATION_THRESHOLD.  Generator row (0, 0) of
+    # RS[5,4]^2 lies in RS[5,3]^2 and row (0, 3), the fourth, does not.
+    monkeypatch.setattr(ltclab.harness, "BROADCAST_CELLS", 1)  # one row per chunk
+    with pytest.raises(ValueError, match="not a subcode"):
+        instance_from_specs("product:n=5,m=2", "rs:q=5,n=5,k=3", "rs:q=5,n=5,k=4^2")
+    inst = instance_from_specs("product:n=5,m=2", "rs:q=5,n=5,k=4", "rs:q=5,n=5,k=4^2")
+    assert inst.full.k == 16

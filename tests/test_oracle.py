@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ltclab.code
-from ltclab.code import LinearCode, Word, codeword_blocks, reed_solomon, symbol_dtype
+from ltclab.code import LinearCode, Word, reed_solomon, symbol_dtype
 from ltclab.field import Field
 from ltclab.tensor import tensor_power
 
@@ -143,14 +143,14 @@ def test_plane_compare_matches_brute_force(q, k, n, batch, path):
             got = code.nearest_distance_batch(words.astype(dtype))
             assert got.dtype == np.int64
             assert got.tolist() == expected
-    assert (code._codewords is None) == (path == "streamed")
+    assert ("_tables" not in code.__dict__) == (path == "streamed")
 
 
 @pytest.mark.parametrize("q, k, n", PLANE_CODES)
 def test_planes_unpack_to_the_codewords(q, k, n):
     code = plane_code(q, k, n)
     symbols = code.codewords()
-    _, planes = code._codewords
+    _, planes = code._tables
     bits, rows, width = planes.shape
     assert (bits, rows, width) == ((q - 1).bit_length(), q**code.k, -(-n // 64))
     assert planes.dtype == np.uint64 and not planes.flags.writeable
@@ -167,7 +167,7 @@ def test_every_cached_table_has_planes(q, k, n):
     # Wide (q**k <= n) and tall tables alike, of both symbol dtypes.
     code = systematic_code(q, k, n, seed=1)
     code.codewords()
-    planes = code._codewords[1]
+    planes = code._tables[1]
     assert planes.shape == ((q - 1).bit_length(), q**k, -(-n // 64))
     assert planes.dtype == np.uint64 and not planes.flags.writeable
 
@@ -199,7 +199,7 @@ def test_plane_sums_hold_distances_past_255(q, k):
     code = LinearCode(Field(q), gen)
     words = np.array([[q - 1] * n, [0] * n, [1] * k + [0] * (n - k)], dtype=np.int64)
     assert code.nearest_distance_batch(words).tolist() == [n - k, 0, 0]
-    assert code._codewords[1].shape[2] == 5
+    assert code._tables[1].shape[2] == 5
 
 
 @pytest.mark.parametrize("chunk", [7, 100, ltclab.code._CHUNK])
@@ -215,7 +215,7 @@ def test_plane_sums_hold_distances_past_255(q, k):
 )
 def test_codewords_follow_message_order(monkeypatch, code, chunk):
     monkeypatch.setattr(ltclab.code, "_CHUNK", chunk)
-    code._codewords = None
+    code.__dict__.pop("_tables", None)
     table = code.codewords()
     assert np.array_equal(table, message_order(code, code.k))
     assert table.dtype == symbol_dtype(code.field)
@@ -227,7 +227,7 @@ def test_rs131_blocks_are_whole_groups_in_message_order():
     # q = 131: groups of 131 messages, 125 groups (16375 rows) per block.
     code = reed_solomon(Field(131), 131, 3)
     total, sizes, last = 131**3, [], None
-    for s, block in codeword_blocks(code.field, code.k, code.encode_batch):
+    for s, block in code._blocks():
         assert s == sum(sizes)
         sizes.append(block.shape[0])
         if s == 0:

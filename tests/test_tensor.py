@@ -65,19 +65,19 @@ def test_threshold_refuses_on_a_warm_table(monkeypatch):
 def test_power_one_is_the_code():
     rs = reed_solomon(GF7, 7, 2)
     t = tensor_power(rs, 1)
-    assert t.block_length == 7 and t.dimension == 2 and t.d_known == 6
+    assert t.n == 7 and t.k == 2 and t.d_known == 6
     w = rs.encode([1, 2])
     assert t.contains(w)
 
 
 def test_power_two_parameters():
     t = tensor_power(repetition(GF2, 3), 2)
-    assert (t.block_length, t.dimension, t.d_known) == (9, 1, 9)
+    assert (t.n, t.k, t.d_known) == (9, 1, 9)
 
 
 def test_power_three_parameters():
     t = tensor_power(reed_solomon(Field(31), 31, 1), 3)
-    assert (t.block_length, t.dimension, t.d_known) == (29791, 1, 29791)
+    assert (t.n, t.k, t.d_known) == (29791, 1, 29791)
 
 
 def test_power_sizes_are_exact_past_int64():

@@ -10,7 +10,7 @@ import ltclab.code
 import ltclab.tanner
 import ltclab.tester
 from ltclab.code import Word, repetition, reed_solomon
-from ltclab.errors import LengthMismatchError, TooLargeToEnumerateError
+from ltclab.errors import FieldMismatchError, LengthMismatchError, TooLargeToEnumerateError
 from ltclab.field import Field
 from ltclab.harness import product_instance
 from ltclab.tanner import OrderedGraph, TannerCode, product_graph, tpc_linear_code
@@ -397,3 +397,19 @@ def test_soundness_error_distance_bound(rs31_cube):
                 assert delta <= factor * (tau + eps)
                 checked += 1
     assert checked
+
+
+def test_every_word_entry_point_checks_field_and_length(rep3_square):
+    small, tanner = rep3_square.small, TannerCode(rep3_square.graph, rep3_square.small)
+    calls = [
+        (small.contains, 3),
+        (small.nearest, 3),
+        (tanner.contains, 9),
+        (rep3_square.expected_robustness, 9),
+        (rep3_square.delta_exact, 9),
+    ]
+    for call, n in calls:
+        with pytest.raises(FieldMismatchError):
+            call(Word(Field(5), [0] * n))
+        with pytest.raises(LengthMismatchError):
+            call(Word(GF2, [0] * (n - 1)))
