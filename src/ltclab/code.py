@@ -23,6 +23,7 @@ from .config import ENUMERATION_THRESHOLD, TABLE_CELLS
 from .errors import (
     EmptyProjectionError,
     FieldMismatchError,
+    IndexOutOfRangeError,
     LengthMismatchError,
     RankDeficiencyWarning,
     TooLargeToEnumerateError,
@@ -39,6 +40,18 @@ def as_integer(value) -> int:
     if isinstance(value, bool):
         raise TypeError(f"{value!r} is a bool")
     return operator.index(value)
+
+
+def index_columns(coords: Sequence[int], n: int, what: str) -> np.ndarray:
+    """0-based columns of a nonempty, strictly increasing set of 1-based ``coords`` in [1, n]."""
+    idx = [int(c) for c in coords]
+    if not idx:
+        raise EmptyProjectionError(f"no {what}")
+    if any(not 1 <= c <= n for c in idx):
+        raise IndexOutOfRangeError(f"{what} must lie in [1, {n}]")
+    if any(b <= a for a, b in zip(idx, idx[1:])):
+        raise ValueError(f"{what} must be strictly increasing")
+    return np.array(idx, dtype=np.int64) - 1
 
 
 def _coerce_symbols(field: Field, symbols, ndim: int = 1) -> np.ndarray:
@@ -422,19 +435,11 @@ class LinearCode:
         distance is known and ``len(coords) >= n - d + 1``, the projection is
         checked to be injective on codewords.
         """
-        idx = [int(c) for c in coords]
-        if not idx:
-            raise EmptyProjectionError("projection index set is empty")
-        if any(not 1 <= c <= self.n for c in idx):
-            raise IndexError(f"projection coordinates must lie in [1, {self.n}]")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("projection coordinates must be strictly increasing")
-        cols = np.array(idx, dtype=np.int64) - 1
-        sub = self.generator[:, cols]
+        cols = index_columns(coords, self.n, "projection coordinates")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankDeficiencyWarning)
-            projected = LinearCode.from_rows(self.field, sub)
-        if self.d_known is not None and len(idx) >= self.n - self.d_known + 1:
+            projected = LinearCode.from_rows(self.field, self.generator[:, cols])
+        if self.d_known is not None and len(cols) >= self.n - self.d_known + 1:
             if projected.k != self.k:
                 raise AssertionError(
                     "projection expected to be injective lost rank; "

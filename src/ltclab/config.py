@@ -19,7 +19,7 @@ ADJACENCY_BUDGET = 2**26
 TABLE_CELLS = 2**26
 
 # Maximum view symbols (words x views x view length) of one chunk of
-# view_hammings_batch: one gather and one small-code oracle call.
+# OrderedGraph.view_chunks: one gather and one small-code oracle call.
 BROADCAST_CELLS = 2**26
 
 # Maximum cells of a tensor code's flat Kronecker generator.

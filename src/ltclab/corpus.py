@@ -47,29 +47,34 @@ class CorpusPart:
 _DRAW_SYMBOLS = 1 << 16
 
 _KINDS = {"uniform", "codeword_plus_weight", "planted_slice", "low_weight", "codewords", "mixed"}
+# The keys each kind reads; the other kinds read none.
+_KEYS = {"codeword_plus_weight": {"w"}, "mixed": {"w"}, "low_weight": {"wmax"}}
 
 
 def parse_corpus_spec(text: str) -> tuple[CorpusPart, ...]:
-    """Parse 'kind:count[,key=val...];kind:count...' into corpus parts."""
+    """Parse 'kind:count[,key=val...];low_weight[,wmax=val]' into parts; low_weight counts its own words."""
     parts = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
         head, _, tail = chunk.partition(",")
-        if ":" in head:
-            kind, count_s = head.split(":", 1)
-            count = int(count_s)
-        else:
-            kind, count = head, 0
+        kind, colon, count_s = head.partition(":")
         kind = kind.strip()
         if kind not in _KINDS:
             raise ValueError(f"unknown corpus kind {kind!r} (choose from {sorted(_KINDS)})")
+        if bool(colon) == (kind == "low_weight"):
+            raise ValueError(f"corpus kind {kind!r} {'takes no' if colon else 'needs a'} count")
         params = {}
-        if tail:
-            for kv in tail.split(","):
-                key, _, val = kv.partition("=")
-                params[key.strip()] = int(val)
+        for kv in tail.split(",") if tail else ():
+            key, _, val = kv.partition("=")
+            params[key.strip()] = int(val)
+        extra = sorted(set(params) - _KEYS.get(kind, set()))
+        if extra:
+            raise ValueError(f"corpus kind {kind!r} does not read {extra[0]!r}")
+        count = int(count_s) if colon else 0
+        if min([count, *params.values()]) < 0:
+            raise ValueError(f"corpus part {chunk!r} has a negative count or value")
         parts.append(CorpusPart(kind, count, params))
     if not parts:
         raise ValueError("empty corpus specification")

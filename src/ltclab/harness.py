@@ -42,7 +42,6 @@ from .reports import frac_decimal, frac_str, json_bytes, write_csv
 from .tanner import (
     _ROW_BLOCK,
     OrderedGraph,
-    TannerCode,
     boundary_edge_count,
     iterated_graph,
     product_graph,
@@ -217,11 +216,10 @@ def instance_from_specs(
             full = None
     instance = TestInstance(graph, small, full=full, label=f"{graph_spec} / {small_spec}")
     if full_spec:
-        tanner = TannerCode(graph, small)
-        step = max(1, BROADCAST_CELLS // max(full.n, graph.m_right * graph.t_degree))
+        step = max(1, BROADCAST_CELLS // full.n)
         for start in range(0, full.k, step):
             rows = full.encode_batch(np.eye(min(step, full.k - start), full.k, start, dtype=np.int64))
-            if not tanner.contains_batch(rows).all():
+            if not instance.contains_batch(rows).all():
                 raise ValueError(
                     f"reference code {full_spec!r} is not a subcode of the Tanner product code"
                     f" of {graph_spec!r} and {small_spec!r}"

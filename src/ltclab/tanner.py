@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .code import LinearCode, Word, as_integer, full_code, word_values
-from .config import ADJACENCY_BUDGET, PARITY_CELLS
+from .config import ADJACENCY_BUDGET, BROADCAST_CELLS, PARITY_CELLS
 from .errors import (
     DegreeMismatchError,
     EntryOutOfRangeError,
@@ -157,6 +157,28 @@ class OrderedGraph:
         """The ordered projection of a word's values onto list j (1-based)."""
         return values[self.row0(j - 1)]
 
+    def view_chunks(
+        self, values: np.ndarray, js: Optional[np.ndarray] = None
+    ) -> Iterable[tuple[slice, int, np.ndarray]]:
+        """(words, start, views) covering the views of the (B, n_left) ``values``.
+
+        ``views`` is the (b, r, t) gather ``values[words].take(block, axis=1)``,
+        where ``block`` holds right vertices start..start+r-1, or the 0-based
+        vertices ``js[start:start+r]`` when ``js`` is given.  Vertices go
+        _ROW_BLOCK at a time and words in chunks of at most BROADCAST_CELLS
+        view symbols (one word's views at least).
+        """
+        total = self.m_right if js is None else len(js)
+        for start in range(0, total, _ROW_BLOCK):
+            if js is None:
+                block = self.rows0_block(start, start + _ROW_BLOCK)
+            else:
+                block = self.rows_at(js[start : start + _ROW_BLOCK])
+            step = max(1, BROADCAST_CELLS // block.size)
+            for s in range(0, values.shape[0], step):
+                words = slice(s, s + step)
+                yield words, start, values[words].take(block, axis=1)
+
     # --- structure ----------------------------------------------------------------
 
     def left_degrees(self) -> np.ndarray:
@@ -283,17 +305,19 @@ class TannerCode:
         self.graph = graph
         self.small = small
 
+    def _values(self, word: Word) -> np.ndarray:
+        """A word's symbols as a batch of one; a Word's symbols are residues already."""
+        return word_values(word, self.small.field, self.graph.n_left)[None]
+
     def contains(self, word: Word) -> bool:
-        return bool(self.contains_batch(word_values(word, self.small.field, self.graph.n_left)[None])[0])
+        return bool(self.contains_batch(self._values(word))[0])
 
     def contains_batch(self, words: np.ndarray) -> np.ndarray:
         """Vectorized membership for a (B, n_left) array of word values."""
         ok = np.ones(words.shape[0], dtype=bool)
-        for _, block in self.graph.iter_row_blocks():
-            views = words[:, block]  # (B, rows, t)
-            flat = views.reshape(-1, self.graph.t_degree)
-            good = self.small.contains_batch(flat).reshape(words.shape[0], -1)
-            ok &= good.all(axis=1)
+        for rows, _, views in self.graph.view_chunks(words):
+            good = self.small.contains_batch(views.reshape(-1, self.graph.t_degree))
+            ok[rows] &= good.reshape(views.shape[:2]).all(axis=1)
         return ok
 
     def __repr__(self):

@@ -35,10 +35,9 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .code import LinearCode, Word, _coerce_symbols
+from .code import LinearCode, Word, _coerce_symbols, index_columns
 from .config import GENERATOR_CELLS
 from .errors import (
-    EmptyProjectionError,
     FieldMismatchError,
     IndexOutOfRangeError,
     InconsistentSystemError,
@@ -233,21 +232,13 @@ class TensorCode(LinearCode):
             raise ValueError(f"expected {self.m} index sets, got {len(index_sets)}")
         sets0 = []
         for b, (raw, factor) in enumerate(zip(index_sets, self.factors), start=1):
-            idx = [int(i) for i in raw]
-            if not idx:
-                raise EmptyProjectionError(f"index set for axis {b} is empty")
-            if any(not 1 <= i <= factor.n for i in idx):
-                raise IndexOutOfRangeError(
-                    f"axis {b} indices must lie in [1, {factor.n}]"
-                )
-            if any(y <= x for x, y in zip(idx, idx[1:])):
-                raise ValueError(f"axis {b} indices must be strictly increasing")
+            cols = index_columns(raw, factor.n, f"axis {b} indices")
             d = factor.d_known if factor.d_known is not None else factor.min_distance()
-            if len(idx) < factor.n - d + 1:
+            if len(cols) < factor.n - d + 1:
                 raise UnderdeterminedError(
-                    f"axis {b}: {len(idx)} coordinates < n - d + 1 = {factor.n - d + 1}"
+                    f"axis {b}: {len(cols)} coordinates < n - d + 1 = {factor.n - d + 1}"
                 )
-            sets0.append(np.array(idx, dtype=np.int64) - 1)
+            sets0.append(cols)
         pshape = tuple(len(s) for s in sets0)
         if partial.field != self.field or partial.shape != pshape:
             raise ShapeMismatchError(
@@ -290,13 +281,6 @@ def project_word(word: TensorWord, index_sets: Sequence[Sequence[int]]) -> Tenso
     """Restrict a tensor word to the 1-based grid I_1 x ... x I_m."""
     if len(index_sets) != word.ndim:
         raise ValueError(f"expected {word.ndim} index sets, got {len(index_sets)}")
-    sets0 = []
-    for b, (raw, n) in enumerate(zip(index_sets, word.shape), start=1):
-        idx = [int(i) for i in raw]
-        if not idx:
-            raise EmptyProjectionError(f"index set for axis {b} is empty")
-        if any(not 1 <= i <= n for i in idx):
-            raise IndexOutOfRangeError(f"axis {b} indices must lie in [1, {n}]")
-        sets0.append(np.array(idx, dtype=np.int64) - 1)
-    sub = word.array[np.ix_(*sets0)]
+    axes = enumerate(zip(index_sets, word.shape), start=1)
+    sub = word.array[np.ix_(*(index_columns(raw, n, f"axis {b} indices") for b, (raw, n) in axes))]
     return TensorWord.from_array(word.field, sub)

@@ -28,15 +28,10 @@ from typing import Optional
 
 import numpy as np
 
-from .code import LinearCode, Word, _coerce_symbols, word_values
-from .config import ADJACENCY_BUDGET, BROADCAST_CELLS, REPETITIONS
-from .errors import (
-    DegreeMismatchError,
-    FieldMismatchError,
-    LengthMismatchError,
-    TooLargeToEnumerateError,
-)
-from .tanner import _ROW_BLOCK, OrderedGraph
+from .code import LinearCode, Word, _coerce_symbols
+from .config import ADJACENCY_BUDGET, REPETITIONS
+from .errors import FieldMismatchError, LengthMismatchError, TooLargeToEnumerateError
+from .tanner import OrderedGraph, TannerCode
 
 
 @dataclass(frozen=True)
@@ -114,8 +109,8 @@ class RobustnessReport:
         return out
 
 
-class TestInstance:
-    """A graph/small-code pair plus an optional reference full code for delta."""
+class TestInstance(TannerCode):
+    """The local test of TPC(graph, small), plus an optional reference full code for delta."""
 
     __test__ = False  # keep pytest's collector away from the domain name
 
@@ -126,25 +121,16 @@ class TestInstance:
         full: Optional[LinearCode] = None,
         label: str = "",
     ):
-        if small.n != graph.t_degree:
-            raise DegreeMismatchError(
-                f"small code length {small.n} != right degree {graph.t_degree}"
-            )
+        super().__init__(graph, small)
         if full is not None:
             if full.field != small.field:
                 raise FieldMismatchError(f"full code over {full.field}, small code over {small.field}")
             if full.n != graph.n_left:
                 raise LengthMismatchError(f"full code length {full.n} != {graph.n_left} left vertices")
-        self.graph = graph
-        self.small = small
         self.full = full
         self.label = label or graph.label or "instance"
 
     # --- plumbing -------------------------------------------------------------
-
-    def _values(self, word: Word) -> np.ndarray:
-        """A word's symbols as a batch of one; a Word's symbols are residues already."""
-        return word_values(word, self.small.field, self.graph.n_left)[None]
 
     def _rows(self, values: np.ndarray) -> np.ndarray:
         """The (B, n_left) rows as symbol_dtype; refuses symbols that are not residues mod q."""
@@ -160,23 +146,19 @@ class TestInstance:
                 f"({total} adjacency entries)"
             )
 
-    def view_hammings_batch(self, values: np.ndarray) -> np.ndarray:
-        """(B, m) int64 distances from the small code of the views of (B, n_left) symbol rows.
-
-        One gather and one oracle call per row block and chunk of words, a chunk
-        holding at most BROADCAST_CELLS view symbols.
-        """
-        self._require_exact_views()
-        values = self._rows(values)
+    def _view_hammings(self, values: np.ndarray, js: Optional[np.ndarray] = None) -> np.ndarray:
+        """(B, r) int64 small-code distances of the views at 0-based js (all by default), a view chunk a call."""
         t = self.graph.t_degree
-        out = np.empty((values.shape[0], self.graph.m_right), dtype=np.int64)
-        for start, block in self.graph.iter_row_blocks():
-            step = max(1, BROADCAST_CELLS // (block.shape[0] * t))
-            for s in range(0, values.shape[0], step):
-                views = values[s : s + step].take(block, axis=1)
-                hams = self.small.nearest_distance_batch(views.reshape(-1, t))
-                out[s : s + step, start : start + block.shape[0]] = hams.reshape(views.shape[:2])
+        out = np.empty((values.shape[0], self.graph.m_right if js is None else len(js)), dtype=np.int64)
+        for words, start, views in self.graph.view_chunks(values, js):
+            hams = self.small.nearest_distance_batch(views.reshape(-1, t))
+            out[words, start : start + views.shape[1]] = hams.reshape(views.shape[:2])
         return out
+
+    def view_hammings_batch(self, values: np.ndarray) -> np.ndarray:
+        """(B, m) int64 distances from the small code of the views of (B, n_left) symbol rows."""
+        self._require_exact_views()
+        return self._view_hammings(self._rows(values))
 
     def view_hammings(self, word: Word) -> np.ndarray:
         """Hamming distance of every view from the small code, in view order."""
@@ -189,8 +171,7 @@ class TestInstance:
         values = self._values(word)
         if not 1 <= j <= self.graph.m_right:
             raise IndexError(f"view {j} not in [1, {self.graph.m_right}]")
-        ham = int(self.small.nearest_distance_batch(values[:, self.graph.row0(j - 1)])[0])
-        return Fraction(ham, self.graph.t_degree)
+        return Fraction(int(self._view_hammings(values, np.array([j - 1]))[0, 0]), self.graph.t_degree)
 
     def expected_robustness(self, word: Word) -> Fraction:
         """Exact mean view robustness under the uniform view distribution."""
@@ -205,16 +186,12 @@ class TestInstance:
         the same seed and index always select the same views (the estimate is
         reproducible byte for byte), and the words of one corpus, numbered by
         ``index``, draw independent views under one seed.  The sampled views
-        are gathered _ROW_BLOCK at a time, so no (samples, t) index is built.
+        are gathered a row block at a time, so no (samples, t) index is built.
         """
         if samples < 1:
             raise ValueError("need at least one sample")
-        values = self._values(word)[0]
         js = np.random.default_rng([seed, index]).integers(0, self.graph.m_right, size=samples)
-        hams = np.empty(samples, dtype=np.int64)
-        for s in range(0, samples, _ROW_BLOCK):
-            views = values[self.graph.rows_at(js[s : s + _ROW_BLOCK])]
-            hams[s : s + _ROW_BLOCK] = self.small.nearest_distance_batch(views)
+        hams = self._view_hammings(self._values(word), js)[0]
         t = self.graph.t_degree
         mean = Fraction(int(hams.sum()), samples * t)
         rel = hams / t

@@ -3,12 +3,13 @@
 The benchmark's workloads call the package as they did when they were written.
 """
 
+import hashlib
 import importlib.util
 import pathlib
 
 import numpy as np
 
-from ltclab import harness, tanner
+from ltclab import harness, reports, tanner
 from ltclab.code import Word, reed_solomon, repetition
 from ltclab.field import Field
 from ltclab.tensor import tensor_power
@@ -44,6 +45,17 @@ def test_tracer_patches_and_restores_every_target():
         assert owner.__dict__[attr] is fn
     # The scan counts boundaries through the name harness imports.
     assert tracer.calls["tanner.boundary_edge_count"] >= 1
+
+
+def test_every_workload_reproduces_its_digest(monkeypatch):
+    # One untimed job per workload at the default seed, as the benchmark's correctness gate runs it.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))  # workloads imports tracing
+    workloads = _load_bench("workloads")
+    assert set(workloads.WORKLOADS) == set(workloads.DIGESTS)
+    for name, workload in workloads.WORKLOADS.items():
+        document, failed = workload.run(workload.setup(), workloads.DEFAULT_SEED, lambda fn, *a, **kw: fn(*a, **kw))
+        assert failed == 0, name
+        assert hashlib.sha256(reports.json_bytes(document)).hexdigest() == workloads.DIGESTS[name], name
 
 
 def test_streaming_code_nearest_takes_flat_words(monkeypatch):

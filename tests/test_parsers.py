@@ -14,6 +14,7 @@ import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -197,7 +198,11 @@ def test_malformed_word_file(defect):
 @st.composite
 def malformed_corpus_specs(draw):
     kind = draw(st.sampled_from(["uniform", "mixed", "codeword_plus_weight", "low_weight"]))
-    defect = draw(st.sampled_from(["unknown_kind", "count", "param", "empty"]))
+    defect = draw(st.sampled_from([
+        "unknown_kind", "count", "param", "empty", "unread_key", "negative", "missing_count", "low_weight_count",
+    ]))
+    head = "low_weight" if kind == "low_weight" else f"{kind}:2"  # a legal head
+    read = {"low_weight": "wmax", "uniform": None}.get(kind, "w")  # the key the kind reads
     if defect == "unknown_kind":
         kind = draw(st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8).filter(
             lambda k: k not in {"uniform", "codeword_plus_weight", "planted_slice", "low_weight", "codewords", "mixed"}
@@ -207,12 +212,34 @@ def malformed_corpus_specs(draw):
         return f"{kind}:{draw(NOT_INTEGERS)}"
     if defect == "param":
         key = draw(st.sampled_from(["w", "wmax"]))
-        return f"{kind}:2,{key}={draw(NOT_INTEGERS)}"
+        return f"{head},{key}={draw(NOT_INTEGERS)}"
+    if defect == "unread_key":
+        key = draw(st.sampled_from(["w", "wmax", "wmx", "count"]).filter(lambda k: k != read))
+        return f"{head},{key}=1"
+    if defect == "negative":
+        if read is None or draw(st.booleans()) and kind != "low_weight":
+            return f"{kind}:{draw(st.integers(-9, -1))}"
+        return f"{head},{read}={draw(st.integers(-9, -1))}"
+    if defect == "missing_count":
+        kind = draw(st.sampled_from(["uniform", "mixed", "codeword_plus_weight", "planted_slice", "codewords"]))
+        return draw(st.sampled_from([kind, f"{kind},w=1", f"uniform:2;{kind}"]))
+    if defect == "low_weight_count":
+        return f"low_weight:{draw(st.integers(0, 9))}" + draw(st.sampled_from(["", ",wmax=1"]))
     return draw(st.sampled_from(["", ";", " ; ;"]))
 
 
 @given(malformed_corpus_specs())
 def test_malformed_corpus_spec(text):
+    assert_usage_error(
+        "sweep", "--graph=product:n=2,m=2", "--small=rep:q=2,n=2", f"--corpus={text}"
+    )
+
+
+@pytest.mark.parametrize(
+    "text", ["low_weight,wmx=4", "low_weight,wmax=-1", "uniform", "low_weight:5", "uniform:-5", "mixed:6,wmax=1"]
+)
+def test_corpus_specs_that_used_to_run_are_refused(text):
+    # Each of these once swept a corpus the spec did not ask for, or died in numpy.
     assert_usage_error(
         "sweep", "--graph=product:n=2,m=2", "--small=rep:q=2,n=2", f"--corpus={text}"
     )

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ltclab.tanner
-from ltclab.code import LinearCode, Word, full_code, repetition
+from ltclab.code import LinearCode, Word, full_code, reed_solomon, repetition
 from ltclab.errors import (
     DegreeMismatchError,
     EntryOutOfRangeError,
@@ -328,6 +328,73 @@ def test_tpc_linear_code_of_product_graph_is_tensor_square():
         np.sort(code.codewords().view(np.ndarray), axis=0),
         np.sort(square.codewords().view(np.ndarray), axis=0),
     )
+
+
+# --- chunked view gathers ---------------------------------------------------------------
+
+_GATHER_CASES = {
+    "product": (lambda: product_graph(3, 2), reed_solomon(Field(3), 3, 2)),
+    "composed": (lambda: product_graph(2, 3).compose(product_graph(2, 2)), repetition(GF2, 2)),
+    "repeated": (  # x1 twice in view 1
+        lambda: OrderedGraph.from_lists(4, [[1, 1, 2], [2, 3, 4], [3, 4, 1]]),
+        LinearCode.from_rows(GF2, [[1, 1, 0], [0, 1, 1]]),
+    ),
+}
+
+
+def _explicit_and_accessor(monkeypatch, build) -> tuple[OrderedGraph, OrderedGraph]:
+    explicit = build()
+    with monkeypatch.context() as patch:
+        patch.setattr(ltclab.tanner, "ADJACENCY_BUDGET", 0)
+        accessor = build()
+    if accessor.is_explicit:  # from_lists keeps its lists: serve them through a row formula
+        accessor = OrderedGraph(*explicit.params(), rows_at_fn=explicit.rows_at)
+    assert explicit.is_explicit and not accessor.is_explicit
+    return explicit, accessor
+
+
+@pytest.mark.parametrize("cells, row_block", [(1, 4096), (40, 4096), (40, 3), (2**26, 1)])
+@pytest.mark.parametrize("family", sorted(_GATHER_CASES))
+def test_view_chunks_gather_every_view_once_within_the_budget(monkeypatch, family, cells, row_block):
+    explicit, accessor = _explicit_and_accessor(monkeypatch, _GATHER_CASES[family][0])
+    monkeypatch.setattr(ltclab.tanner, "BROADCAST_CELLS", cells)
+    monkeypatch.setattr(ltclab.tanner, "_ROW_BLOCK", row_block)
+    rng = np.random.default_rng(48)
+    values = rng.integers(0, 5, size=(7, explicit.n_left))
+    t = explicit.t_degree
+    for js in (None, rng.integers(0, explicit.m_right, size=11)):
+        vertices = range(explicit.m_right) if js is None else js
+        expect = values[:, np.array([explicit.neighbors(int(j0) + 1) for j0 in vertices]) - 1]  # (B, r, t)
+        for graph in (explicit, accessor):
+            got, seen = np.full(expect.shape, -1), np.zeros(expect.shape[:2], dtype=np.int64)
+            for words, start, views in graph.view_chunks(values, js):
+                r = views.shape[1]
+                assert r <= row_block and views.size <= max(cells, r * t)
+                got[words, start : start + r] = views
+                seen[words, start : start + r] += 1
+            assert (seen == 1).all() and np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize(
+    "name, value", [("BROADCAST_CELLS", 1), ("BROADCAST_CELLS", 40), ("_ROW_BLOCK", 1), ("_ROW_BLOCK", 3)]
+)
+@pytest.mark.parametrize("family", sorted(_GATHER_CASES))
+def test_membership_is_the_same_in_any_view_chunks(monkeypatch, family, name, value):
+    build, small = _GATHER_CASES[family]
+    explicit, accessor = _explicit_and_accessor(monkeypatch, build)
+    rng = np.random.default_rng(49)
+    codewords = tpc_linear_code(explicit, small).codewords()
+    words = np.concatenate([
+        codewords[rng.integers(0, len(codewords), size=6)],
+        rng.integers(0, small.field.q, size=(10, explicit.n_left)),
+    ])[rng.permutation(16)]  # members and non-members interleaved
+    for graph in (explicit, accessor):
+        expect = TannerCode(graph, small).contains_batch(words)
+        assert expect.sum() >= 6 and not expect.all()
+        with monkeypatch.context() as patch:
+            patch.setattr(ltclab.tanner, name, value)
+            assert np.array_equal(TannerCode(graph, small).contains_batch(words), expect)
+            assert TannerCode(graph, small).contains_batch(codewords).all()
 
 
 # --- expansion --------------------------------------------------------------------------

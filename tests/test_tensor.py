@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import ltclab.code
 from ltclab.code import LinearCode, full_code, repetition, reed_solomon
 from ltclab.errors import (
+    EmptyProjectionError,
     FieldMismatchError,
     IndexOutOfRangeError,
     LengthMismatchError,
@@ -143,6 +144,32 @@ def test_axis_slice_bad_axis():
         w.axis_slice(3, 1)
     with pytest.raises(IndexOutOfRangeError):
         w.axis_slice(1, 0)
+
+
+@pytest.mark.parametrize(
+    "coords, error",
+    [
+        ([], EmptyProjectionError),
+        ([0, 1], IndexOutOfRangeError),
+        ([1, 4], IndexOutOfRangeError),
+        ([1, 1], ValueError),
+        ([2, 1], ValueError),
+        ([1, 3, 2], ValueError),
+    ],
+)
+def test_the_three_projections_refuse_the_same_index_sets(coords, error):
+    code = reed_solomon(GF5, 3, 1)
+    word = TensorWord(GF5, (3, 3), np.arange(9) % 5)
+    calls = {
+        "project": lambda: code.project(coords),
+        "extend": lambda: tensor_power(code, 2).extend([coords, [1, 2, 3]], TensorWord(GF5, (1, 3), [0, 0, 0])),
+        "project_word": lambda: project_word(word, [[1], coords]),
+    }
+    for name, call in calls.items():
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error, name
+    assert issubclass(IndexOutOfRangeError, IndexError)
 
 
 def test_shape_mismatch_on_construction():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import ltclab.code
 import ltclab.tanner
-import ltclab.tester
 from ltclab.code import Word, repetition, reed_solomon
 from ltclab.errors import FieldMismatchError, LengthMismatchError, TooLargeToEnumerateError
 from ltclab.field import Field
@@ -97,7 +96,7 @@ def test_sampled_estimator_is_the_same_in_row_blocks(rs31_cube, block):
     # 10 samples in blocks of 1 or 3 views (the last block short), against one block.
     w = Word(Field(31), np.random.default_rng(45).integers(0, 31, size=rs31_cube.graph.n_left))
     expect = rs31_cube.expected_robustness_sampled(w, seed=9, samples=10, index=2)
-    with mock.patch.object(ltclab.tester, "_ROW_BLOCK", block):
+    with mock.patch.object(ltclab.tanner, "_ROW_BLOCK", block):
         got = rs31_cube.expected_robustness_sampled(w, seed=9, samples=10, index=2)
     assert got == expect
     assert expect.stderr > 0
@@ -240,7 +239,7 @@ def test_batch_entry_points_match_batches_of_one(kind, q, batch, cells, seed):
         for row in np.random.default_rng(seed).integers(0, q, size=(batch, instance.graph.n_left))
     ]
     values = np.array([w.values for w in words], dtype=np.int64).reshape(batch, instance.graph.n_left)
-    with mock.patch.object(ltclab.tester, "BROADCAST_CELLS", cells):  # chunks of words
+    with mock.patch.object(ltclab.tanner, "BROADCAST_CELLS", cells):  # chunks of words
         with mock.patch.object(ltclab.code, "_CHUNK", cells):  # steps of the compare
             views = instance.view_hammings_batch(values)
     deltas = instance.delta_hammings_batch(values)
