@@ -44,7 +44,7 @@ def as_integer(value) -> int:
 
 def index_columns(coords: Sequence[int], n: int, what: str) -> np.ndarray:
     """0-based columns of a nonempty, strictly increasing set of 1-based ``coords`` in [1, n]."""
-    idx = [int(c) for c in coords]
+    idx = [as_integer(c) for c in coords]
     if not idx:
         raise EmptyProjectionError(f"no {what}")
     if any(not 1 <= c <= n for c in idx):

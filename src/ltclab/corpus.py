@@ -33,6 +33,7 @@ import numpy as np
 
 from .code import Word, symbol_dtype
 from .config import LOW_WEIGHT_WORDS
+from .reports import parse_keys
 from .tester import TestInstance
 
 
@@ -65,16 +66,10 @@ def parse_corpus_spec(text: str) -> tuple[CorpusPart, ...]:
             raise ValueError(f"unknown corpus kind {kind!r} (choose from {sorted(_KINDS)})")
         if bool(colon) == (kind == "low_weight"):
             raise ValueError(f"corpus kind {kind!r} {'takes no' if colon else 'needs a'} count")
-        params = {}
-        for kv in tail.split(",") if tail else ():
-            key, _, val = kv.partition("=")
-            params[key.strip()] = int(val)
-        extra = sorted(set(params) - _KEYS.get(kind, set()))
-        if extra:
-            raise ValueError(f"corpus kind {kind!r} does not read {extra[0]!r}")
+        params = parse_keys(chunk, tail, _KEYS.get(kind, ()))
         count = int(count_s) if colon else 0
-        if min([count, *params.values()]) < 0:
-            raise ValueError(f"corpus part {chunk!r} has a negative count or value")
+        if count < 0:
+            raise ValueError(f"corpus part {chunk!r} has a negative count")
         parts.append(CorpusPart(kind, count, params))
     if not parts:
         raise ValueError("empty corpus specification")

@@ -38,7 +38,7 @@ from .config import BROADCAST_CELLS, DERIVED_PARITY_CELLS, EXPANSION_PAIRS
 from .corpus import corpus_values, generate_corpus, parse_corpus_spec
 from .errors import TooLargeToEnumerateError
 from .field import Field
-from .reports import frac_decimal, frac_str, json_bytes, write_csv
+from .reports import frac_decimal, frac_str, json_bytes, parse_keys, write_csv
 from .tanner import (
     _ROW_BLOCK,
     OrderedGraph,
@@ -48,7 +48,7 @@ from .tanner import (
     square_test_graph,
     tpc_linear_code,
 )
-from .tensor import TensorCode, tensor_power
+from .tensor import TensorCode, TensorWord, tensor_power
 from .tester import TestInstance
 
 
@@ -74,14 +74,27 @@ class _Fields(dict):
             raise ValueError(f"{self.source}: {key!r} must be an integer, got {value!r}") from None
 
 
-def _parse_kv(text: str, body: str) -> _Fields:
-    out = {}
-    for item in body.split(","):
-        if not item:
-            continue
-        key, _, val = item.partition("=")
-        out[key.strip()] = int(val)
-    return _Fields(f"spec {text!r}", out)
+# Each inline kind: its constructor and the keys it reads, in argument order.
+_CODE_KINDS = {
+    "rs": (lambda q, n, k: reed_solomon(Field(q), n, k), ("q", "n", "k")),
+    "rep": (lambda q, n: repetition(Field(q), n), ("q", "n")),
+    "full": (lambda q, n: full_code(Field(q), n), ("q", "n")),
+}
+_GRAPH_KINDS = {
+    "product": (product_graph, ("n", "m")),
+    "iterated": (iterated_graph, ("n", "m", "mp")),
+    "square": (square_test_graph, ("n", "t")),
+}
+
+
+def _inline(text: str, kinds: dict):
+    """Build an inline spec 'kind:key=value,...' through its kind's row of ``kinds``."""
+    kind, _, body = text.partition(":")
+    if kind.strip() not in kinds:
+        raise ValueError(f"unknown spec kind in {text!r}")
+    build, keys = kinds[kind.strip()]
+    values = _Fields(f"spec {text!r}", parse_keys(text, body, keys))
+    return build(*(values[key] for key in keys))
 
 
 def parse_code_spec(text: str) -> LinearCode:
@@ -96,17 +109,9 @@ def parse_code_spec(text: str) -> LinearCode:
     if text.endswith(".json"):
         return load_code_file(text)
     kind, _, rest = text.partition(":")
-    kind = kind.strip()
-    if kind == "gen":
+    if kind.strip() == "gen":
         return load_code_file(rest)
-    kv = _parse_kv(text, rest)
-    if kind == "rs":
-        return reed_solomon(Field(kv["q"]), kv["n"], kv["k"])
-    if kind == "rep":
-        return repetition(Field(kv["q"]), kv["n"])
-    if kind == "full":
-        return full_code(Field(kv["q"]), kv["n"])
-    raise ValueError(f"unknown code spec {text!r}")
+    return _inline(text, _CODE_KINDS)
 
 
 def parse_flat_code_spec(text: str) -> LinearCode:
@@ -149,15 +154,7 @@ def parse_graph_spec(text: str) -> OrderedGraph:
         if graph.m_right != doc.integer("m") or graph.t_degree != doc.integer("t"):
             raise ValueError(f"graph file {text} is inconsistent with its lists")
         return graph
-    kind, _, rest = text.partition(":")
-    kv = _parse_kv(text, rest)
-    if kind == "product":
-        return product_graph(kv["n"], kv["m"])
-    if kind == "iterated":
-        return iterated_graph(kv["n"], kv["m"], kv["mp"])
-    if kind == "square":
-        return square_test_graph(kv["n"], kv["t"])
-    raise ValueError(f"unknown graph spec {text!r}")
+    return _inline(text, _GRAPH_KINDS)
 
 
 def parse_word_file(path: str, field: Field) -> Word:
@@ -172,6 +169,8 @@ def parse_word_file(path: str, field: Field) -> Word:
             raise ValueError(
                 f"word file is over GF({doc['field']}), instance over GF({field.q})"
             )
+        if "shape" in doc:
+            return TensorWord(field, doc["shape"], doc["symbols"])
         return Word(field, doc["symbols"])
     raise ValueError(f"unrecognized word file format in {path}")
 

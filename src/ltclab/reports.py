@@ -12,7 +12,7 @@ import csv
 import json
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable
+from typing import Collection, Iterable
 
 
 def frac_str(fr: Fraction) -> str:
@@ -41,6 +41,20 @@ def parse_fraction(text: str) -> Fraction:
         num, den = text.split("/", 1)
         return Fraction(int(num), int(den))
     return Fraction(int(text))
+
+
+def parse_keys(text: str, body: str, keys: Collection[str]) -> dict[str, int]:
+    """The 'key=value' pairs of a spec's ``body``: each key one of ``keys``, given once, with a value >= 0."""
+    out = {}
+    for item in filter(None, body.split(",")):
+        key, _, value = item.partition("=")
+        key = key.strip()
+        if key not in keys or key in out:
+            raise ValueError(f"spec {text!r} {'repeats' if key in out else 'does not read'} {key!r}")
+        out[key] = int(value)
+        if out[key] < 0:
+            raise ValueError(f"spec {text!r} gives {key!r} a negative value")
+    return out
 
 
 def json_bytes(obj) -> bytes:

@@ -21,13 +21,14 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .code import LinearCode, Word, as_integer, full_code, word_values
+from .code import LinearCode, Word, _coerce_symbols, as_integer, full_code, word_values
 from .config import ADJACENCY_BUDGET, BROADCAST_CELLS, PARITY_CELLS
 from .errors import (
     DegreeMismatchError,
     EntryOutOfRangeError,
     GraphTooLargeError,
     InapplicableError,
+    LengthMismatchError,
     RaggedListsError,
     TooLargeToEnumerateError,
 )
@@ -309,13 +310,19 @@ class TannerCode:
         """A word's symbols as a batch of one; a Word's symbols are residues already."""
         return word_values(word, self.small.field, self.graph.n_left)[None]
 
+    def _rows(self, values: np.ndarray) -> np.ndarray:
+        """The (B, n_left) rows as symbol_dtype; refuses symbols that are not residues mod q."""
+        if values.shape[1:] != (self.graph.n_left,):
+            raise LengthMismatchError(f"words of shape {values.shape}, expected (B, {self.graph.n_left})")
+        return _coerce_symbols(self.small.field, values, ndim=2)
+
     def contains(self, word: Word) -> bool:
         return bool(self.contains_batch(self._values(word))[0])
 
     def contains_batch(self, words: np.ndarray) -> np.ndarray:
-        """Vectorized membership for a (B, n_left) array of word values."""
+        """Vectorized membership for a (B, n_left) array of residues, refused as ``_rows`` refuses."""
         ok = np.ones(words.shape[0], dtype=bool)
-        for rows, _, views in self.graph.view_chunks(words):
+        for rows, _, views in self.graph.view_chunks(self._rows(words)):
             good = self.small.contains_batch(views.reshape(-1, self.graph.t_degree))
             ok[rows] &= good.reshape(views.shape[:2]).all(axis=1)
         return ok
@@ -377,7 +384,7 @@ class ExpansionResult:
 def _as_mask(size: int, subset: Iterable[int]) -> np.ndarray:
     mask = np.zeros(size, dtype=bool)
     for v in subset:
-        i = int(v)
+        i = as_integer(v)
         if not 1 <= i <= size:
             raise EntryOutOfRangeError(f"vertex {i} outside [1, {size}]")
         mask[i - 1] = True

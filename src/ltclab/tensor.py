@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .code import LinearCode, Word, _coerce_symbols, index_columns
+from .code import LinearCode, Word, _coerce_symbols, as_integer, index_columns
 from .config import GENERATOR_CELLS
 from .errors import (
     FieldMismatchError,
@@ -50,29 +50,25 @@ from .errors import (
 from .field import Field
 
 
-class TensorWord:
-    """A dense m-dimensional word over a field; coordinates are 1-based."""
+class TensorWord(Word):
+    """A Word on the grid [n_1] x ... x [n_m], row-major; coordinates are 1-based."""
 
-    __slots__ = ("field", "shape", "array")
+    __slots__ = ("shape",)
 
     def __init__(self, field: Field, shape: Sequence[int], symbols):
-        shape = tuple(int(s) for s in shape)
-        if any(s < 1 for s in shape):
-            raise ValueError(f"shape entries must be positive, got {shape}")
-        flat = _coerce_symbols(field, symbols)
-        size = math.prod(shape)
-        if flat.size != size:
-            raise ShapeMismatchError(
-                f"{flat.size} symbols cannot fill shape {shape} ({size} cells)"
-            )
-        arr = flat.reshape(shape)
-        arr.setflags(write=False)
-        object.__setattr__(self, "field", field)
+        super().__init__(field, symbols)
+        try:
+            shape = tuple(as_integer(s) for s in shape)
+        except TypeError:
+            raise ValueError(f"shape must be a list of integers, got {shape!r}") from None
+        if not shape or min(shape) < 1 or math.prod(shape) != len(self):
+            raise ShapeMismatchError(f"{len(self)} symbols cannot fill shape {shape}")
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "array", arr)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorWord is immutable")
+    @property
+    def array(self) -> np.ndarray:
+        """The read-only symbols as an array of this word's shape."""
+        return self.values.reshape(self.shape)
 
     @classmethod
     def from_array(cls, field: Field, array: np.ndarray) -> "TensorWord":
@@ -110,23 +106,11 @@ class TensorWord:
             return int(sliced)
         return TensorWord.from_array(self.field, sliced)
 
-    def flatten(self) -> Word:
-        """Row-major flattening (axis 1 slowest) as a plain Word."""
-        return Word(self.field, self.array.reshape(-1))
-
-    def weight(self) -> int:
-        return int(np.count_nonzero(self.array))
-
     def __eq__(self, other):
-        return (
-            isinstance(other, TensorWord)
-            and self.field == other.field
-            and self.shape == other.shape
-            and np.array_equal(self.array, other.array)
-        )
+        return isinstance(other, TensorWord) and self.shape == other.shape and super().__eq__(other)
 
     def __hash__(self):
-        return hash((self.field.q, self.shape, self.array.tobytes()))
+        return hash((super().__hash__(), self.shape))
 
     def __repr__(self):
         return f"TensorWord(GF({self.field.q}), shape={self.shape})"
@@ -138,8 +122,7 @@ class TensorCode(LinearCode):
     A LinearCode whose generator is kron(G_1, ..., G_m), derived only on first
     use: codewords are encoded by contracting each factor generator along its
     axis, and membership checks the axis-parallel lines.  ``contains`` and
-    ``nearest`` take and return flat Words; pass a TensorWord as
-    ``word.flatten()``.
+    ``nearest`` read a TensorWord, like any Word, by its row-major values.
     """
 
     # A span target of the benchmark's tracer, which patches it on this class.
@@ -249,7 +232,7 @@ class TensorCode(LinearCode):
             g = factor.generator[:, cols]
             gen = g if gen is None else linalg.kron(gen, g, self.field.q)
         try:
-            msg = linalg.solve_unique(gen.T, partial.array.reshape(-1), self.field.q)
+            msg = linalg.solve_unique(gen.T, partial.values, self.field.q)
         except InconsistentSystemError as exc:
             raise NotACodewordError(
                 "partial word is not a codeword of the projected product code"

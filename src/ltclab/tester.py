@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .code import LinearCode, Word, _coerce_symbols
+from .code import LinearCode, Word
 from .config import ADJACENCY_BUDGET, REPETITIONS
 from .errors import FieldMismatchError, LengthMismatchError, TooLargeToEnumerateError
 from .tanner import OrderedGraph, TannerCode
@@ -131,12 +131,6 @@ class TestInstance(TannerCode):
         self.label = label or graph.label or "instance"
 
     # --- plumbing -------------------------------------------------------------
-
-    def _rows(self, values: np.ndarray) -> np.ndarray:
-        """The (B, n_left) rows as symbol_dtype; refuses symbols that are not residues mod q."""
-        if values.shape[1:] != (self.graph.n_left,):
-            raise LengthMismatchError(f"words of shape {values.shape}, expected (B, {self.graph.n_left})")
-        return _coerce_symbols(self.small.field, values, ndim=2)
 
     def _require_exact_views(self):
         total = self.graph.m_right * self.graph.t_degree

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -144,6 +145,19 @@ def test_robustness_tensor_word_file(capsys, tmp_path):
         "--word-file", str(word_file),
     )
     assert json.loads(out)["rho"] == "0"
+
+
+@pytest.mark.parametrize("shape", [[2, 4], [9, 1.0], [3, True]])
+def test_robustness_refuses_a_word_file_shape_that_is_wrong(capsys, tmp_path, shape):
+    # The shape was once ignored, so nine symbols certified as a 2 x 4 grid.
+    word_file = tmp_path / "word.json"
+    word_file.write_text(json.dumps({"field": 2, "shape": shape, "symbols": [0] * 9}))
+    code, out, err = run_cli(
+        capsys, "robustness", "--graph", "product:n=3,m=2", "--small", "rep:q=2,n=3", "--word-file", str(word_file)
+    )
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "shape" in lines[0]
 
 
 def test_sweep_writes_deterministic_report(capsys, tmp_path):
@@ -422,3 +436,22 @@ def test_csv_only_where_reports_are_rows(tmp_path, argv):
     with pytest.raises(SystemExit) as err:
         main(argv + ["--format", "csv", "--out", str(tmp_path / "out.csv")])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["sweep", "--graph", "product:n=3,m=3", "--small", "rs:q=5,n=3,k=2^2", "--corpus", "mixed:6",
+          "--sampled", "--samples", "300", "--seed", "3"],
+         "2454269cd1517e3d13acc999b27097e4ad3af8bddd734733a3e22ce4d4d20ef0"),
+        (["robustness", "--graph", "square:n=2,t=3", "--small", "rep:q=2,n=4", "--sampled",
+          "--samples", "3000", "--seed", "9", "--word", ",".join(["1"] + ["0"] * 255)],
+         "567c01d3dfb1625dafdd3c29f0abeae42bdd2256c72bfc86b7f620af1999ef76"),
+    ],
+    ids=["sweep", "robustness"],
+)
+def test_sampled_outputs_are_pinned(capsys, argv, digest):
+    # Seeded sampled runs are deterministic: a change to their bytes changes a reported estimate.
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -324,6 +324,13 @@ def test_project_requires_increasing():
         repetition(GF2, 3).project([2, 1])
 
 
+@pytest.mark.parametrize("coords", [[1.9, 2.5], [True, 2], [1, 2.0], ["1", 2]])
+def test_project_refuses_coordinates_that_are_not_integers(coords):
+    # int() would project [1.9, 2.5] onto columns 1 and 2.
+    with pytest.raises(TypeError):
+        repetition(GF2, 3).project(coords)
+
+
 # --- round trips (randomized) -------------------------------------------------------------
 
 

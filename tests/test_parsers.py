@@ -58,9 +58,13 @@ def malformed_inline_specs(draw, keys: dict, out_of_range: dict, known: set):
     kind = draw(st.sampled_from(sorted(keys)))
     values = dict(keys[kind])
     key = draw(st.sampled_from(sorted(values)))
-    defect = draw(st.sampled_from(["missing", "not_integer", "out_of_range", "unknown_kind"]))
+    defect = draw(st.sampled_from(["missing", "not_integer", "out_of_range", "unknown_kind", "unread_key", "repeated_key"]))
     if defect == "missing":
         del values[key]
+    elif defect == "unread_key":
+        values[draw(st.sampled_from(["q", "n", "k", "m", "mp", "t", "d", "w"]).filter(lambda k: k not in values))] = 1
+    elif defect == "repeated_key":
+        return spec(kind, values) + f",{key}={draw(st.sampled_from([values[key], 1, 3]))}"
     elif defect == "not_integer":
         values[key] = draw(NOT_INTEGERS)
     elif defect == "out_of_range":
@@ -73,6 +77,21 @@ def malformed_inline_specs(draw, keys: dict, out_of_range: dict, known: set):
 @given(malformed_inline_specs(CODE_KEYS, CODE_OUT_OF_RANGE, set(CODE_KEYS) | {"gen"}))
 def test_malformed_code_spec(text):
     assert_usage_error("min-distance", f"--code={text}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["min-distance", "--code=rs:q=7,n=7,k=2,d=9"],
+        ["min-distance", "--code=rs:q=7,n=7,k=2,k=3"],
+        ["expansion-check", "--graph=product:n=2,m=2,mp=1"],
+        ["membership", "--graph=product:n=2,m=2,t=5", "--small=rep:q=2,n=2,k=7", "--word=0,0,0,0"],
+    ],
+    ids=["unread-key", "repeated-key", "unread-graph-key", "unread-keys-of-both"],
+)
+def test_inline_specs_that_used_to_run_are_refused(argv):
+    # Each of these once ran, ignoring a key it did not read or all but the last of a repeated one.
+    assert_usage_error(*argv)
 
 
 @given(
@@ -111,6 +130,7 @@ CODE_FILE_DEFECTS = st.one_of(
 )
 WORD_FILE_DEFECTS = st.one_of(
     st.tuples(st.just("field"), st.sampled_from([2.0, 2.5, True, "2", None, 3])),
+    st.tuples(st.just("shape"), st.sampled_from([[2.0, 1], [True, 2], "2", [0, 2], [3], [1, 3], [], None, 2])),
     st.tuples(
         st.just("symbols"),
         st.sampled_from([[0, True], [False, 1], [0, 1.0], [0, "1"], [0, None], [[0, 1]], [0, 2], [0], 5, None, "01"]),
@@ -167,6 +187,7 @@ def test_unbroken_inputs_are_accepted():
         ("min-distance", "--code", CODE_FILE),
         ("min-distance", "--code", RS_FILE),
         ("membership", "--word-file", WORD_FILE, "--code=rep:q=2,n=2"),
+        ("membership", "--word-file", dict(WORD_FILE, shape=[1, 2]), "--code=rep:q=2,n=2"),
     ):
         path = _write(doc)
         try:

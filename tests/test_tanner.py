@@ -397,6 +397,13 @@ def test_membership_is_the_same_in_any_view_chunks(monkeypatch, family, name, va
             assert TannerCode(graph, small).contains_batch(codewords).all()
 
 
+@pytest.mark.parametrize("fill", [3, 1.0], ids=["not-a-residue", "float"])
+def test_tanner_membership_batch_refuses_rows_that_are_not_residues(fill):
+    code = TannerCode(product_graph(2, 2), repetition(GF2, 2))
+    with pytest.raises(ValueError):
+        code.contains_batch(np.full((1, 4), fill))
+
+
 # --- expansion --------------------------------------------------------------------------
 
 
@@ -412,6 +419,13 @@ def test_expansion_single_left_vertex():
     assert res.gamma == 3  # all m edges of the point leave
     assert res.bound == Fraction(3, 8)
     assert res.holds
+
+
+@pytest.mark.parametrize("s_subset, t_subset", [([1.9], []), ([True], []), ([], [2.0]), (["1"], [])])
+def test_expansion_refuses_vertices_that_are_not_integers(s_subset, t_subset):
+    # int() would count vertex 1 for 1.9.
+    with pytest.raises(TypeError):
+        check_expansion(product_graph(2, 3), s_subset, t_subset)
 
 
 def test_expansion_inapplicable_when_s_large():

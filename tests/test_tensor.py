@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ltclab.code
-from ltclab.code import LinearCode, full_code, repetition, reed_solomon
+from ltclab.code import LinearCode, Word, full_code, repetition, reed_solomon
 from ltclab.errors import (
     EmptyProjectionError,
     FieldMismatchError,
@@ -18,6 +18,7 @@ from ltclab.errors import (
     UnderdeterminedError,
 )
 from ltclab.field import Field
+from ltclab.harness import product_instance
 from ltclab.tensor import TensorWord, project_word, tensor_power, tensor_product
 
 GF2 = Field(2)
@@ -177,13 +178,59 @@ def test_shape_mismatch_on_construction():
         TensorWord(GF5, (2, 2), [1, 2, 3])
 
 
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (-2, -2), (), (5,), (2, 3)])
+def test_shape_must_fill_the_symbols(shape):
+    with pytest.raises(ShapeMismatchError):
+        TensorWord(GF5, shape, [1, 2, 3, 4])
+
+
+@pytest.mark.parametrize("shape", [(3.0, True), (2.0, 2), (True, 4), ("4",), "4", None, 4])
+def test_shape_entries_must_be_integers(shape):
+    # int() would read (3.0, True) as the grid (3, 1).
+    with pytest.raises(ValueError, match="shape must be a list of integers"):
+        TensorWord(GF2, shape, [0, 1, 0, 1])
+
+
+def test_tensor_word_is_a_word_with_a_shape():
+    w = TensorWord(GF5, (2, 2), [1, 2, 3, 0])
+    flat = Word(GF5, [1, 2, 3, 0])
+    assert isinstance(w, Word)
+    assert (len(w), w.weight(), w.to_list(), list(w)) == (4, 3, [1, 2, 3, 0], [1, 2, 3, 0])
+    assert w.array.tolist() == [[1, 2], [3, 0]] and not w.array.flags.writeable
+    with pytest.raises(AttributeError):
+        w.shape = (4,)
+    # A tensor word never equals a plain word, in either order, nor one of another shape.
+    assert w != flat and flat != w and not w == flat and not flat == w
+    assert w != TensorWord(GF5, (4,), [1, 2, 3, 0]) and w != TensorWord(GF5, (1, 4), [1, 2, 3, 0])
+    twin = TensorWord.from_array(GF5, np.array([[1, 2], [3, 0]]))
+    assert w == twin and hash(w) == hash(twin) and len({w, twin, flat}) == 2
+
+
+@pytest.mark.parametrize(
+    "base, m", [(reed_solomon(GF5, 5, 2), 2), (repetition(GF2, 3), 3)], ids=["RS[5,2]^2", "rep[3]^3"]
+)
+def test_a_tensor_word_reads_as_the_word_of_its_values(base, m):
+    code, instance = tensor_power(base, m), product_instance(base, m)
+    flat = code.as_linear_code()
+    rng = np.random.default_rng(5)
+    rows = np.concatenate([rng.integers(0, base.field.q, size=(4, code.n)), code.codewords()[[0, -1]]])
+    for row in rows:
+        tword = TensorWord(base.field, code.shape, row)
+        word = Word(base.field, row)
+        assert code.contains(tword) == code.contains(word) == flat.contains(tword) == flat.contains(word)
+        assert code.nearest(tword) == code.nearest(word)
+        reports = [instance.certify(w, 1, with_views=True) for w in (tword, word)]
+        assert reports[0][0].to_json_dict() == reports[1][0].to_json_dict() and reports[0][1] == reports[1][1]
+    assert code.contains(tword) and instance.contains(tword)  # the last row is a codeword
+
+
 # --- membership -------------------------------------------------------------------
 
 
 def test_encoded_grid_is_member():
     t = tensor_power(reed_solomon(GF5, 5, 2), 2)
     w = t.encode_tensor(np.array([[1, 2], [3, 4]]))
-    assert t.contains(w.flatten())
+    assert t.contains(w)
 
 
 @pytest.mark.parametrize(
@@ -199,20 +246,20 @@ def test_encode_tensor_refuses_meaningless_symbols(message):
 
 def test_zero_tensor_is_member():
     t = tensor_power(repetition(GF2, 2), 3)
-    assert t.contains(TensorWord(GF2, (2, 2, 2), [0] * 8).flatten())
+    assert t.contains(TensorWord(GF2, (2, 2, 2), [0] * 8))
 
 
 def test_single_flip_breaks_membership():
     t = tensor_power(repetition(GF2, 3), 2)
     arr = t.encode_tensor(np.array([[1]])).array.copy()
     arr[0, 0] ^= 1
-    assert not t.contains(TensorWord.from_array(GF2, arr).flatten())
+    assert not t.contains(TensorWord.from_array(GF2, arr))
 
 
 def test_membership_length_checked():
     t = tensor_power(repetition(GF2, 2), 2)
     with pytest.raises(LengthMismatchError):
-        t.contains(TensorWord(GF2, (2, 2, 2), [0] * 8).flatten())
+        t.contains(TensorWord(GF2, (2, 2, 2), [0] * 8))
 
 
 def test_axis_membership_equals_flat_parity_exhaustive():
@@ -221,7 +268,7 @@ def test_axis_membership_equals_flat_parity_exhaustive():
     flat = t.as_linear_code()
     for bits in itertools.product((0, 1), repeat=4):
         w = TensorWord(GF2, (2, 2), bits)
-        assert t.contains(w.flatten()) == flat.contains(w.flatten())
+        assert t.contains(w) == flat.contains(w)
 
 
 def test_axis_membership_equals_flat_parity_sampled():
@@ -242,7 +289,7 @@ def test_axis_membership_three_dimensional():
     flat = t.as_linear_code()
     for bits in itertools.product((0, 1), repeat=8):
         w = TensorWord(GF2, (2, 2, 2), bits)
-        assert t.contains(w.flatten()) == flat.contains(w.flatten())
+        assert t.contains(w) == flat.contains(w)
 
 
 def test_slices_of_codewords_are_subproduct_codewords():
@@ -254,7 +301,7 @@ def test_slices_of_codewords_are_subproduct_codewords():
         w = t.encode_tensor(msg)
         for b in (1, 2, 3):
             for i in range(1, 6):
-                assert sub.contains(w.axis_slice(b, i).flatten())
+                assert sub.contains(w.axis_slice(b, i))
 
 
 # --- extension ---------------------------------------------------------------------
