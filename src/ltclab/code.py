@@ -18,15 +18,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import linalg
-from .config import ENUMERATION_THRESHOLD, TABLE_CELLS
+from . import config, linalg
 from .errors import (
     EmptyProjectionError,
     FieldMismatchError,
     IndexOutOfRangeError,
     LengthMismatchError,
     RankDeficiencyWarning,
-    TooLargeToEnumerateError,
+    ShapeMismatchError,
     TooLongError,
 )
 from .field import Field, FieldElement
@@ -147,12 +146,14 @@ def distance(x: Word, y: Word) -> tuple[int, Fraction]:
     return ham, Fraction(ham, len(x))
 
 
-def word_values(word: Word, field: Field, n: int) -> np.ndarray:
-    """The symbols of ``word``, refusing a word not over ``field`` or not of length ``n``."""
+def word_values(word: Word, field: Field, n: int, grid: Optional[tuple[int, ...]] = None) -> np.ndarray:
+    """The symbols of ``word``; refuses a word not over ``field``, not of length ``n`` or off a ``grid``."""
     if word.field != field:
         raise FieldMismatchError(f"word over {word.field}, expected {field}")
     if len(word) != n:
         raise LengthMismatchError(f"word of length {len(word)}, expected {n}")
+    if grid is not None and getattr(word, "shape", grid) != grid:
+        raise ShapeMismatchError(f"word of shape {word.shape}, expected {grid}")
     return word.values
 
 
@@ -160,10 +161,10 @@ def word_values(word: Word, field: Field, n: int) -> np.ndarray:
 #
 # The oracle is the LinearCode methods below.  They enumerate codewords only
 # through ``encode_batch``, so a TensorCode enumerates through its axis
-# contraction, without a Kronecker generator.  Every entry point checks the
-# threshold on every call, cached table or not.  Messages are enumerated in
-# lexicographic order, about _CHUNK at a time, so ties break toward the
-# smallest message.
+# contraction, without a Kronecker generator.  Every entry point checks
+# ENUMERATION_THRESHOLD through ``config.within`` on every call, cached table
+# or not.  Messages are enumerated in lexicographic order, at most _CHUNK at a
+# time, so ties break toward the smallest message.
 #
 # Codeword symbols are stored row-major as symbol_dtype(field).  Every cached
 # table also keeps its bit-planes: plane p holds bit p of every symbol,
@@ -182,15 +183,6 @@ def _unsigned(top: int) -> type:
 def symbol_dtype(field: Field) -> type:
     """The narrowest unsigned dtype holding every residue: uint8 or uint16."""
     return _unsigned(field.q - 1)
-
-
-def _require_enumerable(field: Field, k: int) -> int:
-    total = field.q**k
-    if total > ENUMERATION_THRESHOLD:
-        raise TooLargeToEnumerateError(
-            f"{field.q}^{k} = {total} codewords exceeds threshold {ENUMERATION_THRESHOLD}"
-        )
-    return total
 
 
 def _messages(start: int, stop: int, step: int, k: int, q: int) -> np.ndarray:
@@ -235,6 +227,8 @@ def _min_plane_hammings(packed: np.ndarray, planes: np.ndarray, out: np.ndarray)
 
 class LinearCode:
     """An [n, k, d] linear code given by a full-rank generator matrix."""
+
+    shape: Optional[tuple[int, ...]] = None  # a tensor code's grid, which a TensorWord must match
 
     def __init__(
         self,
@@ -306,7 +300,7 @@ class LinearCode:
 
     def contains(self, word: Word) -> bool:
         """Membership via the parity check."""
-        return bool(self.contains_batch(word_values(word, self.field, self.n)[None])[0])
+        return bool(self.contains_batch(word_values(word, self.field, self.n, self.shape)[None])[0])
 
     def contains_batch(self, words: np.ndarray) -> np.ndarray:
         """Vectorized membership for a (B, n) array of words."""
@@ -317,20 +311,22 @@ class LinearCode:
     # --- exhaustive oracles -------------------------------------------------
 
     def _blocks(self):
-        """Yield (start, codewords) for blocks of about _CHUNK consecutive messages.
+        """Yield (start, codewords) for blocks of at most ``rows`` consecutive messages.
 
-        Messages split into groups of q**j, the largest power of q that is at most
-        _CHUNK (and at most q**k).  A group starting at message s holds
-        codeword(s) + codeword(i) for i < q**j, by linearity: the first q**j
-        codewords are encoded once, and each block adds the encoded group starts
-        to them.  A block stacks as many whole groups as fit in _CHUNK rows.
+        ``rows`` is _CHUNK, cut so that a block holds at most _CHUNK << 8 symbols
+        (one codeword at least).  Messages split into groups of q**j, the largest
+        power of q that is at most ``rows`` (and at most q**k).  A group starting at
+        message s holds codeword(s) + codeword(i) for i < q**j, by linearity: the
+        first q**j codewords are encoded once, and each block adds the encoded
+        group starts to them.  A block stacks as many whole groups as fit in ``rows``.
         """
-        total = _require_enumerable(self.field, self.k)
+        total = config.within("ENUMERATION_THRESHOLD", self.num_codewords(), "codeword enumeration")
         q, k, dtype = self.field.q, self.k, symbol_dtype(self.field)
+        rows = min(_CHUNK, max(1, (_CHUNK << 8) // self.n))
         span = 1
-        while span < total and span * q <= _CHUNK:
+        while span < total and span * q <= rows:
             span *= q
-        per_block = span * max(1, _CHUNK // span)
+        per_block = span * max(1, rows // span)
         wide = _unsigned(2 * (q - 1))
         first = self.encode_batch(_messages(0, span, 1, k, q)).astype(wide)
         for s in range(0, total, per_block):
@@ -351,8 +347,7 @@ class LinearCode:
         blocks = self._blocks()
         _, block = next(blocks)
         total, n = self.num_codewords(), block.shape[1]
-        if total * n > TABLE_CELLS:
-            raise TooLargeToEnumerateError(f"codeword table would hold {total * n} cells")
+        config.within("TABLE_CELLS", total * n, "codeword table")
         table = block if block.shape[0] == total else np.empty((total, n), dtype=block.dtype)
         bits, width = (self.field.q - 1).bit_length(), -(-n // 64)
         planes = np.zeros((bits, total, width), dtype=np.uint64)
@@ -372,7 +367,7 @@ class LinearCode:
         encodes the message ``unravel_index(i, (q,)*k)``.  Symbols are
         ``symbol_dtype(field)``, row-major.
         """
-        _require_enumerable(self.field, self.k)
+        config.within("ENUMERATION_THRESHOLD", self.num_codewords(), "codeword enumeration")
         return self._tables[0]
 
     def min_distance(self) -> int:
@@ -395,7 +390,7 @@ class LinearCode:
         first minimum in enumeration order.  Streams codewords from
         ``encode_batch`` and never reads the cached table.
         """
-        values = word_values(word, self.field, self.n)
+        values = word_values(word, self.field, self.n, self.shape)
         best, best_ham = None, self.n + 1
         for _, block in self._blocks():
             hams = np.count_nonzero(block != values[None, :], axis=1)
@@ -416,7 +411,7 @@ class LinearCode:
         packed = np.zeros((bits, batch, 1, -(-n // 64)), dtype=np.uint64)
         _pack(words, packed[:, :, 0])
         out = np.full(batch, n, dtype=np.int64)
-        if self.num_codewords() * n <= TABLE_CELLS:
+        if self.num_codewords() * n <= config.TABLE_CELLS:
             self.codewords()  # the threshold check, on a warm table too
             _min_plane_hammings(packed, self._tables[1], out)
             return out

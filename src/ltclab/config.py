@@ -1,9 +1,11 @@
-"""Global resource budgets.
+"""Global resource budgets, and the one rule by which they refuse.
 
 Every brute-force oracle refuses (raises) rather than silently sampling once
 an instance exceeds these budgets; sampling estimators exist only in the
-harness and are always labelled as estimates.
+harness and are always labelled as estimates.  Every refusal is one call to ``within``.
 """
+
+from .errors import TooLargeToEnumerateError
 
 # Maximum number of codewords any exhaustive oracle (minimum distance,
 # nearest codeword, cached codeword tables) will enumerate.
@@ -39,3 +41,11 @@ REPETITIONS = 10**6
 
 # Maximum (S, T) pairs of an exhaustive expansion scan.
 EXPANSION_PAIRS = 10**7
+
+
+def within(budget: str, requested: int, what: str) -> int:
+    """``requested``, or a TooLargeToEnumerateError if it is past the budget named ``budget``."""
+    limit = globals()[budget]
+    if requested > limit:
+        raise TooLargeToEnumerateError(budget, requested, limit, what)
+    return requested

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .code import Word, symbol_dtype
-from .config import LOW_WEIGHT_WORDS
+from .config import within
 from .reports import parse_keys
 from .tester import TestInstance
 
@@ -93,8 +93,7 @@ def _expand(part: CorpusPart, q: int, n: int) -> tuple[CorpusPart, ...]:
     if part.kind == "low_weight":
         wmax = part.params.get("wmax", 2)
         total = sum(math.comb(n, w) * (q - 1) ** w for w in range(wmax + 1))
-        if total > LOW_WEIGHT_WORDS:
-            raise ValueError(f"low_weight corpus would enumerate {total} words; lower wmax")
+        within("LOW_WEIGHT_WORDS", total, "low_weight corpus")
         return (CorpusPart("low_weight", total, {"wmax": wmax}),)
     return (part,)
 

@@ -37,8 +37,12 @@ class TooLongError(LtcLabError, ValueError):
     """A Reed-Solomon block length exceeds the field size."""
 
 
-class TooLargeToEnumerateError(LtcLabError):
-    """A brute-force oracle refuses to enumerate past the configured threshold."""
+class TooLargeToEnumerateError(LtcLabError, ValueError):
+    """A request past the config budget named ``budget`` (``requested`` > ``limit``); see ``config.within``."""
+
+    def __init__(self, budget: str, requested: int, limit: int, what: str):
+        super().__init__(f"{what} would hold {requested}, past {budget} = {limit}")
+        self.budget, self.requested, self.limit = budget, requested, limit
 
 
 class EmptyProjectionError(LtcLabError, ValueError):

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .code import LinearCode, Word, as_integer, full_code, reed_solomon, repetition
-from .config import BROADCAST_CELLS, DERIVED_PARITY_CELLS, EXPANSION_PAIRS
+from .config import BROADCAST_CELLS, within
 from .corpus import corpus_values, generate_corpus, parse_corpus_spec
 from .errors import TooLargeToEnumerateError
 from .field import Field
@@ -210,7 +210,7 @@ def instance_from_specs(
         full = parse_code_spec(full_spec)
     else:
         try:
-            full = tpc_linear_code(graph, small, max_cells=DERIVED_PARITY_CELLS)
+            full = tpc_linear_code(graph, small, "DERIVED_PARITY_CELLS")
         except TooLargeToEnumerateError:
             full = None
     instance = TestInstance(graph, small, full=full, label=f"{graph_spec} / {small_spec}")
@@ -436,10 +436,7 @@ def run_expansion_check(
     d_r = graph.t_degree
     if mode == "exhaustive":
         count_s = sum(math.comb(n, s) for s in range(n // 4 + 1))
-        if count_s * (2**m) > EXPANSION_PAIRS:
-            raise TooLargeToEnumerateError(
-                f"{count_s} left subsets x {2**m} right subsets is too many"
-            )
+        within("EXPANSION_PAIRS", count_s * 2**m, "exhaustive expansion scan")
         chunks = _exhaustive_pairs(n, m)
     elif mode == "sampled":
         rng = np.random.default_rng(seed)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .code import LinearCode, Word, _coerce_symbols, as_integer, full_code, word_values
-from .config import ADJACENCY_BUDGET, BROADCAST_CELLS, PARITY_CELLS
+from .config import ADJACENCY_BUDGET, BROADCAST_CELLS, within
 from .errors import (
     DegreeMismatchError,
     EntryOutOfRangeError,
@@ -30,7 +30,6 @@ from .errors import (
     InapplicableError,
     LengthMismatchError,
     RaggedListsError,
-    TooLargeToEnumerateError,
 )
 
 # Right-vertex block size when streaming or materializing the rows of a graph.
@@ -298,6 +297,8 @@ def square_test_graph(n: int, t: int) -> OrderedGraph:
 class TannerCode:
     """TPC(G, C_small): words whose every right-vertex view is a small codeword."""
 
+    grid: Optional[tuple[int, ...]] = None  # the shape a TensorWord must have, if any
+
     def __init__(self, graph: OrderedGraph, small: LinearCode):
         if small.n != graph.t_degree:
             raise DegreeMismatchError(
@@ -308,7 +309,7 @@ class TannerCode:
 
     def _values(self, word: Word) -> np.ndarray:
         """A word's symbols as a batch of one; a Word's symbols are residues already."""
-        return word_values(word, self.small.field, self.graph.n_left)[None]
+        return word_values(word, self.small.field, self.graph.n_left, self.grid)[None]
 
     def _rows(self, values: np.ndarray) -> np.ndarray:
         """The (B, n_left) rows as symbol_dtype; refuses symbols that are not residues mod q."""
@@ -331,22 +332,19 @@ class TannerCode:
         return f"TannerCode({self.graph!r}, {self.small!r})"
 
 
-def tpc_linear_code(graph: OrderedGraph, small: LinearCode, max_cells: int = PARITY_CELLS) -> LinearCode:
+def tpc_linear_code(graph: OrderedGraph, small: LinearCode, budget: str = "PARITY_CELLS") -> LinearCode:
     """The Tanner product code as an explicit LinearCode.
 
     Stacks one parity row per (right vertex, small parity row) pair and takes
     the null space.  Intended for desk-scale graphs; refuses when the stacked
-    parity matrix would be too large.
+    parity matrix would hold more cells than the config budget named ``budget``.
     """
     if small.n != graph.t_degree:
         raise DegreeMismatchError(f"small code length {small.n} != right degree {graph.t_degree}")
     parity = small.parity_check
     rows_per_view, n = parity.shape[0], graph.n_left
     total = graph.m_right * max(rows_per_view, 1)
-    if total * n > max_cells:
-        raise TooLargeToEnumerateError(
-            f"stacked parity matrix would hold {total * n} cells (max {max_cells})"
-        )
+    within(budget, total * n, "stacked parity matrix")
     if rows_per_view == 0:
         # The small code is the full space: every word qualifies.
         return full_code(small.field, n)

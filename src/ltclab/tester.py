@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .code import LinearCode, Word
-from .config import ADJACENCY_BUDGET, REPETITIONS
+from .config import within
 from .errors import FieldMismatchError, LengthMismatchError, TooLargeToEnumerateError
 from .tanner import OrderedGraph, TannerCode
 
@@ -128,17 +128,10 @@ class TestInstance(TannerCode):
             if full.n != graph.n_left:
                 raise LengthMismatchError(f"full code length {full.n} != {graph.n_left} left vertices")
         self.full = full
+        self.grid = getattr(full, "shape", None)
         self.label = label or graph.label or "instance"
 
     # --- plumbing -------------------------------------------------------------
-
-    def _require_exact_views(self):
-        total = self.graph.m_right * self.graph.t_degree
-        if total > ADJACENCY_BUDGET:
-            raise TooLargeToEnumerateError(
-                f"exact mode needs all {self.graph.m_right} views "
-                f"({total} adjacency entries)"
-            )
 
     def _view_hammings(self, values: np.ndarray, js: Optional[np.ndarray] = None) -> np.ndarray:
         """(B, r) int64 small-code distances of the views at 0-based js (all by default), a view chunk a call."""
@@ -151,7 +144,7 @@ class TestInstance(TannerCode):
 
     def view_hammings_batch(self, values: np.ndarray) -> np.ndarray:
         """(B, m) int64 distances from the small code of the views of (B, n_left) symbol rows."""
-        self._require_exact_views()
+        within("ADJACENCY_BUDGET", self.graph.m_right * self.graph.t_degree, "exact view scan")
         return self._view_hammings(self._rows(values))
 
     def view_hammings(self, word: Word) -> np.ndarray:
@@ -206,7 +199,7 @@ class TestInstance(TannerCode):
     def delta_hammings_batch(self, values: np.ndarray) -> np.ndarray:
         """(B,) Hamming distances of the rows of a (B, n_left) symbol array from the full code."""
         if self.full is None:
-            raise TooLargeToEnumerateError("no reference full code was attached")
+            raise ValueError("no reference full code was attached")
         return self.full.nearest_distance_batch(self._rows(values))
 
     def delta_exact(self, word: Word) -> Fraction:
@@ -216,22 +209,25 @@ class TestInstance(TannerCode):
     def delta_bounds(self, word: Word, rho: Optional[Fraction] = None) -> tuple[Fraction, Fraction, bool]:
         """(lower, upper, exact) bounds on delta.
 
-        Falls back to a certified interval when the full-code oracle is
-        missing or infeasible: on a graph whose left vertices all occur
-        equally often, rho never exceeds delta, so [rho, 1] is sound.
+        Falls back to a certified interval when no reference full code is
+        attached or its oracle refuses: on a graph whose left vertices all
+        occur equally often, rho never exceeds delta, so [rho, 1] is sound.
         """
         try:
-            d = self.delta_exact(word)
-            return d, d, True
+            if self.full is not None:
+                d = self.delta_exact(word)
+                return d, d, True
+            self._values(word)  # the word is checked as the oracle would check it
         except TooLargeToEnumerateError:
-            lower = Fraction(0)
-            if rho is not None:
-                try:
-                    self.graph.uniform_left_degree()
-                    lower = rho
-                except (ValueError, TooLargeToEnumerateError):
-                    lower = Fraction(0)
-            return lower, Fraction(1), False
+            pass
+        lower = Fraction(0)
+        if rho is not None:
+            try:
+                self.graph.uniform_left_degree()
+                lower = rho
+            except ValueError:
+                pass
+        return lower, Fraction(1), False
 
     # --- top-level checks ------------------------------------------------------------
 
@@ -245,25 +241,16 @@ class TestInstance(TannerCode):
     ) -> tuple[RobustnessReport, Optional[bool]]:
         """Build a full robustness report and decide rho >= alpha * delta.
 
-        With an inexact delta interval the verdict may be None (undecidable
-        from the interval alone).
+        An exact delta d is the interval [d, d]; the verdict is None when the
+        interval alone cannot decide it.
         """
         alpha = Fraction(alpha)
         hams = self.view_hammings(word)
         t = self.graph.t_degree
         rho = Fraction(int(hams.sum()), self.graph.m_right * t)
         lower, upper, exact = self.delta_bounds(word, rho)
-        if exact:
-            holds = rho >= alpha * lower
-            ratio = rho / lower if lower != 0 else None
-        else:
-            if rho >= alpha * upper:
-                holds = True
-            elif rho < alpha * lower:
-                holds = False
-            else:
-                holds = None
-            ratio = None
+        holds = True if rho >= alpha * upper else False if rho < alpha * lower else None
+        ratio = rho / lower if exact and lower else None
         tau = None if tau is None else Fraction(tau)
         epsilon = None if tau is None else self._soundness_error(hams, tau)
         per_view = tuple((j + 1, Fraction(int(h), t)) for j, h in enumerate(hams)) if with_views else None
@@ -293,9 +280,7 @@ class TestInstance(TannerCode):
         alpha = Fraction(alpha)
         if alpha <= 0:
             raise ValueError("alpha must be positive")
-        c = -(-alpha.denominator // alpha.numerator)  # ceil(1/alpha)
-        if c > REPETITIONS:
-            raise ValueError(f"{c} repetitions is beyond exact evaluation")
+        c = within("REPETITIONS", -(-alpha.denominator // alpha.numerator), "amplified test")  # ceil(1/alpha)
         p = self._soundness_error(self.view_hammings(word), Fraction(0))
         reject = 1 - (1 - p) ** c
         delta = self.delta_exact(word)
@@ -308,7 +293,7 @@ class TestInstance(TannerCode):
         view length).  The weights sum to one, so some coordinate weighs at
         most 1/n; a single error planted there is maximally hard to see.
         """
-        self._require_exact_views()
+        within("ADJACENCY_BUDGET", self.graph.m_right * self.graph.t_degree, "exact view scan")
         counts = self.graph.left_degrees()
         denom = self.graph.m_right * self.graph.t_degree
         weights = tuple(Fraction(int(c), denom) for c in counts)

@@ -455,3 +455,38 @@ def test_sampled_outputs_are_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "alpha, holds, digest",
+    [
+        ("1/65536", True, "8d00a8d2f969627d5898b113dd84ed36ebf9aab57cdb6ff4fa55117a1db2e9a2"),
+        ("1", None, "28c3f1e4082551e4d31eaa31e1d1aefb2f31f3c21719da6e9280d6a15c2938d4"),
+        ("2", False, "d8649612eddc12b4437502ffaea1a5f13fd203dbf90b59fe3bef2b292d1033e0"),
+    ],
+)
+def test_interval_reports_are_pinned(capsys, alpha, holds, digest):
+    # DERIVED_PARITY_CELLS refuses the derived reference code, so delta is the interval [rho, 1].
+    word = ",".join(["1"] + ["0"] * 1727)
+    code, out, _ = run_cli(
+        capsys, "robustness", "--graph", "product:n=12,m=3", "--small", "rep:q=2,n=12^2",
+        "--word", word, "--alpha", alpha,
+    )
+    doc = json.loads(out)
+    assert code == 0 and doc["delta"] is None and doc["delta_interval"] == ["1/1728", "1"] and doc["holds"] is holds
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["expansion-check", "--graph", "product:n=3,m=3"],
+         "exhaustive expansion scan would hold 203568128, past EXPANSION_PAIRS = 10000000"),
+        (["sweep", "--graph", "product:n=3,m=3", "--small", "rep:q=2,n=3^2", "--corpus", "low_weight,wmax=9"],
+         "low_weight corpus would hold 8192524, past LOW_WEIGHT_WORDS = 1000000"),
+    ],
+    ids=["expansion-check", "sweep"],
+)
+def test_a_refusal_is_a_usage_error_naming_its_budget(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.splitlines() == [f"error: {message}"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ltclab.code
+import ltclab.config
 from ltclab.code import (
     LinearCode,
     Word,
@@ -95,6 +95,17 @@ def test_empty_codes_rejected(make):
 def test_word_rejects_non_integer_symbols(symbols):
     with pytest.raises(ValueError):
         Word(GF5, symbols)
+
+
+def test_word_reads_field_elements_of_its_own_field_only():
+    assert Word(GF7, [GF7.element(3), 4]) == Word(GF7, [3, 4])
+    with pytest.raises(FieldMismatchError):
+        Word(GF7, [GF5.element(3), 4])
+
+
+def test_word_refuses_symbols_that_are_not_a_vector():
+    with pytest.raises(ValueError, match="1-d array"):
+        Word(GF2, np.zeros((2, 2), dtype=np.int64))
 
 
 # --- encoding ---------------------------------------------------------------
@@ -196,7 +207,7 @@ def test_min_distance_full_space():
 
 def test_min_distance_threshold_refusal(monkeypatch):
     c = full_code(GF2, 5)  # 32 codewords
-    monkeypatch.setattr(ltclab.code, "ENUMERATION_THRESHOLD", 16)
+    monkeypatch.setattr(ltclab.config, "ENUMERATION_THRESHOLD", 16)
     with pytest.raises(TooLargeToEnumerateError) as err:
         c.min_distance()
     assert "32" in str(err.value) and "16" in str(err.value)
@@ -211,7 +222,7 @@ def test_codeword_table_memory_guard():
 
 def test_a_refused_table_is_not_cached(monkeypatch):
     c = reed_solomon(GF7, 7, 2)  # 49 codewords of length 7
-    monkeypatch.setattr(ltclab.code, "TABLE_CELLS", 49 * 7 - 1)
+    monkeypatch.setattr(ltclab.config, "TABLE_CELLS", 49 * 7 - 1)
     with pytest.raises(TooLargeToEnumerateError):
         c.codewords()
     assert "_tables" not in c.__dict__
@@ -224,7 +235,7 @@ def test_threshold_refuses_on_a_warm_table(monkeypatch):
     c = reed_solomon(GF7, 7, 2)  # 49 codewords
     c.codewords()
     words = np.zeros((1, 7), dtype=np.int64)
-    monkeypatch.setattr(ltclab.code, "ENUMERATION_THRESHOLD", 1)
+    monkeypatch.setattr(ltclab.config, "ENUMERATION_THRESHOLD", 1)
     with pytest.raises(TooLargeToEnumerateError):
         c.nearest_distance_batch(words)
     with pytest.raises(TooLargeToEnumerateError):

@@ -9,6 +9,7 @@ and a per-row count.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ltclab.code
+import ltclab.config
 from ltclab.code import LinearCode, Word, reed_solomon, symbol_dtype
 from ltclab.field import Field
 from ltclab.tensor import tensor_power
@@ -79,7 +81,7 @@ def test_nearest_distance_batch_matches_brute_force(q, k, n, streamed, seed, bat
     with pytest.MonkeyPatch.context() as mp:
         if streamed:
             # No table fits; several short blocks, and a few rows per compare step.
-            mp.setattr(ltclab.code, "TABLE_CELLS", 0)
+            mp.setattr(ltclab.config, "TABLE_CELLS", 0)
             mp.setattr(ltclab.code, "_CHUNK", 40)
         for dtype in (symbol_dtype(code.field), np.int64):
             got = code.nearest_distance_batch(words.astype(dtype))
@@ -137,7 +139,7 @@ def test_plane_compare_matches_brute_force(q, k, n, batch, path):
         if path == "chunked":
             mp.setattr(ltclab.code, "_CHUNK", 40)  # a few rows per compare step
         if path == "streamed":
-            mp.setattr(ltclab.code, "TABLE_CELLS", 0)
+            mp.setattr(ltclab.config, "TABLE_CELLS", 0)
             mp.setattr(ltclab.code, "_CHUNK", 40)
         for dtype in (symbol_dtype(code.field), np.int64):
             got = code.nearest_distance_batch(words.astype(dtype))
@@ -239,6 +241,19 @@ def test_rs131_blocks_are_whole_groups_in_message_order():
         idx = np.arange(s, s + block.shape[0], dtype=np.int64)
         messages = np.stack(np.unravel_index(idx, (131,) * 3), axis=1)
         assert np.array_equal(block, code.encode_batch(messages))
+
+
+def test_blocks_of_a_long_code_hold_a_bounded_number_of_symbols():
+    # Blocks are bounded by symbols too: 16,384 messages of length 16,000 a block peaked at 246 MB.
+    code = LinearCode(Field(31), np.random.default_rng(0).integers(0, 31, size=(2, 16000)))
+    assert max(block.size for _, block in code._blocks()) <= 1 << 22
+    tracemalloc.start()
+    try:
+        code.min_distance()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 10**6
 
 
 @pytest.mark.parametrize(

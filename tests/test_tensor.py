@@ -1,11 +1,12 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ltclab.code
+import ltclab.config
 from ltclab.code import LinearCode, Word, full_code, repetition, reed_solomon
 from ltclab.errors import (
     EmptyProjectionError,
@@ -19,7 +20,7 @@ from ltclab.errors import (
 )
 from ltclab.field import Field
 from ltclab.harness import product_instance
-from ltclab.tensor import TensorWord, project_word, tensor_power, tensor_product
+from ltclab.tensor import TensorCode, TensorWord, project_word, tensor_power, tensor_product
 
 GF2 = Field(2)
 GF5 = Field(5)
@@ -57,7 +58,7 @@ def test_threshold_refuses_on_a_warm_table(monkeypatch):
     t = tensor_power(repetition(GF2, 2), 2)  # 2 codewords
     t.codewords()
     words = np.zeros((1, 4), dtype=np.int64)
-    monkeypatch.setattr(ltclab.code, "ENUMERATION_THRESHOLD", 1)
+    monkeypatch.setattr(ltclab.config, "ENUMERATION_THRESHOLD", 1)
     with pytest.raises(TooLargeToEnumerateError):
         t.nearest_distance_batch(words)
     monkeypatch.undo()
@@ -222,6 +223,29 @@ def test_a_tensor_word_reads_as_the_word_of_its_values(base, m):
         reports = [instance.certify(w, 1, with_views=True) for w in (tword, word)]
         assert reports[0][0].to_json_dict() == reports[1][0].to_json_dict() and reports[0][1] == reports[1][1]
     assert code.contains(tword) and instance.contains(tword)  # the last row is a codeword
+
+
+def test_a_tensor_word_off_the_code_grid_is_refused():
+    # Once read by its values alone: the (4, 2) word of rows [1, 0] was a non-codeword of
+    # rep[2] (x) rep[4] and the all-ones (4, 2) word a codeword, though neither lies on its grid.
+    code = TensorCode((repetition(GF2, 2), repetition(GF2, 4)))
+    for word in (TensorWord(GF2, (4, 2), [1, 0] * 4), TensorWord(GF2, (4, 2), [1] * 8)):
+        with pytest.raises(ShapeMismatchError):
+            code.contains(word)
+        with pytest.raises(ShapeMismatchError):
+            code.nearest(word)
+    assert code.contains(TensorWord(GF2, (2, 4), [1] * 8)) and code.contains(Word(GF2, [1] * 8))
+    assert code.as_linear_code().contains(TensorWord(GF2, (4, 2), [1] * 8))  # a flat code has no grid
+
+
+def test_a_tensor_word_off_the_reference_grid_is_refused():
+    instance = product_instance(repetition(GF2, 2), 2)  # reference rep[2]^2 on the (2, 2) grid
+    with pytest.raises(ShapeMismatchError):
+        instance.certify(TensorWord(GF2, (1, 4), [1, 0, 0, 0]), 1)
+    with pytest.raises(ShapeMismatchError):
+        instance.contains(TensorWord(GF2, (4,), [0] * 4))
+    report, holds = instance.certify(TensorWord(GF2, (2, 2), [1, 0, 0, 0]), 1)
+    assert (report.rho, report.delta, holds) == (Fraction(1, 4), Fraction(1, 4), True)
 
 
 # --- membership -------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ltclab.code
+import ltclab.config
 import ltclab.tanner
 from ltclab.code import Word, repetition, reed_solomon
 from ltclab.errors import FieldMismatchError, LengthMismatchError, TooLargeToEnumerateError
@@ -182,7 +183,7 @@ def test_delta_oracle_refusal_propagates(monkeypatch):
     graph = product_graph(3, 2)
     full = tensor_power(repetition(GF2, 3), 2)
     inst = TestInstance(graph, repetition(GF2, 3), full=full)
-    monkeypatch.setattr(ltclab.code, "ENUMERATION_THRESHOLD", 1)
+    monkeypatch.setattr(ltclab.config, "ENUMERATION_THRESHOLD", 1)
     w = Word(GF2, [1] + [0] * 8)
     with pytest.raises(TooLargeToEnumerateError):
         inst.delta_exact(w)
