@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Optional
 
 from .code import Word
 from .errors import LtcLabError
 from .harness import (
     ExperimentConfig,
     code_to_json_dict,
-    emit_document,
     instance_from_specs,
     parse_flat_code_spec,
     parse_graph_spec,
@@ -36,12 +36,8 @@ from .harness import (
     run_expansion_check,
     run_sweep,
 )
-from .reports import parse_fraction
+from .reports import json_bytes, parse_fraction, write_csv
 from .tanner import TannerCode
-
-
-def _add_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="output path (default: stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,18 +46,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Product-code construction and exact local-tester robustness measurement.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output path (default: stdout)")
+    tester = argparse.ArgumentParser(add_help=False)
+    tester.add_argument("--graph", required=True)
+    tester.add_argument("--small", required=True)
+    tester.add_argument("--code", help="reference full code for delta (optional)")
+    tester.add_argument("--alpha", default="1/65536")
+    tester.add_argument("--tau")
+    tester.add_argument("--sampled", action="store_true")
+    tester.add_argument("--samples", type=int, default=200)
+    tester.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("build-code", help="write a code-spec JSON document")
+    p = sub.add_parser("build-code", parents=[out], help="write a code-spec JSON document")
     p.add_argument("--code", required=True)
-    _add_out(p)
 
     p = sub.add_parser("min-distance", help="exact brute-force minimum distance")
     p.add_argument("--code", required=True)
 
-    p = sub.add_parser("encode", help="encode a message with a code")
+    p = sub.add_parser("encode", parents=[out], help="encode a message with a code")
     p.add_argument("--code", required=True)
     p.add_argument("--message", required=True, help="comma-separated symbols")
-    _add_out(p)
 
     p = sub.add_parser("membership", help="membership of a word")
     p.add_argument("--code", help="plain code membership")
@@ -70,55 +75,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", help="comma-separated symbols")
     p.add_argument("--word-file")
 
-    p = sub.add_parser("robustness", help="robustness report for one word")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--small", required=True)
-    p.add_argument("--code", help="reference full code for delta (optional)")
+    p = sub.add_parser("robustness", parents=[tester, out], help="robustness report for one word")
     p.add_argument("--word")
     p.add_argument("--word-file")
-    p.add_argument("--alpha", default="1/65536")
-    p.add_argument("--tau")
-    p.add_argument("--sampled", action="store_true")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--views", action="store_true", help="include per-view distances")
-    _add_out(p)
 
-    p = sub.add_parser("sweep", help="certify a seeded corpus")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--small", required=True)
-    p.add_argument("--code", help="reference full code for delta (optional)")
+    p = sub.add_parser("sweep", parents=[tester, out], help="certify a seeded corpus")
     p.add_argument("--corpus", default="mixed:120")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", default="1/65536")
-    p.add_argument("--tau")
-    p.add_argument("--sampled", action="store_true")
-    p.add_argument("--samples", type=int, default=200)
-    _add_out(p)
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
-    p = sub.add_parser("compose-check", help="two-level composition identity")
+    p = sub.add_parser("compose-check", parents=[out], help="two-level composition identity")
     p.add_argument("--graph", required=True, help="outer graph")
     p.add_argument("--graph2", required=True, help="inner graph")
     p.add_argument("--small", required=True, help="small code at the inner level")
     p.add_argument("--corpus", default="uniform:50")
     p.add_argument("--seed", type=int, default=0)
-    _add_out(p)
 
-    p = sub.add_parser("expansion-check", help="boundary-expansion scan")
+    p = sub.add_parser("expansion-check", parents=[out], help="boundary-expansion scan")
     p.add_argument("--graph", required=True)
     p.add_argument("--sampled", action="store_true")
     p.add_argument("--samples", type=int, default=10**5)
     p.add_argument("--seed", type=int, default=0)
-    _add_out(p)
 
-    p = sub.add_parser("query-account", help="query bookkeeping for square:n,t")
+    p = sub.add_parser("query-account", parents=[out], help="query bookkeeping for square:n,t")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--alpha", default="1/4294967296", help="per-level robustness constant")
-    _add_out(p)
 
     return parser
+
+
+def _emit(doc, out: Optional[str], fmt: str = "json") -> None:
+    """Write a result document: its report rows as CSV, or its JSON, to ``out`` or to stdout."""
+    if fmt == "csv":
+        if out is None:
+            raise ValueError("CSV output requires an output path")
+        write_csv(out, doc["reports"])
+        print(f"wrote {len(doc['reports'])} rows to {out}")
+    elif out:
+        with open(out, "wb") as fh:
+            fh.write(json_bytes(doc))
+        print(f"wrote {out}")
+    else:
+        print(json_bytes(doc).decode("utf-8"), end="")
 
 
 def _load_word(args, field) -> Word:
@@ -135,8 +134,7 @@ def _cmd_build_code(args) -> int:
     spec = args.code.strip()
     code = parse_flat_code_spec(spec)
     kind = "reed_solomon" if spec.startswith("rs:") and "^" not in spec else "generator"
-    doc = code_to_json_dict(code, kind=kind)
-    print(emit_document(doc, args.out), end="")
+    _emit(code_to_json_dict(code, kind=kind), args.out)
     return 0
 
 
@@ -152,7 +150,7 @@ def _cmd_encode(args) -> int:
     word = code.encode(message)
     # Emit the canonical word format (a bare JSON array) so the output can be
     # fed back through --word-file.
-    print(emit_document(word.to_list(), args.out), end="")
+    _emit(word.to_list(), args.out)
     return 0
 
 
@@ -178,18 +176,10 @@ def _cmd_robustness(args) -> int:
     tau = parse_fraction(args.tau) if args.tau else None
     if args.sampled:
         est = instance.expected_robustness_sampled(word, args.seed, args.samples)
-        doc = {
-            "instance": instance.label,
-            "rho_estimate": str(est.value),
-            "rho_stderr": f"{est.stderr:.6e}",
-            "samples": est.samples,
-            "seed": est.seed,
-            "estimate": True,
-        }
-        print(emit_document(doc, args.out), end="")
+        _emit({"instance": instance.label, **est.to_json_dict(seed=est.seed)}, args.out)
         return 0
     report, _ = instance.certify(word, alpha, tau=tau, with_views=args.views)
-    print(emit_document(report.to_json_dict(), args.out), end="")
+    _emit(report.to_json_dict(), args.out)
     return 0
 
 
@@ -206,11 +196,7 @@ def _cmd_sweep(args) -> int:
         samples=args.samples,
     )
     result = run_sweep(config)
-    msg = emit_document(result.document(), args.out, args.format)
-    if args.out:
-        print(msg)
-    else:
-        print(msg, end="")
+    _emit(result.document(), args.out, args.format)
     print(
         f"# sweep: {result.summary['words']} words, "
         f"{result.violations} violations, {result.wall_time:.2f}s",
@@ -224,8 +210,7 @@ def _cmd_compose_check(args) -> int:
     inner = parse_graph_spec(args.graph2)
     small = parse_flat_code_spec(args.small)
     result = run_compose_check(outer, inner, small, args.corpus, args.seed)
-    msg = emit_document({"report": result["report"]}, args.out)
-    print(msg, end="" if not args.out else "\n")
+    _emit({"report": result["report"]}, args.out)
     print(f"# compose-check: {result['wall_time']:.2f}s", file=sys.stderr)
     return result["exit_code"]
 
@@ -234,15 +219,14 @@ def _cmd_expansion_check(args) -> int:
     graph = parse_graph_spec(args.graph)
     mode = "sampled" if args.sampled else "exhaustive"
     result = run_expansion_check(graph, mode=mode, samples=args.samples, seed=args.seed)
-    msg = emit_document({"report": result["report"]}, args.out)
-    print(msg, end="" if not args.out else "\n")
+    _emit({"report": result["report"]}, args.out)
     print(f"# expansion-check: {result['wall_time']:.2f}s", file=sys.stderr)
     return result["exit_code"]
 
 
 def _cmd_query_account(args) -> int:
     account = query_account(args.n, args.t, parse_fraction(args.alpha))
-    print(emit_document(account.to_json_dict(), args.out), end="")
+    _emit(account.to_json_dict(), args.out)
     return 0
 
 

@@ -379,8 +379,6 @@ class LinearCode:
                 w = w[1:]  # skip the zero codeword
             if w.size:
                 best = min(best, int(w.min()))
-        if self.d_known is None:
-            self.d_known = best
         return best
 
     def nearest(self, word: Word) -> tuple[Word, Fraction]:

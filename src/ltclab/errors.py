@@ -41,7 +41,9 @@ class TooLargeToEnumerateError(LtcLabError, ValueError):
     """A request past the config budget named ``budget`` (``requested`` > ``limit``); see ``config.within``."""
 
     def __init__(self, budget: str, requested: int, limit: int, what: str):
-        super().__init__(f"{what} would hold {requested}, past {budget} = {limit}")
+        # Python will not print an int of more than 4,300 digits (14,000 bits is at most 4,215 of them).
+        shown = requested if requested.bit_length() <= 14000 else f"at least 2^{requested.bit_length() - 1}"
+        super().__init__(f"{what} would hold {shown}, past {budget} = {limit}")
         self.budget, self.requested, self.limit = budget, requested, limit
 
 

@@ -68,13 +68,10 @@ def row_basis(a: np.ndarray, q: int) -> np.ndarray:
 def null_space(a: np.ndarray, q: int) -> np.ndarray:
     """Rows spanning ``{x : a @ x = 0}``; shape (n - rank, n)."""
     r, pivots = rref(a, q)
-    n = a.shape[1]
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for row, p in enumerate(pivots):
-            basis[i, p] = (-r[row, f]) % q
+    free = np.setdiff1d(np.arange(a.shape[1]), pivots)
+    basis = np.zeros((len(free), a.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-r[: len(pivots), free].T) % q
     return basis
 
 

@@ -193,7 +193,8 @@ class TensorCode(LinearCode):
         arr = messages.reshape((messages.shape[0],) + tuple(c.k for c in self.factors))
         for b0, factor in enumerate(self.factors):
             arr = np.tensordot(arr, factor.generator, axes=([1 + b0], [0]))
-            arr = np.moveaxis(arr, -1, 1 + b0) % self.field.q
+            arr %= self.field.q  # in place, on the contiguous product: no int64 copy per axis
+            arr = np.moveaxis(arr, -1, 1 + b0)
         return arr.reshape(messages.shape[0], self.n)
 
     def as_linear_code(self) -> LinearCode:

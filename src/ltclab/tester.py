@@ -31,6 +31,7 @@ import numpy as np
 from .code import LinearCode, Word
 from .config import within
 from .errors import FieldMismatchError, LengthMismatchError, TooLargeToEnumerateError
+from .reports import frac_decimal, frac_str
 from .tanner import OrderedGraph, TannerCode
 
 
@@ -42,6 +43,16 @@ class SampledEstimate:
     stderr: float
     samples: int
     seed: int
+
+    def to_json_dict(self, **fields) -> dict:
+        """The estimate's keys, the caller's ``fields``, then ``estimate``: a sweep's CSV column order."""
+        return {
+            "rho_estimate": frac_str(self.value),
+            "rho_stderr": f"{self.stderr:.6e}",
+            "samples": self.samples,
+            **fields,
+            "estimate": True,
+        }
 
 
 @dataclass(frozen=True)
@@ -83,8 +94,6 @@ class RobustnessReport:
         return self.delta_lower
 
     def to_json_dict(self) -> dict:
-        from .reports import frac_decimal, frac_str
-
         out = {
             "instance": self.label,
             "word_source": dict(self.word_source),

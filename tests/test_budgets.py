@@ -74,6 +74,19 @@ def test_within_returns_a_request_at_the_limit_and_reads_the_budget_per_call(mon
         within("REPETITIONS", 10**6, "amplified test")
 
 
+@pytest.mark.parametrize(
+    "requested, shown",
+    [(2**14000 - 1, str(2**14000 - 1)), (2**14000, "at least 2^14000"), (65521**993, "at least 2^15887")],
+    ids=["14000-bits", "14001-bits", "rep-reference"],
+)
+def test_a_refusal_too_large_to_print_shows_its_magnitude(requested, shown):
+    # Python will not turn an int of more than 4,300 digits into a string.
+    with pytest.raises(TooLargeToEnumerateError) as err:
+        within("ENUMERATION_THRESHOLD", requested, "codeword enumeration")
+    assert err.value.requested == requested
+    assert str(err.value) == f"codeword enumeration would hold {shown}, past ENUMERATION_THRESHOLD = {2**24}"
+
+
 def test_a_refused_reference_still_certifies_an_interval():
     # The derived Tanner product code is refused by DERIVED_PARITY_CELLS; delta stays an interval.
     instance = instance_from_specs("product:n=12,m=3", "rep:q=2,n=12^2")

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ltclab.cli import main
+from ltclab.cli import _HANDLERS, main
 
 
 def run_cli(capsys, *argv):
@@ -484,9 +484,54 @@ def test_interval_reports_are_pinned(capsys, alpha, holds, digest):
          "exhaustive expansion scan would hold 203568128, past EXPANSION_PAIRS = 10000000"),
         (["sweep", "--graph", "product:n=3,m=3", "--small", "rep:q=2,n=3^2", "--corpus", "low_weight,wmax=9"],
          "low_weight corpus would hold 8192524, past LOW_WEIGHT_WORDS = 1000000"),
+        # 65521^1000 has more digits than Python will print.
+        (["min-distance", "--code", "full:q=65521,n=1000"],
+         "codeword enumeration would hold at least 2^15999, past ENUMERATION_THRESHOLD = 16777216"),
     ],
-    ids=["expansion-check", "sweep"],
+    ids=["expansion-check", "sweep", "min-distance-too-large-to-print"],
 )
 def test_a_refusal_is_a_usage_error_naming_its_budget(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and err.splitlines() == [f"error: {message}"]
+
+
+def test_a_reference_too_large_to_print_falls_back_to_the_interval(capsys, tmp_path):
+    # The derived reference has 65521^993 codewords; left vertices 33..1024 lie in no view.
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"n": 1024, "m": 1, "t": 32, "lists": [list(range(1, 33))]}))
+    code, out, _ = run_cli(
+        capsys, "robustness", "--graph", str(graph), "--small", "rep:q=65521,n=32",
+        "--word", ",".join(["1"] + ["0"] * 1023),
+    )
+    doc = json.loads(out)
+    assert code == 0 and doc["delta"] is None and doc["delta_interval"] == ["0", "1"] and doc["rho"] == "1/32"
+
+
+@pytest.mark.parametrize("command", sorted(_HANDLERS))
+def test_every_subcommand_has_help(capsys, command):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: ltclab {command} ")
+
+
+OUT_COMMANDS = {
+    "build-code": ["--code", "rep:q=2,n=3"],
+    "encode": ["--code", "rs:q=5,n=5,k=2", "--message", "2,3"],
+    "robustness": ["--graph", "product:n=3,m=2", "--small", "rep:q=2,n=3", "--word", "1,0,0,0,0,0,0,0,0"],
+    "sweep": ["--graph", "product:n=3,m=2", "--small", "rep:q=2,n=3", "--corpus", "uniform:4", "--seed", "1"],
+    "compose-check": ["--graph", "product:n=2,m=4", "--graph2", "product:n=2,m=3", "--small", "rep:q=2,n=2^2",
+                      "--corpus", "uniform:4"],
+    "expansion-check": ["--graph", "product:n=2,m=3"],
+    "query-account": ["--n", "2", "--t", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_out_writes_what_stdout_prints(capsys, tmp_path, command):
+    code, printed, _ = run_cli(capsys, command, *OUT_COMMANDS[command])
+    assert code == 0
+    path = tmp_path / "out.json"
+    code, out, _ = run_cli(capsys, command, *OUT_COMMANDS[command], "--out", str(path))
+    assert code == 0 and out == f"wrote {path}\n"
+    assert path.read_bytes() == printed.encode()

@@ -12,6 +12,7 @@ from ltclab.errors import TooLargeToEnumerateError
 from ltclab.field import Field
 from ltclab.harness import (
     ExperimentConfig,
+    _hypotheses,
     code_to_json_dict,
     instance_from_specs,
     load_code_file,
@@ -292,6 +293,22 @@ def test_sweep_hypotheses_recorded():
     hyp = result.summary["hypotheses"]
     assert hyp["product_tester"] is True
     assert hyp["product_tester_margin"] == "27000/29791"
+
+
+def test_sweep_counts_the_words_an_interval_cannot_decide():
+    # DERIVED_PARITY_CELLS refuses the reference code; at alpha 1 no interval [rho, 1] decides.
+    config = ExperimentConfig("product:n=12,m=3", "rep:q=2,n=12^2", corpus="uniform:3", alpha=Fraction(1))
+    summary = run_sweep(config).summary
+    assert (summary["words"], summary["violations"], summary["undecided"]) == (3, 0, 3)
+
+
+def test_a_report_does_not_depend_on_an_earlier_min_distance_call():
+    base = LinearCode.from_rows(Field(5), [[1, 1, 1, 1, 1]])  # no declared distance
+    before = product_instance(base, 3)
+    assert base.min_distance() == 5 and base.d_known is None
+    after = product_instance(base, 3)
+    assert before.label == after.label == "product(base=[5,1,None]q5,m=3)"
+    assert _hypotheses(before.full) is None and _hypotheses(after.full) is None
 
 
 # --- compose and expansion checks ----------------------------------------------------------

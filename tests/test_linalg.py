@@ -82,3 +82,32 @@ def test_null_space_annihilates(args):
     assert ns.shape[0] == a.shape[1] - linalg.rank(a, q)
     if ns.shape[0]:
         assert not np.any((a @ ns.T) % q)
+
+
+def _null_space_by_loops(a, q):
+    """The reference: the null-space basis built by loops over the free and pivot columns."""
+    r, pivots = linalg.rref(a, q)
+    n = a.shape[1]
+    free = [c for c in range(n) if c not in pivots]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    for i, f in enumerate(free):
+        basis[i, f] = 1
+        for row, p in enumerate(pivots):
+            basis[i, p] = (-r[row, f]) % q
+    return basis
+
+
+@given(matrices())
+def test_null_space_is_the_basis_of_the_reference_loops(args):
+    # The row order fixes the message order of every derived reference code, and through it ties.
+    q, a = args
+    assert np.array_equal(linalg.null_space(a, q), _null_space_by_loops(a, q))
+
+
+@pytest.mark.parametrize("q, rows, cols, rank", [(2, 12, 30, 9), (31, 20, 40, 13), (5, 40, 25, 25)])
+def test_null_space_of_larger_matrices_is_the_basis_of_the_reference_loops(q, rows, cols, rank):
+    rng = np.random.default_rng([q, rows, cols])
+    a = rng.integers(0, q, size=(rows, rank)) @ rng.integers(0, q, size=(rank, cols)) % q
+    basis = linalg.null_space(a, q)
+    assert basis.dtype == np.int64 and np.array_equal(basis, _null_space_by_loops(a, q))
+    assert not np.any((a @ basis.T) % q)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -266,6 +267,20 @@ def test_encode_tensor_refuses_meaningless_symbols(message):
     t = tensor_power(reed_solomon(GF5, 5, 2), 2)
     with pytest.raises(ValueError):
         t.encode_tensor(message)
+
+
+def test_encoding_a_block_holds_one_int64_copy_of_it():
+    # Four codewords of RS[31,1]^4 fill one 2^22-symbol enumeration block: 29.5 MB as int64.
+    code = tensor_power(reed_solomon(Field(31), 31, 1), 4)
+    messages = np.arange(1, 5, dtype=np.int64)[:, None]
+    tracemalloc.start()
+    try:
+        words = code.encode_batch(messages)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 35 * 2**20, peak
+    assert np.array_equal(words, np.repeat(messages, 31**4, axis=1))  # RS[31,1] repeats its symbol
 
 
 def test_zero_tensor_is_member():

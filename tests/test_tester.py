@@ -179,6 +179,23 @@ def test_certify_interval_when_oracle_missing():
         _ = report.delta
 
 
+def test_a_refused_oracle_falls_back_to_the_interval(monkeypatch):
+    # RS[3,2] over GF(3) has 9 codewords, within the patched threshold; its square's 81 are not.
+    inst = product_instance(reed_solomon(Field(3), 3, 2), 2)
+    monkeypatch.setattr(ltclab.config, "ENUMERATION_THRESHOLD", 9)
+    report, holds = inst.certify(Word(Field(3), [1] + [0] * 8), Fraction(1, 2))
+    assert not report.delta_exact and (report.delta_lower, report.delta_upper) == (Fraction(1, 9), 1)
+    assert report.rho == Fraction(1, 9) and holds is None
+
+
+def test_the_interval_starts_at_zero_on_a_graph_that_is_not_left_regular():
+    # Left vertex 1 is in both views and vertex 4 in none, so rho need not bound delta from below.
+    inst = TestInstance(OrderedGraph.from_lists(4, [[1, 2], [1, 3]]), repetition(GF2, 2))
+    report, _ = inst.certify(Word(GF2, [0, 1, 0, 0]), Fraction(1, 2))
+    assert (report.delta_lower, report.delta_upper, report.delta_exact) == (0, 1, False)
+    assert report.rho == Fraction(1, 4)
+
+
 def test_delta_oracle_refusal_propagates(monkeypatch):
     graph = product_graph(3, 2)
     full = tensor_power(repetition(GF2, 3), 2)
