@@ -11,7 +11,6 @@ from .code import (
 from .field import Field, FieldElement
 from .harness import (
     ExperimentConfig,
-    QueryAccount,
     instance_from_specs,
     parse_code_spec,
     parse_graph_spec,
@@ -60,7 +59,6 @@ __all__ = [
     "RobustnessReport",
     "SampledEstimate",
     "ExperimentConfig",
-    "QueryAccount",
     "instance_from_specs",
     "parse_code_spec",
     "parse_graph_spec",

@@ -176,7 +176,7 @@ def _cmd_robustness(args) -> int:
     tau = parse_fraction(args.tau) if args.tau else None
     if args.sampled:
         est = instance.expected_robustness_sampled(word, args.seed, args.samples)
-        _emit({"instance": instance.label, **est.to_json_dict(seed=est.seed)}, args.out)
+        _emit({"instance": instance.label, **est.to_json_dict(seed=args.seed)}, args.out)
         return 0
     report, _ = instance.certify(word, alpha, tau=tau, with_views=args.views)
     _emit(report.to_json_dict(), args.out)
@@ -225,8 +225,7 @@ def _cmd_expansion_check(args) -> int:
 
 
 def _cmd_query_account(args) -> int:
-    account = query_account(args.n, args.t, parse_fraction(args.alpha))
-    _emit(account.to_json_dict(), args.out)
+    _emit(query_account(args.n, args.t, parse_fraction(args.alpha)), args.out)
     return 0
 
 

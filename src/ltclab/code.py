@@ -53,14 +53,25 @@ def index_columns(coords: Sequence[int], n: int, what: str) -> np.ndarray:
     return np.array(idx, dtype=np.int64) - 1
 
 
-def _coerce_symbols(field: Field, symbols, ndim: int = 1) -> np.ndarray:
-    """A new ``ndim``-d array of the symbols as symbol_dtype(field), range-checked first.
+def residues(field: Field, words: np.ndarray, n: int) -> np.ndarray:
+    """``words`` itself, once checked to be a (B, n) integer array of residues in [0, q).
 
-    Refuses a float, bool or object array and any symbol outside [0, q) with a ValueError.
+    Refuses another shape with a LengthMismatchError, and a float, bool or object
+    array or a symbol outside [0, q) with a ValueError.  Copies nothing; an
+    unsigned array costs one reduction (its max).
     """
+    if words.ndim != 2 or words.shape[1] != n:
+        raise LengthMismatchError(f"words of shape {words.shape}, expected (B, {n})")
+    if words.dtype.kind not in "iu":
+        raise ValueError(f"symbols must be integers, got dtype {words.dtype}")
+    if words.size and ((words.dtype.kind == "i" and words.min() < 0) or words.max() >= field.q):
+        raise ValueError(f"symbol values must lie in [0, {field.q})")
+    return words
+
+
+def _coerce_symbols(field: Field, symbols) -> np.ndarray:
+    """A new 1-d array of the symbols as symbol_dtype(field), checked as ``residues`` checks a row."""
     if isinstance(symbols, np.ndarray):
-        if symbols.dtype.kind not in "iu":
-            raise ValueError(f"symbols must be integers, got dtype {symbols.dtype}")
         values = symbols
     else:
         out = []
@@ -80,11 +91,9 @@ def _coerce_symbols(field: Field, symbols, ndim: int = 1) -> np.ndarray:
             values = np.array(out, dtype=np.int64)
         except OverflowError:
             raise ValueError(f"symbol values must lie in [0, {field.q})") from None
-    if values.ndim != ndim:
-        raise ValueError(f"symbols must form a {ndim}-d array, got {values.ndim} dimensions")
-    if values.size and (values.min() < 0 or values.max() >= field.q):
-        raise ValueError(f"symbol values must lie in [0, {field.q})")
-    return values.astype(symbol_dtype(field))
+    if values.ndim != 1:
+        raise ValueError(f"symbols must form a 1-d array, got {values.ndim} dimensions")
+    return residues(field, values[None], values.size)[0].astype(symbol_dtype(field))
 
 
 class Word:
@@ -303,9 +312,8 @@ class LinearCode:
         return bool(self.contains_batch(word_values(word, self.field, self.n, self.shape)[None])[0])
 
     def contains_batch(self, words: np.ndarray) -> np.ndarray:
-        """Vectorized membership for a (B, n) array of words."""
-        if self.parity_check.shape[0] == 0:
-            return np.ones(words.shape[0], dtype=bool)
+        """Vectorized membership for a (B, n) array of words, refused as ``residues`` refuses."""
+        residues(self.field, words, self.n)
         return ~np.any((words @ self.parity_check.T) % self.field.q, axis=1)
 
     # --- exhaustive oracles -------------------------------------------------
@@ -400,11 +408,12 @@ class LinearCode:
     def nearest_distance_batch(self, words: np.ndarray) -> np.ndarray:
         """Per-row Hamming distance from a (B, n) array to the nearest codeword.
 
-        ``words`` must hold residues in [0, q); they are packed into bit-planes
-        once.  Compares against the planes of the cached table when it fits in
-        TABLE_CELLS cells; otherwise packs each streamed codeword block,
-        keeping a running minimum.
+        ``words`` must hold residues in [0, q), as ``residues`` checks; they are
+        packed into bit-planes once.  Compares against the planes of the cached
+        table when it fits in TABLE_CELLS cells; otherwise packs each streamed
+        codeword block, keeping a running minimum.
         """
+        residues(self.field, words, self.n)
         bits, (batch, n) = (self.field.q - 1).bit_length(), words.shape
         packed = np.zeros((bits, batch, 1, -(-n // 64)), dtype=np.uint64)
         _pack(words, packed[:, :, 0])

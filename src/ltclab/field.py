@@ -73,6 +73,28 @@ class Field:
         return f"GF({self.q})"
 
 
+def _operator(combine):
+    """A binary operator of FieldElement: the element combine(field, a, b) mod q.
+
+    ``a`` is the element's residue and ``b`` the operand's.  The operand is an
+    element of the same field (one of another field is a FieldMismatchError)
+    or an int; any other operand gets NotImplemented.
+    """
+
+    def op(self, other):
+        if isinstance(other, FieldElement):
+            if other.field != self.field:
+                raise FieldMismatchError(f"operands from {self.field} and {other.field}")
+            b = other.value
+        elif isinstance(other, int) and not isinstance(other, bool):
+            b = other % self.field.q
+        else:
+            return NotImplemented
+        return FieldElement(self.field, combine(self.field, self.value, b) % self.field.q)
+
+    return op
+
+
 class FieldElement:
     """An element of a prime field; arithmetic rejects mixed-field operands."""
 
@@ -87,56 +109,12 @@ class FieldElement:
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
 
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"operands from {self.field} and {other.field}"
-                )
-            return other
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.field.element(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, (self.value + o.value) % self.field.q)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, (self.value - o.value) % self.field.q)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, (self.value * o.value) % self.field.q)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
+    __add__ = __radd__ = _operator(lambda f, a, b: a + b)
+    __sub__ = _operator(lambda f, a, b: a - b)
+    __rsub__ = _operator(lambda f, a, b: b - a)
+    __mul__ = __rmul__ = _operator(lambda f, a, b: a * b)
+    __truediv__ = _operator(lambda f, a, b: a * f.inv(b))
+    __rtruediv__ = _operator(lambda f, a, b: b * f.inv(a))
 
     def __neg__(self):
         return FieldElement(self.field, (-self.value) % self.field.q)

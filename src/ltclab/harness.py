@@ -50,7 +50,7 @@ from .tanner import (
     tpc_linear_code,
 )
 from .tensor import TensorCode, TensorWord, tensor_power
-from .tester import TestInstance
+from .tester import TestInstance, positive_alpha
 
 
 # --- inline specs -------------------------------------------------------------
@@ -282,17 +282,17 @@ def _hypotheses(full) -> Optional[dict]:
 
 
 def run_sweep(config: ExperimentConfig, instance: Optional[TestInstance] = None) -> SweepResult:
-    """Certify every corpus word at the configured alpha.
+    """Certify every corpus word at the configured alpha, refused first unless positive.
 
     Returns per-word reports plus a summary with the violation count and the
     empirical minimum of rho/delta over words at positive distance.
     """
     t0 = time.perf_counter()
+    alpha = positive_alpha(config.alpha)
     if instance is None:
         instance = instance_from_specs(config.graph_spec, config.small_spec, config.full_spec)
     parts = parse_corpus_spec(config.corpus)
     words = generate_corpus(instance, parts, config.seed)
-    alpha = Fraction(config.alpha)
     reports = []
     violations = 0
     min_ratio: Optional[Fraction] = None
@@ -468,41 +468,16 @@ def run_expansion_check(
 # --- query accounting -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QueryAccount:
-    """Query bookkeeping for the degree-n^2 recursive tester family."""
+def query_account(n: int, t: int, alpha0: Fraction) -> dict:
+    """The query account of the degree-n^2 recursive tester family, as a report document.
 
-    n: int
-    t: int
-    alpha0: Fraction
-    queries: int  # per-invocation query count = n^2
-    repetitions: int  # ceil(1 / alpha0^t)
-    total: int
-    block_length: Optional[int]  # n^(2^t) when it fits; None otherwise
-    log2_block_length: float
-    polylog_exponent: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "alpha0": frac_str(self.alpha0),
-            "queries": self.queries,
-            "repetitions": str(self.repetitions),
-            "total_queries": str(self.total),
-            "block_length": self.block_length,
-            "log2_block_length": self.log2_block_length,
-            "polylog_exponent": self.polylog_exponent,
-        }
-
-
-def query_account(n: int, t: int, alpha0: Fraction) -> QueryAccount:
-    """Exact query counts after robustness amplification, computed in log space.
-
-    The per-invocation cost is the right degree n^2; the composed tester's
-    robustness constant is alpha0^t, so ceil(1/alpha0^t) repetitions drive the
-    rejection probability up to the delta/2 floor.  The polylog exponent e
-    satisfies total = (log2 N)^e for block length N = n^(2^t).
+    Exact query counts after robustness amplification, computed in log space.
+    The per-invocation cost ``queries`` is the right degree n^2; the composed
+    tester's robustness constant is alpha0^t, so ceil(1/alpha0^t)
+    ``repetitions`` drive the rejection probability up to the delta/2 floor.
+    ``repetitions`` and ``total_queries`` are decimal strings, since they
+    outgrow JSON numbers.  ``block_length`` N = n^(2^t) is None past 2^62, and
+    the polylog exponent e satisfies total = (log2 N)^e.
     """
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
@@ -511,22 +486,19 @@ def query_account(n: int, t: int, alpha0: Fraction) -> QueryAccount:
     alpha0 = Fraction(alpha0)
     if not 0 < alpha0 <= 1:
         raise ValueError("alpha0 must lie in (0, 1]")
-    q = n * n
     level = alpha0**t
     reps = -(-level.denominator // level.numerator)  # ceil(1/alpha0^t)
-    total = q * reps
+    total = n * n * reps
     log2_n_big = (2**t) * math.log2(n)
-    block = n ** (2**t) if log2_n_big <= 62 else None
-    # math.log2 takes arbitrarily large Python ints without overflow.
-    polylog_exp = math.log2(total) / math.log2(log2_n_big) if log2_n_big > 1 else float("inf")
-    return QueryAccount(
-        n=n,
-        t=t,
-        alpha0=alpha0,
-        queries=q,
-        repetitions=reps,
-        total=total,
-        block_length=block,
-        log2_block_length=log2_n_big,
-        polylog_exponent=polylog_exp,
-    )
+    return {
+        "n": n,
+        "t": t,
+        "alpha0": frac_str(alpha0),
+        "queries": n * n,
+        "repetitions": str(reps),
+        "total_queries": str(total),
+        "block_length": n ** (2**t) if log2_n_big <= 62 else None,
+        "log2_block_length": log2_n_big,
+        # math.log2 takes arbitrarily large Python ints without overflow; log2 N >= 4 here.
+        "polylog_exponent": math.log2(total) / math.log2(log2_n_big),
+    }

@@ -23,11 +23,11 @@ def frac_str(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
-def frac_decimal(fr: Fraction, digits: int = 20) -> str:
-    """Decimal rendering with the given number of significant digits."""
+def frac_decimal(fr: Fraction) -> str:
+    """Decimal rendering with 20 significant digits."""
     fr = Fraction(fr)
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 20
         return str(Decimal(fr.numerator) / Decimal(fr.denominator))
 
 

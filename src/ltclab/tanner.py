@@ -21,14 +21,13 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .code import LinearCode, Word, _coerce_symbols, as_integer, full_code, word_values
+from .code import LinearCode, Word, as_integer, full_code, residues, symbol_dtype, word_values
 from .config import ADJACENCY_BUDGET, BROADCAST_CELLS, within
 from .errors import (
     DegreeMismatchError,
     EntryOutOfRangeError,
     GraphTooLargeError,
     InapplicableError,
-    LengthMismatchError,
     RaggedListsError,
 )
 
@@ -312,10 +311,8 @@ class TannerCode:
         return word_values(word, self.small.field, self.graph.n_left, self.grid)[None]
 
     def _rows(self, values: np.ndarray) -> np.ndarray:
-        """The (B, n_left) rows as symbol_dtype; refuses symbols that are not residues mod q."""
-        if values.shape[1:] != (self.graph.n_left,):
-            raise LengthMismatchError(f"words of shape {values.shape}, expected (B, {self.graph.n_left})")
-        return _coerce_symbols(self.small.field, values, ndim=2)
+        """A copy of the (B, n_left) rows as symbol_dtype, refused as ``residues`` refuses."""
+        return residues(self.small.field, values, self.graph.n_left).astype(symbol_dtype(self.small.field))
 
     def contains(self, word: Word) -> bool:
         return bool(self.contains_batch(self._values(word))[0])

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .code import LinearCode, Word, _coerce_symbols, as_integer, index_columns
+from .code import LinearCode, Word, _coerce_symbols, as_integer, index_columns, residues
 from .config import within
 from .errors import (
     FieldMismatchError,
@@ -144,10 +144,6 @@ class TensorCode(LinearCode):
         ds = [c.d_known for c in factors]
         self.d_known = math.prod(ds) if None not in ds else None
 
-    @property
-    def m(self) -> int:
-        return len(self.factors)
-
     @functools.cached_property
     def generator(self) -> np.ndarray:
         """The read-only flat Kronecker generator, derived on first use."""
@@ -162,8 +158,9 @@ class TensorCode(LinearCode):
         """Membership of (B, n) words via axis-parallel lines.
 
         True iff for every axis b, every line parallel to axis b is a codeword
-        of the b-th factor.
+        of the b-th factor.  Refuses ``flat_words`` as ``residues`` refuses.
         """
+        residues(self.field, flat_words, self.n)
         batch = flat_words.shape[0]
         arrs = flat_words.reshape((batch,) + self.shape)
         ok = np.ones(batch, dtype=bool)
@@ -211,8 +208,8 @@ class TensorCode(LinearCode):
         Gaussian elimination against the projected generator; an inconsistent
         system means ``partial`` is not a codeword of the projected product.
         """
-        if len(index_sets) != self.m:
-            raise ValueError(f"expected {self.m} index sets, got {len(index_sets)}")
+        if len(index_sets) != len(self.factors):
+            raise ValueError(f"expected {len(self.factors)} index sets, got {len(index_sets)}")
         sets0 = []
         for b, (raw, factor) in enumerate(zip(index_sets, self.factors), start=1):
             cols = index_columns(raw, factor.n, f"axis {b} indices")

@@ -35,6 +35,14 @@ from .reports import frac_decimal, frac_str
 from .tanner import OrderedGraph, TannerCode
 
 
+def positive_alpha(alpha) -> Fraction:
+    """``alpha`` as a Fraction; refuses alpha <= 0, at which rho >= alpha * delta holds for every word."""
+    alpha = Fraction(alpha)
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    return alpha
+
+
 @dataclass(frozen=True)
 class SampledEstimate:
     """Seeded unbiased estimate of the expected robustness."""
@@ -42,7 +50,6 @@ class SampledEstimate:
     value: Fraction
     stderr: float
     samples: int
-    seed: int
 
     def to_json_dict(self, **fields) -> dict:
         """The estimate's keys, the caller's ``fields``, then ``estimate``: a sweep's CSV column order."""
@@ -192,7 +199,7 @@ class TestInstance(TannerCode):
         mean = Fraction(int(hams.sum()), samples * t)
         rel = hams / t
         var = float(rel.var(ddof=1)) if samples > 1 else 0.0
-        return SampledEstimate(mean, math.sqrt(var / samples), samples, seed)
+        return SampledEstimate(mean, math.sqrt(var / samples), samples)
 
     def tau_soundness_error(self, word: Word, tau: Fraction) -> Fraction:
         """Fraction of views strictly more than tau-far from the small code."""
@@ -251,9 +258,9 @@ class TestInstance(TannerCode):
         """Build a full robustness report and decide rho >= alpha * delta.
 
         An exact delta d is the interval [d, d]; the verdict is None when the
-        interval alone cannot decide it.
+        interval alone cannot decide it.  Refuses alpha <= 0, as ``positive_alpha`` does.
         """
-        alpha = Fraction(alpha)
+        alpha = positive_alpha(alpha)
         hams = self.view_hammings(word)
         t = self.graph.t_degree
         rho = Fraction(int(hams.sum()), self.graph.m_right * t)
@@ -286,9 +293,7 @@ class TestInstance(TannerCode):
         repeated test accepts only if every run accepts.  The result is
         compared against the rejection floor delta/2 of a sound local test.
         """
-        alpha = Fraction(alpha)
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        alpha = positive_alpha(alpha)
         c = within("REPETITIONS", -(-alpha.denominator // alpha.numerator), "amplified test")  # ceil(1/alpha)
         p = self._soundness_error(self.view_hammings(word), Fraction(0))
         reject = 1 - (1 - p) ** c

@@ -423,6 +423,66 @@ def test_unknown_subcommand_exits_2():
     assert err.value.code == 2
 
 
+TINY_SWEEP = ["sweep", "--graph", "product:n=2,m=2", "--small", "rep:q=2,n=2"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["membership", "--code", "rep:q=2,n=3", "--word", "1,1,1", "--word-file", "w.json"],
+         "give either --word or --word-file, not both"),
+        (["membership", "--code", "rep:q=2,n=3"], "a word is required (--word or --word-file)"),
+        (["membership", "--word", "1,1,1"], "membership needs --code, or --graph with --small"),
+        (TINY_SWEEP + ["--format", "csv", "--corpus", "uniform:2"], "CSV output requires an output path"),
+        (["min-distance", "--code", "rep:q=2,n=2^2^2"], "nested tensor powers are not supported"),
+        (["query-account", "--n", "2", "--t", "1"], "need t >= 2, got 1"),
+        (["query-account", "--n", "1", "--t", "2"], "need n >= 2, got 1"),
+        (["query-account", "--n", "2", "--t", "2", "--alpha", "0"], "alpha0 must lie in (0, 1]"),
+        (["query-account", "--n", "2", "--t", "2", "--alpha", "3/2"], "alpha0 must lie in (0, 1]"),
+        # DERIVED_PARITY_CELLS refuses the reference code, so no corpus kind can read its codewords.
+        (["sweep", "--graph", "product:n=12,m=3", "--small", "rep:q=2,n=12^2", "--corpus", "codewords:3"],
+         "this corpus kind needs a reference full code on the instance"),
+    ],
+    ids=["word-and-word-file", "no-word", "membership-without-code", "csv-without-out", "nested-power",
+         "query-account-t", "query-account-n", "query-account-alpha-0", "query-account-alpha-above-1",
+         "codewords-without-reference"],
+)
+def test_a_usage_error_prints_one_line_and_nothing_on_stdout(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        TINY_SWEEP + ["--alpha", "-1", "--corpus", "uniform:3"],
+        TINY_SWEEP + ["--alpha", "0", "--corpus", "uniform:3", "--sampled"],
+        ["robustness", "--graph", "product:n=2,m=2", "--small", "rep:q=2,n=2", "--word", "1,0,0,0", "--alpha", "0"],
+    ],
+    ids=["sweep", "sampled-sweep", "robustness"],
+)
+def test_a_robustness_constant_that_is_not_positive_is_a_usage_error(capsys, argv):
+    # At alpha <= 0, rho >= alpha * delta holds for every word, so every verdict would be vacuous.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: alpha must be positive"]
+
+
+def test_a_generator_file_spec_prints_its_distance(capsys, tmp_path):
+    path = tmp_path / "code.spec"  # a name ending in .json is read as a code file without the prefix
+    path.write_text(json.dumps({"field": 2, "generator": [[1, 1, 0, 0], [0, 0, 1, 1]]}))
+    code, out, _ = run_cli(capsys, "min-distance", "--code", f"gen:{path}")
+    assert code == 0 and out == "2\n"
+
+
+def test_an_empty_corpus_writes_an_empty_csv(capsys, tmp_path):
+    path = tmp_path / "r.csv"
+    code, out, _ = run_cli(capsys, *TINY_SWEEP, "--corpus", "uniform:0", "--format", "csv", "--out", str(path))
+    assert code == 0 and out == f"wrote 0 rows to {path}\n"
+    assert path.read_bytes() == b""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -23,6 +23,7 @@ from ltclab.errors import (
     TooLongError,
 )
 from ltclab.field import Field
+from ltclab.tensor import tensor_power
 
 from conftest import SMALL_PRIMES
 
@@ -106,6 +107,26 @@ def test_word_reads_field_elements_of_its_own_field_only():
 def test_word_refuses_symbols_that_are_not_a_vector():
     with pytest.raises(ValueError, match="1-d array"):
         Word(GF2, np.zeros((2, 2), dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "call, words, error",
+    [
+        (repetition(GF2, 3).contains_batch, np.array([[2, 0, 0]]), ValueError),
+        # 9 and 1 agree on GF(5)'s three bit-planes.
+        (repetition(GF5, 3).nearest_distance_batch, np.array([[9, 1, 1]]), ValueError),
+        (repetition(GF5, 3).nearest_distance_batch, np.full((1, 3), 1.0), ValueError),
+        (repetition(GF5, 3).contains_batch, np.array([[-1, 4, 4]]), ValueError),
+        (tensor_power(repetition(GF2, 2), 2).contains_batch, np.array([[2, 0, 0, 0]], dtype=np.uint8), ValueError),
+        (repetition(GF2, 3).nearest_distance_batch, np.zeros((1, 4), dtype=np.int64), LengthMismatchError),
+        (tensor_power(repetition(GF2, 2), 2).contains_batch, np.zeros(4, dtype=np.int64), LengthMismatchError),
+    ],
+    ids=["contains-above-q", "nearest-above-q", "nearest-float", "contains-negative", "tensor-contains-above-q",
+         "nearest-width", "tensor-contains-1-d"],
+)
+def test_batch_oracles_refuse_arrays_that_are_not_residues(call, words, error):
+    with pytest.raises(error):
+        call(words)
 
 
 # --- encoding ---------------------------------------------------------------

@@ -121,3 +121,33 @@ def test_axioms_sampled_large_fields(q, x, y, z):
     assert a * (b + c) == a * b + a * c
     if b.value != 0:
         assert (a / b) * b == a
+
+
+def test_subtraction_division_and_conversions():
+    f = Field(7)
+    a, b = f.element(3), f.element(5)
+    assert a - b == f.element(5)
+    assert 2 - a == f.element(6)
+    assert 2 / a == f.element(3)  # 2 * 5, as 3 * 5 = 1 mod 7
+    assert -a == f.element(4)
+    assert a == 3 + 7 and a != 4 and a != "3"
+    assert hash(a) == hash(f.element(10))
+    assert a and not f.element(0)
+    assert int(a) == 3
+    assert repr(a) == "3 (mod 7)"
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda a: a + "x",
+        lambda a: "x" - a,
+        lambda a: a * 1.5,
+        lambda a: a / "x",
+        lambda a: a ** 1.5,
+    ],
+    ids=["add", "rsub", "mul", "truediv", "pow"],
+)
+def test_an_operand_that_is_not_an_integer_raises_type_error(op):
+    with pytest.raises(TypeError):
+        op(Field(7).element(3))

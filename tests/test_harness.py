@@ -417,37 +417,48 @@ def test_expansion_check_exhaustive_refuses_large():
 
 def test_query_account_example():
     acc = query_account(2, 2, Fraction(1, 2**32))
-    assert acc.queries == 4
-    assert acc.repetitions == 2**64
-    assert acc.block_length == 16
+    assert acc["queries"] == 4
+    assert acc["repetitions"] == str(2**64)
+    assert acc["block_length"] == 16
 
 
 def test_query_account_matches_built_graph():
     for n, t in [(2, 2), (2, 3), (3, 2)]:
         acc = query_account(n, t, Fraction(1, 2**32))
         graph = parse_graph_spec(f"square:n={n},t={t}")
-        assert acc.queries == graph.t_degree
+        assert acc["queries"] == graph.t_degree
 
 
 def test_query_account_growth():
     t = 2
     for n in (2, 3, 5):
         acc = query_account(n, t, Fraction(1, 2**32))
-        assert acc.queries == n * n
-        assert acc.block_length == n ** (2**t)
+        assert acc["queries"] == n * n
+        assert acc["block_length"] == n ** (2**t)
 
 
 def test_query_account_log_space_for_huge_instances():
     acc = query_account(31, 6, Fraction(1, 2**32))
-    assert acc.block_length is None
-    assert acc.log2_block_length == pytest.approx((2**6) * np.log2(31))
-    assert acc.polylog_exponent > 0
+    assert acc["block_length"] is None
+    assert acc["log2_block_length"] == pytest.approx((2**6) * np.log2(31))
+    assert acc["polylog_exponent"] > 0
 
 
 def test_instance_from_specs_derives_full_code():
     inst = instance_from_specs("product:n=3,m=2", "rep:q=2,n=3")
     assert inst.full is not None
     assert inst.full.k == 1  # the repetition square
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_sweep_refuses_a_nonpositive_alpha_before_building_the_corpus(monkeypatch, mode):
+    def no_corpus(*args):
+        raise AssertionError("the corpus was built")
+
+    monkeypatch.setattr(ltclab.harness, "generate_corpus", no_corpus)
+    config = ExperimentConfig("product:n=2,m=2", "rep:q=2,n=2", corpus="uniform:3", alpha=Fraction(0), mode=mode)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        run_sweep(config)
 
 
 def test_reference_code_rows_are_checked_in_every_chunk(monkeypatch):

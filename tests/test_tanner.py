@@ -428,6 +428,11 @@ def test_expansion_refuses_vertices_that_are_not_integers(s_subset, t_subset):
         check_expansion(product_graph(2, 3), s_subset, t_subset)
 
 
+def test_expansion_refuses_a_vertex_out_of_range():
+    with pytest.raises(EntryOutOfRangeError):
+        check_expansion(product_graph(2, 3), [99], [])
+
+
 def test_expansion_inapplicable_when_s_large():
     g = product_graph(2, 2)
     with pytest.raises(InapplicableError):

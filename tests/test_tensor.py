@@ -405,3 +405,8 @@ def test_extend_project_roundtrip_randomized(data):
     )
     w = t.encode_tensor(msg)
     assert t.extend([coords, coords], project_word(w, [coords, coords])) == w
+
+
+def test_a_tensor_code_needs_a_factor():
+    with pytest.raises(ValueError, match="at least one factor"):
+        TensorCode([])

@@ -430,3 +430,28 @@ def test_every_word_entry_point_checks_field_and_length(rep3_square):
             call(Word(Field(5), [0] * n))
         with pytest.raises(LengthMismatchError):
             call(Word(GF2, [0] * (n - 1)))
+
+
+def test_a_reference_code_must_share_the_field_and_the_length(rep3_square):
+    graph, small = rep3_square.graph, rep3_square.small
+    with pytest.raises(FieldMismatchError):
+        TestInstance(graph, small, full=repetition(Field(3), 9))
+    with pytest.raises(LengthMismatchError):
+        TestInstance(graph, small, full=repetition(GF2, 8))
+
+
+def test_view_robustness_refuses_a_view_past_m(rep3_square):
+    with pytest.raises(IndexError):
+        rep3_square.view_robustness(Word(GF2, [0] * 9), 7)
+
+
+def test_a_sampled_estimate_needs_a_sample(rep3_square):
+    with pytest.raises(ValueError, match="at least one sample"):
+        rep3_square.expected_robustness_sampled(Word(GF2, [0] * 9), seed=0, samples=0)
+
+
+@pytest.mark.parametrize("alpha", [0, -1, Fraction(-1, 3)])
+def test_certify_refuses_a_robustness_constant_that_is_not_positive(rep3_square, alpha):
+    # rho >= alpha * delta holds for every word at alpha <= 0.
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        rep3_square.certify(_e11(rep3_square), alpha)
