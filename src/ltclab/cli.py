@@ -28,7 +28,7 @@ from .harness import (
     ExperimentConfig,
     code_to_json_dict,
     instance_from_specs,
-    parse_flat_code_spec,
+    parse_code_spec,
     parse_graph_spec,
     parse_word_file,
     query_account,
@@ -132,20 +132,20 @@ def _load_word(args, field) -> Word:
 
 def _cmd_build_code(args) -> int:
     spec = args.code.strip()
-    code = parse_flat_code_spec(spec)
+    code = parse_code_spec(spec)
     kind = "reed_solomon" if spec.startswith("rs:") and "^" not in spec else "generator"
     _emit(code_to_json_dict(code, kind=kind), args.out)
     return 0
 
 
 def _cmd_min_distance(args) -> int:
-    code = parse_flat_code_spec(args.code)
+    code = parse_code_spec(args.code)
     print(code.min_distance())
     return 0
 
 
 def _cmd_encode(args) -> int:
-    code = parse_flat_code_spec(args.code)
+    code = parse_code_spec(args.code)
     message = [int(v) for v in args.message.split(",")]
     word = code.encode(message)
     # Emit the canonical word format (a bare JSON array) so the output can be
@@ -156,13 +156,13 @@ def _cmd_encode(args) -> int:
 
 def _cmd_membership(args) -> int:
     if args.code and not args.graph:
-        code = parse_flat_code_spec(args.code)
+        code = parse_code_spec(args.code)
         word = _load_word(args, code.field)
         print("true" if code.contains(word) else "false")
         return 0
     if args.graph and args.small:
         graph = parse_graph_spec(args.graph)
-        small = parse_flat_code_spec(args.small)
+        small = parse_code_spec(args.small)
         word = _load_word(args, small.field)
         print("true" if TannerCode(graph, small).contains(word) else "false")
         return 0
@@ -208,7 +208,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_compose_check(args) -> int:
     outer = parse_graph_spec(args.graph)
     inner = parse_graph_spec(args.graph2)
-    small = parse_flat_code_spec(args.small)
+    small = parse_code_spec(args.small)
     result = run_compose_check(outer, inner, small, args.corpus, args.seed)
     _emit({"report": result["report"]}, args.out)
     print(f"# compose-check: {result['wall_time']:.2f}s", file=sys.stderr)

@@ -148,14 +148,14 @@ def _fill_part(instance: TestInstance, part: CorpusPart, rng, out: np.ndarray) -
             r += c * s
         return [{"kind": "low_weight", "wmax": part.params["wmax"]} for _ in range(count)]
     if part.kind == "planted_slice":
-        small, sources = instance.small, []
+        views, messages = [], []
         for row in out:
             row[...] = rng.integers(0, q, size=n, dtype=np.int64)
-            j0 = int(rng.integers(0, instance.graph.m_right))
-            message = rng.integers(0, q, size=(1, small.k), dtype=np.int64)
-            row[instance.graph.row0(j0)] = small.encode_batch(message)[0]
-            sources.append({"kind": "planted_slice", "view": j0 + 1})
-        return sources
+            views.append(int(rng.integers(0, instance.graph.m_right)))
+            messages.append(rng.integers(0, q, size=instance.small.k, dtype=np.int64))
+        for row, j0, codeword in zip(out, views, instance.small.encode_batch(np.array(messages))):
+            row[instance.graph.row0(j0)] = codeword
+        return [{"kind": "planted_slice", "view": j0 + 1} for j0 in views]
     # codewords, and codeword_plus_weight: random codewords of the full code, plus w errors
     full = instance.full
     if full is None:

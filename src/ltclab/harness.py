@@ -107,18 +107,12 @@ def parse_code_spec(text: str) -> LinearCode:
         if isinstance(base, TensorCode):
             raise ValueError("nested tensor powers are not supported")
         return tensor_power(base, int(power_s))
-    if text.endswith(".json"):
-        return load_code_file(text)
     kind, _, rest = text.partition(":")
     if kind.strip() == "gen":
         return load_code_file(rest)
+    if text.endswith(".json"):
+        return load_code_file(text)
     return _inline(text, _CODE_KINDS)
-
-
-def parse_flat_code_spec(text: str) -> LinearCode:
-    """Parse an inline code spec; a tensor power comes back as a flat LinearCode."""
-    code = parse_code_spec(text)
-    return code.as_linear_code() if isinstance(code, TensorCode) else code
 
 
 def load_code_file(path: str) -> LinearCode:
@@ -182,13 +176,13 @@ def parse_word_file(path: str, field: Field) -> Word:
 def product_instance(base: LinearCode, m: int) -> TestInstance:
     """The axis tester of the m-fold power of ``base``.
 
-    Small code: the (m-1)-fold power (flattened); full code: the m-fold power,
-    kept in factor form so its codewords enumerate through messages.
+    Small code: the (m-1)-fold power; full code: the m-fold power.  Both stay
+    in factor form, so their codewords enumerate through messages.
     """
     if m < 2:
         raise ValueError("need m >= 2 for an axis tester")
     graph = product_graph(base.n, m)
-    small = tensor_power(base, m - 1).as_linear_code() if m > 2 else base
+    small = tensor_power(base, m - 1)
     full = tensor_power(base, m)
     label = f"product(base=[{base.n},{base.k},{base.d_known}]q{base.field.q},m={m})"
     return TestInstance(graph, small, full=full, label=label)
@@ -206,7 +200,7 @@ def instance_from_specs(
     at a time.
     """
     graph = parse_graph_spec(graph_spec)
-    small = parse_flat_code_spec(small_spec)
+    small = parse_code_spec(small_spec)
     if full_spec:
         full = parse_code_spec(full_spec)
     else:

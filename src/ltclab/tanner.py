@@ -311,8 +311,9 @@ class TannerCode:
         return word_values(word, self.small.field, self.graph.n_left, self.grid)[None]
 
     def _rows(self, values: np.ndarray) -> np.ndarray:
-        """A copy of the (B, n_left) rows as symbol_dtype, refused as ``residues`` refuses."""
-        return residues(self.small.field, values, self.graph.n_left).astype(symbol_dtype(self.small.field))
+        """The (B, n_left) rows as symbol_dtype, copied only to cast, refused as ``residues`` refuses."""
+        rows = residues(self.small.field, values, self.graph.n_left)
+        return rows.astype(symbol_dtype(self.small.field), copy=False)
 
     def contains(self, word: Word) -> bool:
         return bool(self.contains_batch(self._values(word))[0])

@@ -194,6 +194,10 @@ class TensorCode(LinearCode):
             arr = np.moveaxis(arr, -1, 1 + b0)
         return arr.reshape(messages.shape[0], self.n)
 
+    def min_distance(self) -> int:
+        """The product d_1 * ... * d_m of the factors' distances: exact, and enumerates no product codeword."""
+        return math.prod(f.min_distance() for f in self.factors)
+
     def as_linear_code(self) -> LinearCode:
         """The same code as a flat LinearCode with the Kronecker generator."""
         return LinearCode(self.field, self.generator, d_known=self.d_known, _reduced=True)

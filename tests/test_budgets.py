@@ -99,19 +99,26 @@ def test_a_refused_reference_still_certifies_an_interval():
         instance.delta_bounds(Word(Field(3), [0] * 12**3))
 
 
-def _refusal_calls(path: Path) -> list[int]:
-    """Line numbers of the calls ``TooLargeToEnumerateError(...)`` in one module."""
+def _calls(path: Path, callee: str) -> list[int]:
+    """Line numbers of the calls ``callee(...)`` or ``<anything>.callee(...)`` in one module."""
     lines = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "TooLargeToEnumerateError":
+            if name == callee:
                 lines.append(node.lineno)
     return lines
 
 
 def test_only_config_within_constructs_a_refusal():
-    calls = {path.name: _refusal_calls(path) for path in sorted(SRC.glob("*.py"))}
+    calls = {path.name: _calls(path, "TooLargeToEnumerateError") for path in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in calls.items() if lines and name != "config.py"} == {}
     assert len(calls["config.py"]) == 1 and {"code.py", "tester.py", "harness.py"} <= calls.keys()
+
+
+def test_only_the_tensor_module_flattens_a_tensor_code():
+    # Everywhere else a tensor power stays in factor form: a flat copy of the cube derives a 6.6 GiB parity check.
+    calls = {path.name: _calls(path, "as_linear_code") for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in calls.items() if lines and name != "tensor.py"} == {}
+    assert calls["tensor.py"] and {"harness.py", "cli.py"} <= calls.keys()

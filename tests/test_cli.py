@@ -1,9 +1,17 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from ltclab.cli import _HANDLERS, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -25,10 +33,17 @@ def test_min_distance_of_power(capsys):
 
 
 def test_power_too_large_for_a_generator_is_a_usage_error(capsys):
-    code, _, err = run_cli(capsys, "min-distance", "--code", "rs:q=5,n=4,k=2^99")
+    code, _, err = run_cli(capsys, "build-code", "--code", "rs:q=5,n=4,k=2^99")
     assert code == 2
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: generator would hold")
+
+
+def test_min_distance_of_a_power_too_large_to_enumerate_is_the_product(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "min-distance", "--code", "rs:q=5,n=4,k=2^99")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and out == f"{3**99}\n"
 
 
 def test_membership_tpc_true(capsys):
@@ -470,10 +485,63 @@ def test_a_robustness_constant_that_is_not_positive_is_a_usage_error(capsys, arg
 
 
 def test_a_generator_file_spec_prints_its_distance(capsys, tmp_path):
-    path = tmp_path / "code.spec"  # a name ending in .json is read as a code file without the prefix
+    path = tmp_path / "code.spec"  # a name not ending in .json is a code file only with the prefix
     path.write_text(json.dumps({"field": 2, "generator": [[1, 1, 0, 0], [0, 0, 1, 1]]}))
     code, out, _ = run_cli(capsys, "min-distance", "--code", f"gen:{path}")
     assert code == 0 and out == "2\n"
+
+
+def test_a_generator_file_named_json_reads_through_its_prefix(capsys, tmp_path):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"field": 2, "generator": [[1, 1, 0, 0], [0, 0, 1, 1]]}))
+    for spec in (f"gen:{path}", str(path)):
+        code, out, _ = run_cli(capsys, "min-distance", "--code", spec)
+        assert code == 0 and out == "2\n"
+
+
+@pytest.mark.parametrize("shape, out", [([2, 2], "true\n"), ([4, 1], "")], ids=["on-grid", "off-grid"])
+def test_a_tensor_word_must_match_the_grid_of_a_power(capsys, tmp_path, shape, out):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"shape": shape, "symbols": [1, 1, 1, 1]}))
+    code, stdout, err = run_cli(capsys, "membership", "--code", "rep:q=2,n=2^2", "--word-file", str(path))
+    assert stdout == out
+    if out:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# Runs the CLI, then prints its own peak RSS in kB to stderr.
+_CAPPED_CLI = """
+import resource, sys
+from ltclab.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _cap_address_space():
+    limit = 3_000_000 * 1024  # as `ulimit -v 3000000`
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "symbols, answer",
+    [(["3"] * 31**3, "true"), (["1"] + ["0"] * (31**3 - 1), "false")],
+    ids=["constant", "one-symbol"],
+)
+def test_cube_membership_checks_axis_lines_in_little_memory(symbols, answer):
+    # The flat parity check of RS[31,1,31]^3 would hold 29790 x 29791 int64 cells (6.6 GiB).
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    argv = ["membership", "--code", "rs:q=31,n=31,k=1^3", "--word", ",".join(symbols)]
+    run = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CLI, *argv],
+        capture_output=True, text=True, env=env, preexec_fn=_cap_address_space, timeout=60,
+    )
+    assert run.returncode == 0 and run.stdout == f"{answer}\n", run.stderr
+    assert int(run.stderr) < 100 * 1024
 
 
 def test_an_empty_corpus_writes_an_empty_csv(capsys, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ltclab.tanner
-from ltclab.code import LinearCode, Word, full_code, reed_solomon, repetition
+from ltclab.code import LinearCode, Word, full_code, reed_solomon, repetition, symbol_dtype
 from ltclab.errors import (
     DegreeMismatchError,
     EntryOutOfRangeError,
@@ -402,6 +402,16 @@ def test_tanner_membership_batch_refuses_rows_that_are_not_residues(fill):
     code = TannerCode(product_graph(2, 2), repetition(GF2, 2))
     with pytest.raises(ValueError):
         code.contains_batch(np.full((1, 4), fill))
+
+
+def test_rows_of_symbol_dtype_are_not_copied():
+    code = TannerCode(product_graph(2, 2), repetition(GF2, 2))
+    word = Word(GF2, [1, 0, 0, 1])
+    assert word.values.dtype == symbol_dtype(GF2)
+    rows = code._rows(code._values(word))
+    assert np.shares_memory(rows, word.values) and rows.tolist() == [[1, 0, 0, 1]]
+    wide = np.array([[1, 0, 0, 1]], dtype=np.int64)
+    assert not np.shares_memory(code._rows(wide), wide)
 
 
 # --- expansion --------------------------------------------------------------------------

@@ -103,6 +103,21 @@ def test_distance_multiplicative_mixed_factors():
     assert c.min_distance() == 12
 
 
+FACTORS = {
+    "rs": [reed_solomon(GF5, 4, 2)] * 3,
+    "rep": [repetition(GF2, 3)] * 3,
+    "full": [full_code(GF2, 2)] * 3,
+    "mixed": [reed_solomon(GF5, 4, 2), LinearCode.from_rows(GF5, [[1, 2, 0], [0, 1, 1]]), full_code(GF5, 2)],
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(FACTORS))
+def test_product_distance_equals_enumeration_of_the_flat_code(kind, m):
+    code = TensorCode(FACTORS[kind][:m])
+    assert code.min_distance() == code.as_linear_code().min_distance()
+
+
 # --- tensor words and slices ----------------------------------------------------
 
 
