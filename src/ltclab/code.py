@@ -4,7 +4,8 @@ A code is held as a full-rank generator matrix, reduced at construction; its
 parity-check matrix and its codeword table are derived on first use.  The
 oracles are LinearCode methods: minimum distance and nearest-codeword queries
 enumerate codewords exhaustively through ``encode_batch`` up to
-ENUMERATION_THRESHOLD and refuse beyond it; nothing here ever estimates.
+ENUMERATION_THRESHOLD and refuse beyond it (the multiples of the all-ones row
+over GF(17) and up count symbols instead); nothing here ever estimates.
 """
 
 from __future__ import annotations
@@ -172,13 +173,20 @@ def word_values(word: Word, field: Field, n: int, grid: Optional[tuple[int, ...]
 # through ``encode_batch``, so a TensorCode enumerates through its axis
 # contraction, without a Kronecker generator.  Every entry point checks
 # ENUMERATION_THRESHOLD through ``config.within`` on every call, cached table
-# or not.  Messages are enumerated in lexicographic order, at most _CHUNK at a
-# time, so ties break toward the smallest message.
+# or not, and before it computes a huge q**k.  Messages are enumerated in
+# lexicographic order, at most _CHUNK at a time, so ties break toward the
+# smallest message.
 #
 # Codeword symbols are stored row-major as symbol_dtype(field).  Every cached
 # table also keeps its bit-planes: plane p holds bit p of every symbol,
 # b = bitlength(q - 1) planes of uint64, each row padded with zero bits to
 # 64 * W.  Cached tables and streamed blocks are compared plane by plane.
+#
+# The multiples of the all-ones row over GF(q), q >= 17 (every RS[n,1], every
+# repetition code and their tensor powers), are answered by a symbol histogram
+# instead: the nearest codeword repeats a word's most frequent symbol.  The
+# histogram lost to the planes at q <= 7 and won at q = 13; q = 8..16 was not
+# measured, and GF(17) is a conservative cutoff.
 
 
 def _unsigned(top: int) -> type:
@@ -296,6 +304,21 @@ class LinearCode:
     def num_codewords(self) -> int:
         return self.field.q**self.k
 
+    def _enumeration_size(self) -> int:
+        """q**k, or a lower bound on it that is quick to compute when q**k is huge.
+
+        Once k * (bitlength(q) - 1) reaches 2**15 bits, this is
+        2**min(k * (bitlength(q) - 1), 2**20), which a refusal prints as
+        "at least 2^...".
+        """
+        q, k = self.field.q, self.k
+        bits = k * (q.bit_length() - 1)
+        return q**k if bits < 1 << 15 else 1 << min(bits, 1 << 20)
+
+    def _checked_size(self) -> int:
+        """``_enumeration_size()``, refused past ENUMERATION_THRESHOLD."""
+        return config.within("ENUMERATION_THRESHOLD", self._enumeration_size(), "codeword enumeration")
+
     def encode(self, message) -> Word:
         """Encode a length-k message, as a batch of one."""
         msg = _coerce_symbols(self.field, message)
@@ -328,7 +351,7 @@ class LinearCode:
         first q**j codewords are encoded once, and each block adds the encoded
         group starts to them.  A block stacks as many whole groups as fit in ``rows``.
         """
-        total = config.within("ENUMERATION_THRESHOLD", self.num_codewords(), "codeword enumeration")
+        total = self._checked_size()
         q, k, dtype = self.field.q, self.k, symbol_dtype(self.field)
         rows = min(_CHUNK, max(1, (_CHUNK << 8) // self.n))
         span = 1
@@ -375,7 +398,7 @@ class LinearCode:
         encodes the message ``unravel_index(i, (q,)*k)``.  Symbols are
         ``symbol_dtype(field)``, row-major.
         """
-        config.within("ENUMERATION_THRESHOLD", self.num_codewords(), "codeword enumeration")
+        self._checked_size()
         return self._tables[0]
 
     def min_distance(self) -> int:
@@ -408,17 +431,29 @@ class LinearCode:
     def nearest_distance_batch(self, words: np.ndarray) -> np.ndarray:
         """Per-row Hamming distance from a (B, n) array to the nearest codeword.
 
-        ``words`` must hold residues in [0, q), as ``residues`` checks; they are
-        packed into bit-planes once.  Compares against the planes of the cached
-        table when it fits in TABLE_CELLS cells; otherwise packs each streamed
-        codeword block, keeping a running minimum.
+        ``words`` must hold residues in [0, q), as ``residues`` checks.  A code
+        whose codewords are the multiples of the all-ones row, over GF(q) with
+        q >= 17, is answered by ``_histogram_distances``; every other code by
+        ``_plane_distances``.  Each side checks ENUMERATION_THRESHOLD once.
         """
         residues(self.field, words, self.n)
+        if self._histogram_side:
+            return self._histogram_distances(words)
+        return self._plane_distances(words)
+
+    def _plane_distances(self, words: np.ndarray) -> np.ndarray:
+        """``nearest_distance_batch`` by comparing bit-planes, for checked words.
+
+        The words are packed into bit-planes once.  Compares against the
+        planes of the cached table when it fits in TABLE_CELLS cells;
+        otherwise packs each streamed codeword block, keeping a running
+        minimum.
+        """
         bits, (batch, n) = (self.field.q - 1).bit_length(), words.shape
         packed = np.zeros((bits, batch, 1, -(-n // 64)), dtype=np.uint64)
         _pack(words, packed[:, :, 0])
         out = np.full(batch, n, dtype=np.int64)
-        if self.num_codewords() * n <= config.TABLE_CELLS:
+        if self._enumeration_size() * n <= config.TABLE_CELLS:
             self.codewords()  # the threshold check, on a warm table too
             _min_plane_hammings(packed, self._tables[1], out)
             return out
@@ -426,6 +461,34 @@ class LinearCode:
             planes = np.zeros((bits, block.shape[0], packed.shape[3]), dtype=np.uint64)
             _pack(block, planes)
             _min_plane_hammings(packed, planes, out)
+        return out
+
+    @functools.cached_property
+    def _histogram_side(self) -> bool:
+        """Whether k = 1, q >= 17 and the codeword of message 1 is all ones."""
+        if self.k != 1 or self.field.q < 17:
+            return False
+        return bool((self.encode_batch(np.ones((1, 1), dtype=np.int64)) == 1).all())
+
+    def _histogram_distances(self, words: np.ndarray) -> np.ndarray:
+        """``nearest_distance_batch`` of the multiples of the all-ones row, for checked words.
+
+        The codeword (a, ..., a) agrees with w wherever w_i = a, so the
+        distance is n minus the count of w's most frequent symbol.  One
+        ``np.bincount`` per block of rows counts them, row r of the block in
+        bins r*q to r*q + q - 1.  A block holds at most _CHUNK << 4 symbols
+        and bins together (one row at least).
+        """
+        self._checked_size()  # q codewords: the threshold check
+        q, (batch, n) = self.field.q, words.shape
+        step = max(1, (_CHUNK << 4) // (n + q))
+        out = np.empty(batch, dtype=np.int64)
+        for s in range(0, batch, step):
+            block = words[s : s + step]
+            rows = block.shape[0]
+            index = block + np.arange(0, rows * q, q)[:, None]
+            counts = np.bincount(index.ravel(), minlength=rows * q).reshape(rows, q)
+            out[s : s + rows] = n - counts.max(axis=1)
         return out
 
     # --- projection ---------------------------------------------------------

@@ -1,6 +1,7 @@
 """Every budget of ltclab.config refuses through config.within, and the refusal names its budget."""
 
 import ast
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from ltclab.errors import FieldMismatchError, LtcLabError, TooLargeToEnumerateEr
 from ltclab.field import Field
 from ltclab.harness import instance_from_specs, product_instance, run_expansion_check
 from ltclab.tanner import product_graph, tpc_linear_code
-from ltclab.tensor import tensor_power
+from ltclab.tensor import TensorCode, tensor_power
 
 GF2 = Field(2)
 GF5 = Field(5)
@@ -65,6 +66,34 @@ def test_adjacency_budget_refuses_coordinate_weights(monkeypatch):
     with pytest.raises(TooLargeToEnumerateError) as err:
         _rep_square_instance().coordinate_weights()
     assert (err.value.budget, err.value.requested) == ("ADJACENCY_BUDGET", 18)
+
+
+def test_a_huge_enumeration_is_refused_without_computing_its_size():
+    # RS[4,2]^99 has 5^(2^99) codewords; q**k would never finish, so the refusal asks for a lower bound.
+    code = tensor_power(reed_solomon(GF5, 4, 2), 99)
+    start = time.perf_counter()
+    with pytest.raises(TooLargeToEnumerateError) as err:
+        code.codewords()
+    assert time.perf_counter() - start < 1.0
+    assert err.value.budget == "ENUMERATION_THRESHOLD"
+    assert str(err.value) == f"codeword enumeration would hold at least 2^{2**20}, past ENUMERATION_THRESHOLD = {2**24}"
+
+
+@pytest.mark.parametrize(
+    "q, axes, shown",
+    [(2, (217, 151), "2^32767"), (3, (217, 151), "2^51934"), (2, (256, 128), "2^32768"), (3, (256, 128), "2^32768")],
+)
+def test_an_enumeration_size_is_exact_below_2_to_the_15_bits(q, axes, shown):
+    # k * (bitlength(q) - 1) < 2**15: q**k itself; from there a power of two below q**k, shown as a bound.
+    code = TensorCode([full_code(Field(q), n) for n in axes])  # k = 2**15 - 1 or 2**15, in factor form
+    with pytest.raises(TooLargeToEnumerateError) as err:
+        code.codewords()
+    exc = err.value
+    if code.k < 2**15:
+        assert exc.requested == q**code.k
+    else:
+        assert exc.requested == 2**32768 <= q**code.k
+    assert f" would hold at least {shown}, " in str(exc)
 
 
 def test_within_returns_a_request_at_the_limit_and_reads_the_budget_per_call(monkeypatch):

@@ -3,13 +3,15 @@
 Codeword tables hold symbols row-major in the narrowest unsigned dtype, with
 packed bit-planes beside every table, wide and tall, and are enumerated by
 linearity in groups of q**j messages.  Cached tables and streamed blocks are
-compared by their bit-planes.  Every check here compares against a reference
-that shares none of that: messages from itertools.product, an int64 matmul,
-and a per-row count.
+compared by their bit-planes.  The multiples of the all-ones row over GF(17)
+and up are answered instead by a histogram of each word's symbols, in blocks
+of rows.  Every check here compares against a reference that shares none of
+that: messages from itertools.product, an int64 matmul, and a per-row count.
 """
 
 import itertools
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,8 +20,10 @@ from hypothesis import strategies as st
 
 import ltclab.code
 import ltclab.config
-from ltclab.code import LinearCode, Word, reed_solomon, symbol_dtype
+from ltclab.code import LinearCode, Word, reed_solomon, repetition, symbol_dtype
+from ltclab.errors import TooLargeToEnumerateError
 from ltclab.field import Field
+from ltclab.harness import product_instance
 from ltclab.tensor import tensor_power
 
 
@@ -141,11 +145,107 @@ def test_plane_compare_matches_brute_force(q, k, n, batch, path):
         if path == "streamed":
             mp.setattr(ltclab.config, "TABLE_CELLS", 0)
             mp.setattr(ltclab.code, "_CHUNK", 40)
+        # An all-ones row over GF(17) and up (n = 1) takes the histogram side; call the plane side itself.
+        oracle = code._plane_distances if code._histogram_side else code.nearest_distance_batch
+        for dtype in (symbol_dtype(code.field), np.int64):
+            got = oracle(words.astype(dtype))
+            assert got.dtype == np.int64
+            assert got.tolist() == expected
+    assert ("_tables" not in code.__dict__) == (path == "streamed")
+
+
+# The histogram side: q = 17 (the least q that takes it), 31 and 257 (uint16
+# symbols); n = 1 and n around 64 and past 255.
+HISTOGRAM_QS = [17, 31, 257]
+HISTOGRAM_NS = [1, 63, 64, 65, 300]
+
+
+@pytest.mark.parametrize("path", ["whole", "blocked"])
+@pytest.mark.parametrize("batch", [0, 1, 5])
+@pytest.mark.parametrize("n", HISTOGRAM_NS)
+@pytest.mark.parametrize("q", HISTOGRAM_QS)
+def test_histogram_side_matches_brute_force(q, n, batch, path):
+    code = repetition(Field(q), n)
+    table = reference_table(code)
+    rng = np.random.default_rng([q, n, batch])
+    words = rng.integers(0, q, size=(batch, n))
+    if batch:
+        words[:, 0], words[:, -1] = 0, q - 1
+    if batch > 2:
+        words[1], words[2] = q - 1, table[rng.integers(1, q)]
+        words[2, 0] = (words[2, 0] + 1) % q  # one symbol off a nonzero codeword
+        words[3] = 0
+    expected = reference_distances(table, words)
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "blocked":
+            mp.setattr(ltclab.code, "_CHUNK", 4)  # blocks of 64 symbols and bins: 1 to 3 rows
         for dtype in (symbol_dtype(code.field), np.int64):
             got = code.nearest_distance_batch(words.astype(dtype))
             assert got.dtype == np.int64
             assert got.tolist() == expected
-    assert ("_tables" not in code.__dict__) == (path == "streamed")
+    assert "_tables" not in code.__dict__
+
+
+@pytest.mark.parametrize(
+    "code, histogram",
+    [
+        pytest.param(repetition(Field(13), 20), False, id="ones-13"),
+        pytest.param(repetition(Field(17), 20), True, id="ones-17"),
+        pytest.param(tensor_power(reed_solomon(Field(17), 4, 1), 2), True, id="ones-17-tensor"),
+        pytest.param(systematic_code(17, 1, 20, seed=17), False, id="mixed-17"),
+        pytest.param(systematic_code(31, 2, 20, seed=31), False, id="k2-31"),
+        pytest.param(repetition(Field(2), 20), False, id="ones-2"),
+    ],
+)
+def test_the_histogram_side_answers_the_all_ones_row_from_gf17(code, histogram):
+    # The side depends only on the code: a plane-side call builds the cached table.
+    words = np.zeros((2, code.n), dtype=np.int64)
+    words[1, 0] = 1
+    expected = reference_distances(reference_table(code), words)
+    assert code.nearest_distance_batch(words).tolist() == expected
+    assert ("_tables" in code.__dict__) != histogram
+
+
+@pytest.mark.parametrize("q", [13, 17])
+def test_both_sides_check_residues_then_the_threshold(monkeypatch, q):
+    code = repetition(Field(q), 5)
+    monkeypatch.setattr(ltclab.config, "ENUMERATION_THRESHOLD", q - 1)
+    with pytest.raises(ValueError) as err:
+        code.nearest_distance_batch(np.full((1, 5), q))
+    assert not isinstance(err.value, TooLargeToEnumerateError)
+    with pytest.raises(TooLargeToEnumerateError) as err:
+        code.nearest_distance_batch(np.zeros((1, 5), dtype=np.int64))
+    assert (err.value.budget, err.value.requested) == ("ENUMERATION_THRESHOLD", q)
+
+
+def test_a_cube_batch_of_views_and_distances_stays_small():
+    # RS[31,1,31]^3: 256 words hold 7.6 MB, their 93 views each 22.9 MB.  The plane compare peaked at 83 MB.
+    instance = product_instance(reed_solomon(Field(31), 31, 1), 3)
+    words = np.random.default_rng(0).integers(0, 31, size=(256, 31**3)).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        views = instance.view_hammings_batch(words)
+        deltas = instance.delta_hammings_batch(words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert views.shape == (256, 93) and deltas.shape == (256,)
+    assert peak < 40 * 10**6
+
+
+def test_a_histogram_block_bounds_its_bins_as_well_as_its_symbols():
+    # RS[8,1] over GF(65521): 500 words hold 8 KB, but each row needs 65521 bins, 262 MB in one block.
+    code = reed_solomon(Field(65521), 8, 1)
+    words = np.random.default_rng(0).integers(0, 65521, size=(500, 8)).astype(np.uint16)
+    words[0] = 7
+    tracemalloc.start()
+    try:
+        got = code.nearest_distance_batch(words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == [8 - max(Counter(w.tolist()).values()) for w in words]
+    assert peak < 8 * 10**6
 
 
 @pytest.mark.parametrize("q, k, n", PLANE_CODES)
