@@ -177,10 +177,11 @@ def word_values(word: Word, field: Field, n: int, grid: Optional[tuple[int, ...]
 # lexicographic order, at most _CHUNK at a time, so ties break toward the
 # smallest message.
 #
-# Codeword symbols are stored row-major as symbol_dtype(field).  Every cached
-# table also keeps its bit-planes: plane p holds bit p of every symbol,
-# b = bitlength(q - 1) planes of uint64, each row padded with zero bits to
-# 64 * W.  Cached tables and streamed blocks are compared plane by plane.
+# Codeword symbols are stored row-major as symbol_dtype(field).  The distance
+# oracle reads no codeword table: it keeps the bit-planes of the first group of
+# q**j codewords only (plane p holds bit p of every symbol, 64 to a uint64) and
+# reaches every later group by coset translation, shifting the words by the
+# group start: d(w, c_s + c) = d(w - c_s, c).
 #
 # The multiples of the all-ones row over GF(q), q >= 17 (every RS[n,1], every
 # repetition code and their tensor powers), are answered by a symbol histogram
@@ -202,44 +203,47 @@ def symbol_dtype(field: Field) -> type:
     return _unsigned(field.q - 1)
 
 
-def _messages(start: int, stop: int, step: int, k: int, q: int) -> np.ndarray:
-    idx = np.arange(start, stop, step, dtype=np.int64)
-    return np.stack(np.unravel_index(idx, (q,) * k), axis=1)
+def _block_rows(n: int) -> int:
+    """Rows of a block of length-n words: _CHUNK, cut to hold at most _CHUNK << 8 symbols (one row at least)."""
+    return min(_CHUNK, max(1, (_CHUNK << 8) // n))
 
 
-def _pack(values: np.ndarray, out: np.ndarray) -> None:
-    """Write bit p of each symbol of a (R, n) array into ``out[p]``, zeroed (b, R, W) planes.
+def _pack(values: np.ndarray, bits: int) -> np.ndarray:
+    """The W-major (bits, W, R) uint64 planes of a (R, n) array: bit p of each symbol, row r in column r.
 
-    The rows are copied into zero-padded rows of whole octets, so each plane
-    packs as one flat run and the bits past n are zero.
+    Rows are padded to whole octets, so each plane packs as one flat run and the bits past n are zero.
     """
     rows, n = values.shape
     used = -(-n // 8)
     padded = np.zeros((rows, 8 * used), dtype=values.dtype)
     padded[:, :n] = values
-    octets = out.view(np.uint8)
-    for p in range(out.shape[0]):
-        octets[p, :, :used] = np.packbits(padded & (1 << p)).reshape(rows, used)
+    out = np.zeros((bits, rows, -(-n // 64)), dtype=np.uint64)
+    for p in range(bits):
+        out.view(np.uint8)[p, :, :used] = np.packbits(padded & (1 << p)).reshape(rows, used)
+    return np.ascontiguousarray(out.transpose(0, 2, 1))
 
 
 def _min_plane_hammings(packed: np.ndarray, planes: np.ndarray, out: np.ndarray) -> None:
-    """Lower ``out`` to each word's minimum Hamming distance to the rows of (b, R, W) planes.
+    """Lower ``out`` to each word's minimum Hamming distance to the rows of (b, W, R) planes.
 
-    ``packed`` holds the (b, B, 1, W) planes of B words.  Two symbols below
-    2**b differ exactly when one of their b bits does, so the distance is the
-    popcount of the OR over planes of (codeword XOR word).  Each step compares
-    every word with a block of rows, about _CHUNK uint64 per plane, so that
-    its arrays stay in cache.
+    ``packed`` holds the (b, W, B) planes of B words.  Two symbols below 2**b differ exactly when one of
+    their b bits does, so the distance is the popcount of the OR over planes of (codeword XOR word).  A
+    step compares about _CHUNK uint64 per plane: a block of words with every row, or, when the batch has
+    more words than rows and than half a step, all with one row.
     """
-    bits, rows, width = planes.shape
-    acc = _unsigned(64 * width)
-    step = _CHUNK // (packed.shape[1] * width or 1) or 1
-    for s in range(0, rows, step):
-        block = planes[:, s : s + step]
-        diff = block[0] ^ packed[0]
-        for p in range(1, bits):
-            diff |= block[p] ^ packed[p]
-        np.minimum(out, np.bitwise_count(diff).sum(axis=2, dtype=acc).min(axis=1), out=out)
+    bits, width, rows = planes.shape
+    batch, acc, cells = packed.shape[2], _unsigned(64 * width), _CHUNK // width or 1
+    word_step = batch if batch > max(rows, cells // 2) else cells // rows or 1
+    row_step = cells // word_step or 1
+    for w in range(0, batch, word_step):
+        some, part = packed[:, :, w : w + word_step, None], out[w : w + word_step]
+        for s in range(0, rows, row_step):
+            block = planes[:, :, None, s : s + row_step]
+            diff = block[0] ^ some[0]
+            for p in range(1, bits):
+                diff |= block[p] ^ some[p]
+            hams = np.bitwise_count(diff[0]) if width == 1 else np.bitwise_count(diff).sum(axis=0, dtype=acc)
+            np.minimum(part, hams.min(axis=1), out=part)
 
 
 class LinearCode:
@@ -341,55 +345,67 @@ class LinearCode:
 
     # --- exhaustive oracles -------------------------------------------------
 
-    def _blocks(self):
-        """Yield (start, codewords) for blocks of at most ``rows`` consecutive messages.
+    @functools.cached_property
+    def _group(self) -> np.ndarray:
+        """The first group: the codewords of the messages below q**j <= q**k, within _block_rows(n) rows,
+        or q rows if q codewords fit TABLE_CELLS.  Built a digit at a time in the wide dtype: the q
+        multiples of each of the last j unit codewords are added to the group so far by doubling."""
+        q, k, n, wide = self.field.q, self.k, self.n, _unsigned(2 * (self.field.q - 1))
+        j = max(i for i in range(k + 1) if q**i <= max(_block_rows(n), q if q * n <= config.TABLE_CELLS else 1))
+        group = np.zeros((1, n), dtype=wide)
+        for unit in self.encode_batch(np.eye(j, k, k - j, dtype=np.int64)):
+            layers = group[None]  # layer d: the group so far plus d * unit
+            while len(layers) < q:
+                more = layers[: q - len(layers)] + (unit * len(layers) % q).astype(wide)
+                # Below q, x - q wraps past the top of ``wide``, so min(x, x - q) is x mod q.
+                np.minimum(more, more - q, out=more)
+                layers = np.concatenate([layers, more])
+            group = layers.transpose(1, 0, 2).reshape(-1, n)
+        return group.astype(symbol_dtype(self.field), copy=False)
 
-        ``rows`` is _CHUNK, cut so that a block holds at most _CHUNK << 8 symbols
-        (one codeword at least).  Messages split into groups of q**j, the largest
-        power of q that is at most ``rows`` (and at most q**k).  A group starting at
-        message s holds codeword(s) + codeword(i) for i < q**j, by linearity: the
-        first q**j codewords are encoded once, and each block adds the encoded
-        group starts to them.  A block stacks as many whole groups as fit in ``rows``.
+    def _starts(self, span: int, per: int, start: int = 0):
+        """Yield (s, the wide codewords of messages s, s + span, ... below s + per) for s = start, start + per, ...."""
+        q, k, total = self.field.q, self.k, self.num_codewords()
+        for s in range(start, total, per):
+            messages = np.stack(np.unravel_index(np.arange(s, min(s + per, total), span), (q,) * k), axis=1)
+            yield s, self.encode_batch(messages).astype(_unsigned(2 * (q - 1)))
+
+    def _blocks(self):
+        """Yield (start, codewords) for blocks of as many whole groups as fit _block_rows(n), or parts of one.
+
+        By linearity, a group starting at message s is codeword(s) plus ``_group``; one group is yielded as is.
         """
-        total = self._checked_size()
-        q, k, dtype = self.field.q, self.k, symbol_dtype(self.field)
-        rows = min(_CHUNK, max(1, (_CHUNK << 8) // self.n))
-        span = 1
-        while span < total and span * q <= rows:
-            span *= q
-        per_block = span * max(1, rows // span)
-        wide = _unsigned(2 * (q - 1))
-        first = self.encode_batch(_messages(0, span, 1, k, q)).astype(wide)
-        for s in range(0, total, per_block):
-            base = self.encode_batch(_messages(s, min(s + per_block, total), span, k, q)).astype(wide)
-            sums = (base[:, None, :] + first[None, :, :]).reshape(-1, first.shape[1])
-            # Below q, sums - q wraps past the top of ``wide``, so this is sums mod q.
-            np.minimum(sums, sums - q, out=sums)
-            yield s, sums.astype(dtype, copy=False)
+        self._checked_size()
+        q, first, rows = self.field.q, self._group, _block_rows(self.n)
+        if len(first) == self.num_codewords():
+            yield 0, first
+            return
+        for s, bases in self._starts(len(first), len(first) * max(1, rows // len(first))):
+            for r in range(0, len(first), rows):
+                sums = (bases[:, None, :] + first[None, r : r + rows]).reshape(-1, self.n)
+                np.minimum(sums, sums - q, out=sums)
+                yield s + r, sums.astype(symbol_dtype(self.field), copy=False)
 
     @functools.cached_property
-    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """All q**k codewords and their bit-planes, as a read-only (table, planes) pair.
-
-        Built on first use, packing the planes from each block as it is
-        written.  Refuses a table of more than TABLE_CELLS cells.  Read it
-        through ``codewords()``, which checks the threshold on every call.
-        """
+    def _tables(self) -> np.ndarray:
+        """All q**k codewords, read-only, refused past TABLE_CELLS before any encoding; read via ``codewords()``."""
+        total = self.num_codewords()
+        config.within("TABLE_CELLS", total * self.n, "codeword table")
         blocks = self._blocks()
         _, block = next(blocks)
-        total, n = self.num_codewords(), block.shape[1]
-        config.within("TABLE_CELLS", total * n, "codeword table")
-        table = block if block.shape[0] == total else np.empty((total, n), dtype=block.dtype)
-        bits, width = (self.field.q - 1).bit_length(), -(-n // 64)
-        planes = np.zeros((bits, total, width), dtype=np.uint64)
+        table = block if block.shape[0] == total else np.empty((total, self.n), dtype=block.dtype)
         for s, block in itertools.chain([(0, block)], blocks):
-            rows = slice(s, s + block.shape[0])
             if block is not table:
-                table[rows] = block
-            _pack(block, planes[:, rows])
+                table[s : s + block.shape[0]] = block
         table.setflags(write=False)
+        return table
+
+    @functools.cached_property
+    def _group_planes(self) -> np.ndarray:
+        """The read-only (b, W, q**j) bit-planes of the first group, b = bitlength(q - 1)."""
+        planes = _pack(self._group, (self.field.q - 1).bit_length())
         planes.setflags(write=False)
-        return table, planes
+        return planes
 
     def codewords(self) -> np.ndarray:
         """All q**k codewords as a read-only (q**k, n) array, cached.
@@ -399,7 +415,7 @@ class LinearCode:
         ``symbol_dtype(field)``, row-major.
         """
         self._checked_size()
-        return self._tables[0]
+        return self._tables
 
     def min_distance(self) -> int:
         """Exact minimum distance by enumerating nonzero codewords."""
@@ -444,23 +460,27 @@ class LinearCode:
     def _plane_distances(self, words: np.ndarray) -> np.ndarray:
         """``nearest_distance_batch`` by comparing bit-planes, for checked words.
 
-        The words are packed into bit-planes once.  Compares against the
-        planes of the cached table when it fits in TABLE_CELLS cells;
-        otherwise packs each streamed codeword block, keeping a running
-        minimum.
+        Only the first group has planes.  By coset translation, d(w, c_s + c) = d(w - c_s, c): the words
+        are compared with it, then shifted mod q by each later group start c_s, in blocks of at most
+        _CHUNK << 8 symbols, keeping a running minimum.  One group shifts nothing.
         """
-        bits, (batch, n) = (self.field.q - 1).bit_length(), words.shape
-        packed = np.zeros((bits, batch, 1, -(-n // 64)), dtype=np.uint64)
-        _pack(words, packed[:, :, 0])
-        out = np.full(batch, n, dtype=np.int64)
-        if self._enumeration_size() * n <= config.TABLE_CELLS:
-            self.codewords()  # the threshold check, on a warm table too
-            _min_plane_hammings(packed, self._tables[1], out)
+        q, (batch, n), step = self.field.q, words.shape, max(1, (_CHUNK << 8) // words.shape[1])
+        if batch > step:
+            return np.concatenate([self._plane_distances(words[w : w + step]) for w in range(0, batch, step)])
+        self._checked_size()
+        planes, out = self._group_planes, np.full(batch, n, dtype=np.int64)
+        bits, _, span = planes.shape
+        _min_plane_hammings(_pack(words, bits), planes, out)
+        if span == self.num_codewords():
             return out
-        for _, block in self._blocks():
-            planes = np.zeros((bits, block.shape[0], packed.shape[3]), dtype=np.uint64)
-            _pack(block, planes)
-            _min_plane_hammings(packed, planes, out)
+        words = words.astype(_unsigned(2 * (q - 1)), copy=False)
+        for _, bases in self._starts(span, span * max(1, step // (batch or 1)), start=span):
+            shifted = (words[None] - bases[:, None]).reshape(-1, n)
+            # Where w < c_s the difference wraps past the top of the dtype; adding q wraps it back.
+            np.minimum(shifted, shifted + q, out=shifted)
+            least = np.full(shifted.shape[0], n, dtype=np.int64)
+            _min_plane_hammings(_pack(shifted, bits), planes, least)
+            np.minimum(out, least.reshape(bases.shape[0], batch).min(axis=0), out=out)
         return out
 
     @functools.cached_property

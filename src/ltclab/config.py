@@ -15,9 +15,9 @@ ENUMERATION_THRESHOLD = 2**24
 # Larger graphs fall back to a computed row accessor.
 ADJACENCY_BUDGET = 2**26
 
-# Maximum cells (codewords x block length) of a cached codeword table.  The
-# nearest-distance oracle streams codewords in blocks when its table would
-# not fit.
+# Maximum cells (codewords x block length) of the codeword table that LinearCode.codewords()
+# caches.  No other oracle reads the table: the nearest-distance oracle compares with the first
+# group of codewords only, which is q codewords past a block's rows while they fit here.
 TABLE_CELLS = 2**26
 
 # Maximum view symbols (words x views x view length) of one chunk of

@@ -511,12 +511,15 @@ def test_a_tensor_word_must_match_the_grid_of_a_power(capsys, tmp_path, shape, o
         assert code == 2 and len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
-# Runs the CLI, then prints its own peak RSS in kB to stderr.
+# Runs the CLI, then prints its own peak RSS in kB to stderr.  VmHWM starts
+# afresh at exec; ru_maxrss of a child forked from pytest would include
+# pytest's RSS at the fork.
 _CAPPED_CLI = """
-import resource, sys
+import sys
 from ltclab.cli import main
 code = main(sys.argv[1:])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")), file=sys.stderr)
 sys.exit(code)
 """
 

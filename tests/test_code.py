@@ -241,6 +241,19 @@ def test_codeword_table_memory_guard():
         big.codewords()
 
 
+def test_a_table_past_table_cells_is_refused_before_any_encoding(monkeypatch):
+    # [100, 20] over GF(2): 2^20 codewords, within ENUMERATION_THRESHOLD, but 104,857,600 cells.
+    big = LinearCode(GF2, np.eye(20, 100, dtype=np.int64), _reduced=True)
+
+    def refuse(messages):
+        raise AssertionError("encoded before the TABLE_CELLS check")
+
+    monkeypatch.setattr(big, "encode_batch", refuse)
+    with pytest.raises(TooLargeToEnumerateError) as err:
+        big.codewords()
+    assert (err.value.budget, err.value.requested) == ("TABLE_CELLS", 2**20 * 100)
+
+
 def test_a_refused_table_is_not_cached(monkeypatch):
     c = reed_solomon(GF7, 7, 2)  # 49 codewords of length 7
     monkeypatch.setattr(ltclab.config, "TABLE_CELLS", 49 * 7 - 1)

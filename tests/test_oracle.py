@@ -1,12 +1,13 @@
 """The exact enumeration oracle against int64 brute force.
 
-Codeword tables hold symbols row-major in the narrowest unsigned dtype, with
-packed bit-planes beside every table, wide and tall, and are enumerated by
-linearity in groups of q**j messages.  Cached tables and streamed blocks are
-compared by their bit-planes.  The multiples of the all-ones row over GF(17)
-and up are answered instead by a histogram of each word's symbols, in blocks
-of rows.  Every check here compares against a reference that shares none of
-that: messages from itertools.product, an int64 matmul, and a per-row count.
+Codeword tables hold symbols row-major in the narrowest unsigned dtype and
+are enumerated by linearity in groups of q**j messages, the first group built
+digit by digit.  Distances compare words with the packed bit-planes of that
+first group only: as they are, and shifted mod q by every later group start.
+The multiples of the all-ones row over GF(17) and up are answered instead by
+a histogram of each word's symbols, in blocks of rows.  Every check here
+compares against a reference that shares none of that: messages from
+itertools.product, an int64 matmul, and a per-row count.
 """
 
 import itertools
@@ -143,15 +144,18 @@ def test_plane_compare_matches_brute_force(q, k, n, batch, path):
         if path == "chunked":
             mp.setattr(ltclab.code, "_CHUNK", 40)  # a few rows per compare step
         if path == "streamed":
+            # Groups smaller than the code, so words are shifted by every later group start; no table fits.
             mp.setattr(ltclab.config, "TABLE_CELLS", 0)
-            mp.setattr(ltclab.code, "_CHUNK", 40)
+            mp.setattr(ltclab.code, "_CHUNK", min(40, code.num_codewords() - 1))
         # An all-ones row over GF(17) and up (n = 1) takes the histogram side; call the plane side itself.
         oracle = code._plane_distances if code._histogram_side else code.nearest_distance_batch
         for dtype in (symbol_dtype(code.field), np.int64):
             got = oracle(words.astype(dtype))
             assert got.dtype == np.int64
             assert got.tolist() == expected
-    assert ("_tables" not in code.__dict__) == (path == "streamed")
+    assert "_tables" not in code.__dict__
+    if path == "streamed":
+        assert code._group_planes.shape[2] < code.num_codewords()  # several groups
 
 
 # The histogram side: q = 17 (the least q that takes it), 31 and 257 (uint16
@@ -198,12 +202,12 @@ def test_histogram_side_matches_brute_force(q, n, batch, path):
     ],
 )
 def test_the_histogram_side_answers_the_all_ones_row_from_gf17(code, histogram):
-    # The side depends only on the code: a plane-side call builds the cached table.
+    # The side depends only on the code: a plane-side call builds the planes of the first group.
     words = np.zeros((2, code.n), dtype=np.int64)
     words[1, 0] = 1
     expected = reference_distances(reference_table(code), words)
     assert code.nearest_distance_batch(words).tolist() == expected
-    assert ("_tables" in code.__dict__) != histogram
+    assert ("_group_planes" in code.__dict__) != histogram
 
 
 @pytest.mark.parametrize("q", [13, 17])
@@ -248,15 +252,23 @@ def test_a_histogram_block_bounds_its_bins_as_well_as_its_symbols():
     assert peak < 8 * 10**6
 
 
+def row_octets(planes: np.ndarray) -> np.ndarray:
+    """The (b, R, 8 * W) octets of the rows of (b, W, R) planes, row by row."""
+    return np.ascontiguousarray(planes.transpose(0, 2, 1)).view(np.uint8)
+
+
 @pytest.mark.parametrize("q, k, n", PLANE_CODES)
 def test_planes_unpack_to_the_codewords(q, k, n):
     code = plane_code(q, k, n)
-    symbols = code.codewords()
-    _, planes = code._tables
-    bits, rows, width = planes.shape
-    assert (bits, rows, width) == ((q - 1).bit_length(), q**code.k, -(-n // 64))
+    span, block_rows = q**code.k, min(ltclab.code._CHUNK, (ltclab.code._CHUNK << 8) // n)
+    while span > max(block_rows, q):  # the first group: the largest power of q within both, or q
+        span //= q
+    symbols = code.codewords()[:span]
+    planes = code._group_planes
+    bits, width, rows = planes.shape
+    assert (bits, width, rows) == ((q - 1).bit_length(), -(-n // 64), span)
     assert planes.dtype == np.uint64 and not planes.flags.writeable
-    unpacked = np.unpackbits(planes.view(np.uint8), axis=2).astype(np.int64)
+    unpacked = np.unpackbits(row_octets(planes), axis=2).astype(np.int64)
     assert not unpacked[:, :, n:].any()  # the padding past n is zero
     assert np.array_equal((unpacked[:, :, :n] << np.arange(bits)[:, None, None]).sum(axis=0), symbols)
 
@@ -266,11 +278,11 @@ def test_planes_unpack_to_the_codewords(q, k, n):
     [(5, 2, 30), (2, 2, 4), (2, 3, 12), (31, 1, 40), (2, 6, 10), (5, 3, 20), (257, 1, 20)],
 )
 def test_every_cached_table_has_planes(q, k, n):
-    # Wide (q**k <= n) and tall tables alike, of both symbol dtypes.
+    # Wide (q**k <= n) and tall tables alike, of both symbol dtypes; each is one group.
     code = systematic_code(q, k, n, seed=1)
-    code.codewords()
-    planes = code._tables[1]
-    assert planes.shape == ((q - 1).bit_length(), q**k, -(-n // 64))
+    code.nearest_distance_batch(np.zeros((1, n), dtype=np.int64))
+    planes = code.__dict__["_group_planes"]
+    assert planes.shape == ((q - 1).bit_length(), -(-n // 64), q**k)
     assert planes.dtype == np.uint64 and not planes.flags.writeable
 
 
@@ -280,10 +292,10 @@ def test_pack_matches_per_row_packbits(n, dtype):
     bits = 9 if dtype != np.uint8 else 8
     values = np.random.default_rng(n).integers(0, 1 << bits, size=(5, n)).astype(dtype)
     values[0], values[1] = 0, (1 << bits) - 1
-    width = -(-n // 64)
-    out = np.zeros((bits, 5, width), dtype=np.uint64)
-    ltclab.code._pack(values, out)
-    octets = out.view(np.uint8)
+    out = ltclab.code._pack(values, bits)
+    assert out.shape == (bits, -(-n // 64), 5) and out.dtype == np.uint64
+    assert out.flags.c_contiguous  # W-major
+    octets = row_octets(out)
     for p in range(bits):
         for r in range(5):
             expected = np.packbits([(int(v) >> p) & 1 for v in values[r]])
@@ -301,7 +313,150 @@ def test_plane_sums_hold_distances_past_255(q, k):
     code = LinearCode(Field(q), gen)
     words = np.array([[q - 1] * n, [0] * n, [1] * k + [0] * (n - k)], dtype=np.int64)
     assert code.nearest_distance_batch(words).tolist() == [n - k, 0, 0]
-    assert code._tables[1].shape[2] == 5
+    assert code._group_planes.shape[1] == 5
+
+
+# Codes of several groups over GF(q), q > 2, as (code, _CHUNK): the chunk sets
+# the group size q**j below q**k.  Over GF(2), w - c_s = w + c_s, so a shift
+# that added c_s without reducing it mod q would go unseen there.
+SEVERAL_GROUPS = [
+    pytest.param(lambda: reed_solomon(Field(5), 4, 3), 7, id="rs5-4-3"),  # 25 groups of 5
+    pytest.param(lambda: systematic_code(5, 3, 20, seed=5), 30, id="random5-20-3"),  # 5 groups of 25
+    pytest.param(lambda: reed_solomon(Field(7), 7, 5), 60, id="rs7-7-5"),  # 343 groups of 49
+    pytest.param(lambda: systematic_code(257, 2, 12, seed=257), 300, id="uint16"),  # 257 groups of 257
+]
+
+
+@pytest.mark.parametrize("batch", [1, 9])
+@pytest.mark.parametrize("make, chunk", SEVERAL_GROUPS)
+def test_shifted_words_match_brute_force_over_several_groups(make, chunk, batch):
+    code = make()
+    q, table = code.field.q, reference_table(code)
+    total = len(table)
+    rng = np.random.default_rng(total)
+    words = rng.integers(0, q, size=(9, code.n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ltclab.code, "_CHUNK", chunk)
+        span = code._group_planes.shape[2]
+        assert 1 < span < total
+        # Codewords of the second, a middle and the last group, two of them a symbol off.
+        words[:5] = table[[span, span + 1, total // 2 + 3, total - span, total - 1]]
+        words[1, 0] = (words[1, 0] + 1) % q
+        words[3, -1] = (words[3, -1] + 2) % q
+        words = np.roll(words, -4, axis=0)[:batch]  # a batch of one is a last-group codeword
+        expected = reference_distances(table, words)
+        for dtype in (symbol_dtype(code.field), np.int64):
+            assert code.nearest_distance_batch(words.astype(dtype)).tolist() == expected
+
+
+def test_a_field_past_the_rows_of_a_block_keeps_groups_of_q_codewords(monkeypatch):
+    # GF(65521) is past the 16,384 rows of a block of length-20 words; its 65,521 codewords
+    # fit TABLE_CELLS, so they are one group, and a word is compared with no shift.
+    code = systematic_code(65521, 1, 20, seed=65521)
+    table = reference_table(code)
+    words = np.random.default_rng(65521).integers(0, 65521, size=(5, 20))
+    words[0], words[1] = table[-1], table[40000]
+    words[1, 3] = (words[1, 3] + 1) % 65521
+    assert code.nearest_distance_batch(words).tolist() == reference_distances(table, words)
+    assert code._group_planes.shape[2] == 65521
+    # With _CHUNK = 64, GF(257) is past the 64 rows of a block of length-12 words: the groups
+    # of 257 codewords are yielded 64 rows at a time.
+    monkeypatch.setattr(ltclab.code, "_CHUNK", 64)
+    code = systematic_code(257, 2, 12, seed=257)
+    table = reference_table(code)
+    starts = [(s + r, min(64, 257 - r)) for s in range(0, len(table), 257) for r in range(0, 257, 64)]
+    assert [(s, len(block)) for s, block in code._blocks()] == starts
+    assert np.array_equal(code.codewords(), table)
+    words = np.random.default_rng(257).integers(0, 257, size=(5, 12))
+    words[0] = table[-100]
+    assert code.nearest_distance_batch(words).tolist() == reference_distances(table, words)
+    assert code._group_planes.shape[2] == 257
+
+
+def test_the_distance_oracle_builds_no_table_and_never_reaches_table_cells(monkeypatch):
+    code = reed_solomon(Field(7), 7, 5)
+    table = reference_table(code)
+    words = np.random.default_rng(7).integers(0, 7, size=(6, 7))
+    words[0] = table[-1]
+    monkeypatch.setattr(ltclab.config, "TABLE_CELLS", 0)
+    assert code.nearest_distance_batch(words).tolist() == reference_distances(table, words)
+    assert code._group_planes.shape[2] < len(table)
+    assert "_tables" not in code.__dict__
+    with pytest.raises(TooLargeToEnumerateError):
+        code.codewords()
+
+
+def near_codewords(code, count: int, seed: int) -> tuple[np.ndarray, list[int]]:
+    """``count`` codewords from messages spread over the code, word i with i symbols changed.
+
+    Each is i from the code while 2 * i is below its minimum distance.
+    """
+    q, k, n = code.field.q, code.k, code.n
+    rng = np.random.default_rng(seed)
+    messages = rng.integers(0, q, size=(count, k))
+    words = (messages @ code.generator) % q
+    for i, word in enumerate(words):
+        cols = rng.choice(n, size=i, replace=False)
+        word[cols] = (word[cols] + rng.integers(1, q, size=i)) % q
+    return words.astype(symbol_dtype(code.field)), list(range(count))
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_many_groups_and_words_of_a_long_code_stay_small():
+    # A [2000, 7] code over GF(5): 125 groups of 625; its table (156M cells) is past TABLE_CELLS.
+    # The first 1001 columns repeat the unit vectors, so the minimum distance is at least 143.
+    gen = np.random.default_rng(2000).integers(0, 5, size=(7, 2000))
+    gen[:, :1001] = np.tile(np.eye(7, dtype=np.int64), 143)
+    code = LinearCode(Field(5), gen)
+    words, expected = near_codewords(code, 10, seed=5)
+    got, peak = traced_peak(lambda: code.nearest_distance_batch(words))
+    assert got.tolist() == expected
+    assert code._group_planes.shape[2] == 625
+    assert peak < 12 * 10**6
+
+
+def test_many_words_of_the_long_code_of_blocks_stay_small():
+    # The [16000, 2] code over GF(31) of the block test: 31 groups of 31, 40 words of 16,000.
+    code = LinearCode(Field(31), np.random.default_rng(0).integers(0, 31, size=(2, 16000)))
+    messages = itertools.islice(itertools.product(range(31), repeat=2), 1, None)
+    assert min(np.count_nonzero((np.array(m) @ code.generator) % 31) for m in messages) > 80
+    words, expected = near_codewords(code, 40, seed=31)
+    got, peak = traced_peak(lambda: code.nearest_distance_batch(words))
+    assert got.tolist() == expected
+    assert peak < 20 * 10**6
+
+
+@pytest.mark.parametrize("cells, span", [(ltclab.config.TABLE_CELLS, 5), (0, 1)])
+@pytest.mark.parametrize("batch", [1, 40, 60])
+def test_a_block_of_shifted_words_holds_a_bounded_number_of_symbols(monkeypatch, batch, cells, span):
+    # _CHUNK = 4: blocks of at most 1024 symbols, and groups of 5 codewords, past the 4 rows
+    # of a block as 5 codewords fit TABLE_CELLS, or else of one codeword, 125 of them.
+    n = 20
+    code = systematic_code(5, 3, n, seed=4)
+    words = np.random.default_rng(batch).integers(0, 5, size=(batch, n))
+    expected = reference_distances(reference_table(code), words)
+    monkeypatch.setattr(ltclab.code, "_CHUNK", 4)
+    monkeypatch.setattr(ltclab.config, "TABLE_CELLS", cells)
+    assert code._group_planes.shape[2] == span
+    sizes, pack = [], ltclab.code._pack
+
+    def spy(values, *args):
+        if values is not words:
+            sizes.append(values.size)
+        return pack(values, *args)
+
+    monkeypatch.setattr(ltclab.code, "_pack", spy)
+    assert code.nearest_distance_batch(words).tolist() == expected
+    assert sum(sizes) >= (125 // span - 1) * batch * n  # every later group start shifts every word
+    assert max(sizes) <= 4 << 8
 
 
 @pytest.mark.parametrize("chunk", [7, 100, ltclab.code._CHUNK])
@@ -309,7 +464,7 @@ def test_plane_sums_hold_distances_past_255(q, k):
     "code",
     [
         reed_solomon(Field(5), 4, 3),  # 125 codewords in groups of 5 or 25
-        reed_solomon(Field(257), 3, 1),  # groups of one message; 257 rows
+        reed_solomon(Field(257), 3, 1),  # one group of 257 rows, yielded in blocks of _CHUNK rows
         systematic_code(2, 8, 5 + 8, seed=3),
         tensor_power(reed_solomon(Field(5), 3, 2), 2),  # 625 = 6 * 100 + 25 rows
     ],
@@ -318,6 +473,7 @@ def test_plane_sums_hold_distances_past_255(q, k):
 def test_codewords_follow_message_order(monkeypatch, code, chunk):
     monkeypatch.setattr(ltclab.code, "_CHUNK", chunk)
     code.__dict__.pop("_tables", None)
+    code.__dict__.pop("_group", None)
     table = code.codewords()
     assert np.array_equal(table, message_order(code, code.k))
     assert table.dtype == symbol_dtype(code.field)
