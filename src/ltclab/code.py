@@ -1,7 +1,7 @@
 """Linear block codes over prime fields, with exact brute-force oracles.
 
 A code is held as a full-rank generator matrix, reduced at construction; its
-parity-check matrix and its codeword table are derived on first use.  The
+parity-check matrix is derived on first use, and no codeword table is kept.  The
 oracles are LinearCode methods: minimum distance and nearest-codeword queries
 enumerate codewords exhaustively through ``encode_batch`` up to
 ENUMERATION_THRESHOLD and refuse beyond it (the multiples of the all-ones row
@@ -11,7 +11,6 @@ over GF(17) and up count symbols instead); nothing here ever estimates.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import warnings
 from fractions import Fraction
@@ -172,10 +171,9 @@ def word_values(word: Word, field: Field, n: int, grid: Optional[tuple[int, ...]
 # The oracle is the LinearCode methods below.  They enumerate codewords only
 # through ``encode_batch``, so a TensorCode enumerates through its axis
 # contraction, without a Kronecker generator.  Every entry point checks
-# ENUMERATION_THRESHOLD through ``config.within`` on every call, cached table
-# or not, and before it computes a huge q**k.  Messages are enumerated in
-# lexicographic order, at most _CHUNK at a time, so ties break toward the
-# smallest message.
+# ENUMERATION_THRESHOLD through ``config.within`` on every call, before it
+# computes a huge q**k.  Messages are enumerated in lexicographic order, at
+# most _CHUNK at a time, so ties break toward the smallest message.
 #
 # Codeword symbols are stored row-major as symbol_dtype(field).  The distance
 # oracle reads no codeword table: it keeps the bit-planes of the first group of
@@ -387,20 +385,6 @@ class LinearCode:
                 yield s + r, sums.astype(symbol_dtype(self.field), copy=False)
 
     @functools.cached_property
-    def _tables(self) -> np.ndarray:
-        """All q**k codewords, read-only, refused past TABLE_CELLS before any encoding; read via ``codewords()``."""
-        total = self.num_codewords()
-        config.within("TABLE_CELLS", total * self.n, "codeword table")
-        blocks = self._blocks()
-        _, block = next(blocks)
-        table = block if block.shape[0] == total else np.empty((total, self.n), dtype=block.dtype)
-        for s, block in itertools.chain([(0, block)], blocks):
-            if block is not table:
-                table[s : s + block.shape[0]] = block
-        table.setflags(write=False)
-        return table
-
-    @functools.cached_property
     def _group_planes(self) -> np.ndarray:
         """The read-only (b, W, q**j) bit-planes of the first group, b = bitlength(q - 1)."""
         planes = _pack(self._group, (self.field.q - 1).bit_length())
@@ -408,14 +392,23 @@ class LinearCode:
         return planes
 
     def codewords(self) -> np.ndarray:
-        """All q**k codewords as a read-only (q**k, n) array, cached.
+        """All q**k codewords as a read-only (q**k, n) array, refused past TABLE_CELLS before any encoding.
 
         Row order is lexicographic in the message symbols, so row index i
         encodes the message ``unravel_index(i, (q,)*k)``.  Symbols are
-        ``symbol_dtype(field)``, row-major.
+        ``symbol_dtype(field)``, row-major.  Each call fills a new array from
+        ``_blocks()``, except that a code of one group returns ``_group`` itself.
         """
         self._checked_size()
-        return self._tables
+        total = self.num_codewords()
+        config.within("TABLE_CELLS", total * self.n, "codeword table")
+        table = self._group
+        if len(table) < total:
+            table = np.empty((total, self.n), dtype=symbol_dtype(self.field))
+            for s, block in self._blocks():
+                table[s : s + len(block)] = block
+        table.setflags(write=False)
+        return table
 
     def min_distance(self) -> int:
         """Exact minimum distance by enumerating nonzero codewords."""
@@ -433,7 +426,7 @@ class LinearCode:
 
         Ties break toward the lexicographically smallest message, which is the
         first minimum in enumeration order.  Streams codewords from
-        ``encode_batch`` and never reads the cached table.
+        ``encode_batch`` and never builds a table.
         """
         values = word_values(word, self.field, self.n, self.shape)
         best, best_ham = None, self.n + 1

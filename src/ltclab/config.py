@@ -8,16 +8,16 @@ harness and are always labelled as estimates.  Every refusal is one call to ``wi
 from .errors import TooLargeToEnumerateError
 
 # Maximum number of codewords any exhaustive oracle (minimum distance,
-# nearest codeword, cached codeword tables) will enumerate.
+# nearest codeword, the codeword table of LinearCode.codewords()) will enumerate.
 ENUMERATION_THRESHOLD = 2**24
 
 # Maximum number of adjacency entries a graph may materialize explicitly.
 # Larger graphs fall back to a computed row accessor.
 ADJACENCY_BUDGET = 2**26
 
-# Maximum cells (codewords x block length) of the codeword table that LinearCode.codewords()
-# caches.  No other oracle reads the table: the nearest-distance oracle compares with the first
-# group of codewords only, which is q codewords past a block's rows while they fit here.
+# Maximum cells (codewords x block length) of the codeword table that each LinearCode.codewords()
+# call builds; no code keeps one.  No other oracle reads a table: the nearest-distance oracle compares
+# with the first group of codewords only, which is q codewords past a block's rows while they fit here.
 TABLE_CELLS = 2**26
 
 # Maximum view symbols (words x views x view length) of one chunk of

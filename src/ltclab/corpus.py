@@ -82,7 +82,12 @@ def _weight_ladder(n: int) -> list[int]:
 
 
 def _expand(part: CorpusPart, q: int, n: int) -> tuple[CorpusPart, ...]:
-    """A part as parts of known word counts: a mixed part in thirds, a low_weight part counted."""
+    """A part as parts of known word counts: a mixed part in thirds, a low_weight part counted.
+
+    Refuses w > n, more errors than a word has positions.
+    """
+    if part.params.get("w", 0) > n:
+        raise ValueError(f"corpus part {part.kind} plants w = {part.params['w']} errors in words of length {n}")
     if part.kind == "mixed":
         third = part.count // 3
         return (
@@ -168,7 +173,7 @@ def _fill_part(instance: TestInstance, part: CorpusPart, rng, out: np.ndarray) -
             sources.append({"kind": "codewords"})
             continue
         w = ladder[i % len(ladder)]
-        positions = rng.choice(n, size=min(w, n), replace=False)
+        positions = rng.choice(n, size=w, replace=False)
         row[positions] = (row[positions] + rng.integers(1, q, size=positions.size, dtype=np.int64)) % q
         sources.append({"kind": "codeword_plus_weight", "w": w})
     return sources

@@ -1,6 +1,10 @@
 """Exception and warning types shared across the package."""
 
 
+# Python will not print an int of more than 4,300 digits; one of at most PRINTABLE_BITS bits has at most 4,215.
+PRINTABLE_BITS = 14000
+
+
 class LtcLabError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -41,8 +45,8 @@ class TooLargeToEnumerateError(LtcLabError, ValueError):
     """A request past the config budget named ``budget`` (``requested`` > ``limit``); see ``config.within``."""
 
     def __init__(self, budget: str, requested: int, limit: int, what: str):
-        # Python will not print an int of more than 4,300 digits (14,000 bits is at most 4,215 of them).
-        shown = requested if requested.bit_length() <= 14000 else f"at least 2^{requested.bit_length() - 1}"
+        bits = requested.bit_length()
+        shown = requested if bits <= PRINTABLE_BITS else f"at least 2^{bits - 1}"
         super().__init__(f"{what} would hold {shown}, past {budget} = {limit}")
         self.budget, self.requested, self.limit = budget, requested, limit
 

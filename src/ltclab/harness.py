@@ -50,7 +50,7 @@ from .tanner import (
     tpc_linear_code,
 )
 from .tensor import TensorCode, TensorWord, tensor_power
-from .tester import TestInstance, positive_alpha
+from .tester import TestInstance, positive_alpha, unit_tau
 
 
 # --- inline specs -------------------------------------------------------------
@@ -276,13 +276,14 @@ def _hypotheses(full) -> Optional[dict]:
 
 
 def run_sweep(config: ExperimentConfig, instance: Optional[TestInstance] = None) -> SweepResult:
-    """Certify every corpus word at the configured alpha, refused first unless positive.
+    """Certify every corpus word at the configured alpha and tau, each refused first when out of range.
 
     Returns per-word reports plus a summary with the violation count and the
     empirical minimum of rho/delta over words at positive distance.
     """
     t0 = time.perf_counter()
     alpha = positive_alpha(config.alpha)
+    tau = None if config.tau is None else unit_tau(config.tau)
     if instance is None:
         instance = instance_from_specs(config.graph_spec, config.small_spec, config.full_spec)
     parts = parse_corpus_spec(config.corpus)
@@ -298,7 +299,7 @@ def run_sweep(config: ExperimentConfig, instance: Optional[TestInstance] = None)
             fields = est.to_json_dict(alpha=frac_str(alpha), delta=frac_str(lower) if exact else None)
             reports.append({"instance": instance.label, "word_source": source, **fields})
             continue
-        report, holds = instance.certify(word, alpha, tau=config.tau, word_source=source)
+        report, holds = instance.certify(word, alpha, tau=tau, word_source=source)
         if holds is False:
             violations += 1
         elif holds is None:

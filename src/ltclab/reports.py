@@ -14,6 +14,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Collection, Iterable
 
+from .errors import PRINTABLE_BITS
+
 
 def frac_str(fr: Fraction) -> str:
     """Canonical exact rendering: 'p/q', or just 'p' for integers."""
@@ -32,15 +34,25 @@ def frac_decimal(fr: Fraction) -> str:
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse 'p/q', an integer, or a power like '2^-16'."""
+    """Parse 'p/q', an integer, or a power 'b^e' like '2^-16'.
+
+    Refuses other text, a zero denominator, and a power whose |e| * bitlength(|b|) is past
+    PRINTABLE_BITS, before computing it.
+    """
     text = text.strip()
-    if "^" in text:
-        base, exp = text.split("^", 1)
-        return Fraction(int(base)) ** int(exp)
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    sep = "^" if "^" in text else "/"
+    head, found, tail = text.partition(sep)
+    try:
+        a, b = int(head), (int(tail) if found else 1)
+    except ValueError:
+        raise ValueError(f"cannot read {text!r} as a fraction: give p/q, an integer or b^e") from None
+    if sep == "^":
+        if abs(a) >= 2 and abs(b) * abs(a).bit_length() > PRINTABLE_BITS:
+            raise ValueError(f"power {text!r} is past {PRINTABLE_BITS} bits")
+        a, b = (a**b, 1) if b >= 0 else (1, a**-b)
+    if b == 0:
+        raise ValueError(f"fraction {text!r} has a zero denominator")
+    return Fraction(a, b)
 
 
 def parse_keys(text: str, body: str, keys: Collection[str]) -> dict[str, int]:

@@ -43,6 +43,14 @@ def positive_alpha(alpha) -> Fraction:
     return alpha
 
 
+def unit_tau(tau) -> Fraction:
+    """``tau`` as a Fraction; refuses tau outside [0, 1], past which every view or none counts as far."""
+    tau = Fraction(tau)
+    if not 0 <= tau <= 1:
+        raise ValueError("tau must lie in [0, 1]")
+    return tau
+
+
 @dataclass(frozen=True)
 class SampledEstimate:
     """Seeded unbiased estimate of the expected robustness."""
@@ -203,7 +211,8 @@ class TestInstance(TannerCode):
 
     def tau_soundness_error(self, word: Word, tau: Fraction) -> Fraction:
         """Fraction of views strictly more than tau-far from the small code."""
-        return self._soundness_error(self.view_hammings(word), Fraction(tau))
+        tau = unit_tau(tau)
+        return self._soundness_error(self.view_hammings(word), tau)
 
     def _soundness_error(self, hams: np.ndarray, tau: Fraction) -> Fraction:
         # ham/t > tau  <=>  ham > floor(tau * t), for an integer ham
@@ -258,16 +267,17 @@ class TestInstance(TannerCode):
         """Build a full robustness report and decide rho >= alpha * delta.
 
         An exact delta d is the interval [d, d]; the verdict is None when the
-        interval alone cannot decide it.  Refuses alpha <= 0, as ``positive_alpha`` does.
+        interval alone cannot decide it.  Refuses alpha <= 0, as ``positive_alpha`` does,
+        and tau outside [0, 1], as ``unit_tau`` does.
         """
         alpha = positive_alpha(alpha)
+        tau = None if tau is None else unit_tau(tau)
         hams = self.view_hammings(word)
         t = self.graph.t_degree
         rho = Fraction(int(hams.sum()), self.graph.m_right * t)
         lower, upper, exact = self.delta_bounds(word, rho)
         holds = True if rho >= alpha * upper else False if rho < alpha * lower else None
         ratio = rho / lower if exact and lower else None
-        tau = None if tau is None else Fraction(tau)
         epsilon = None if tau is None else self._soundness_error(hams, tau)
         per_view = tuple((j + 1, Fraction(int(h), t)) for j, h in enumerate(hams)) if with_views else None
         report = RobustnessReport(

@@ -439,6 +439,8 @@ def test_unknown_subcommand_exits_2():
 
 
 TINY_SWEEP = ["sweep", "--graph", "product:n=2,m=2", "--small", "rep:q=2,n=2"]
+NINE_SYMBOL_SWEEP = ["sweep", "--graph", "product:n=3,m=2", "--small", "rep:q=2,n=3"]
+ROBUSTNESS = ["robustness", "--graph", "product:n=2,m=2", "--small", "rep:q=2,n=2", "--word", "1,0,0,0"]
 
 
 @pytest.mark.parametrize(
@@ -457,10 +459,28 @@ TINY_SWEEP = ["sweep", "--graph", "product:n=2,m=2", "--small", "rep:q=2,n=2"]
         # DERIVED_PARITY_CELLS refuses the reference code, so no corpus kind can read its codewords.
         (["sweep", "--graph", "product:n=12,m=3", "--small", "rep:q=2,n=12^2", "--corpus", "codewords:3"],
          "this corpus kind needs a reference full code on the instance"),
+        # Past [0, 1], every view (tau < 0) or none (tau > 1) is more than tau-far.
+        (ROBUSTNESS + ["--tau", "-1"], "tau must lie in [0, 1]"),
+        (ROBUSTNESS + ["--tau", "2"], "tau must lie in [0, 1]"),
+        # Refused before the corpus, which would need a reference code that this instance lacks.
+        (["sweep", "--graph", "product:n=12,m=3", "--small", "rep:q=2,n=12^2", "--corpus", "codewords:3",
+          "--tau", "3/2"], "tau must lie in [0, 1]"),
+        (NINE_SYMBOL_SWEEP + ["--corpus", "codeword_plus_weight:2,w=100"],
+         "corpus part codeword_plus_weight plants w = 100 errors in words of length 9"),
+        (NINE_SYMBOL_SWEEP + ["--corpus", "mixed:3,w=10"],
+         "corpus part mixed plants w = 10 errors in words of length 9"),
+        (["query-account", "--n", "2", "--t", "2", "--alpha", "1/0"], "fraction '1/0' has a zero denominator"),
+        (["query-account", "--n", "2", "--t", "2", "--alpha", "0^-1"], "fraction '0^-1' has a zero denominator"),
+        (["query-account", "--n", "2", "--t", "2", "--alpha", "0.5"],
+         "cannot read '0.5' as a fraction: give p/q, an integer or b^e"),
+        (ROBUSTNESS + ["--alpha", "1/2/3"], "cannot read '1/2/3' as a fraction: give p/q, an integer or b^e"),
+        (["query-account", "--n", "2", "--t", "2", "--alpha", "2^-20000"], "power '2^-20000' is past 14000 bits"),
     ],
     ids=["word-and-word-file", "no-word", "membership-without-code", "csv-without-out", "nested-power",
          "query-account-t", "query-account-n", "query-account-alpha-0", "query-account-alpha-above-1",
-         "codewords-without-reference"],
+         "codewords-without-reference", "robustness-tau-negative", "robustness-tau-above-1", "sweep-tau-above-1",
+         "codeword-plus-weight-past-n", "mixed-past-n", "fraction-over-0", "power-of-0-below-0",
+         "fraction-decimal", "fraction-two-slashes", "power-past-print-limit"],
 )
 def test_a_usage_error_prints_one_line_and_nothing_on_stdout(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -254,15 +255,23 @@ def test_a_table_past_table_cells_is_refused_before_any_encoding(monkeypatch):
     assert (err.value.budget, err.value.requested) == ("TABLE_CELLS", 2**20 * 100)
 
 
-def test_a_refused_table_is_not_cached(monkeypatch):
-    c = reed_solomon(GF7, 7, 2)  # 49 codewords of length 7
-    monkeypatch.setattr(ltclab.config, "TABLE_CELLS", 49 * 7 - 1)
-    with pytest.raises(TooLargeToEnumerateError):
-        c.codewords()
-    assert "_tables" not in c.__dict__
+@pytest.mark.parametrize("k", [5, 2], ids=["groups", "one-group"])
+def test_a_codeword_table_is_built_on_each_call_and_kept_nowhere(monkeypatch, k):
+    c = reed_solomon(GF7, 7, k)  # RS[7,5]: 7^5 codewords in groups of 7^4; RS[7,2]: one group of 49
+    total = 7**k
+    monkeypatch.setattr(ltclab.config, "TABLE_CELLS", total * 7 - 1)
+    for _ in range(2):
+        with pytest.raises(TooLargeToEnumerateError):
+            c.codewords()
     monkeypatch.undo()
-    assert c.codewords().shape == (49, 7)
-    assert "_tables" in c.__dict__
+    first, second = c.codewords(), c.codewords()
+    messages = np.array(list(itertools.product(range(7), repeat=k)), dtype=np.int64)
+    for table in (first, second):
+        assert not table.flags.writeable
+        assert np.array_equal(table, c.encode_batch(messages))
+    assert (first is second) == (k == 2)  # one group is returned as it is; more fill a new array
+    if k == 5:
+        assert all(getattr(value, "shape", ())[:1] != (total,) for value in c.__dict__.values())
 
 
 def test_threshold_refuses_on_a_warm_table(monkeypatch):

@@ -130,6 +130,16 @@ def test_corpus_codeword_plus_weight_structure():
         assert inst.delta_exact(word) <= Fraction(3, 25)
 
 
+def test_corpus_plants_up_to_n_errors_and_refuses_more():
+    inst = product_instance(reed_solomon(Field(5), 5, 2), 2)  # words of length 25
+    for spec in ("codeword_plus_weight:2,w=25", "mixed:6,w=25"):
+        words = generate_corpus(inst, parse_corpus_spec(spec), seed=1)
+        assert {s["w"] for _, s in words if s["kind"] == "codeword_plus_weight"} == {25}
+    for spec in ("codeword_plus_weight:2,w=26", "mixed:0,w=26"):
+        with pytest.raises(ValueError, match="plants w = 26 errors in words of length 25"):
+            generate_corpus(inst, parse_corpus_spec(spec), seed=1)
+
+
 def test_corpus_planted_slice_has_clean_view():
     inst = product_instance(reed_solomon(Field(5), 5, 2), 2)
     words = generate_corpus(inst, parse_corpus_spec("planted_slice:8"), seed=2)

@@ -47,6 +47,10 @@ def reference_distances(table: np.ndarray, words: np.ndarray) -> list[int]:
     return [int(np.count_nonzero(table != w, axis=1).min()) for w in words.astype(np.int64)]
 
 
+def no_table(code):
+    raise AssertionError("the distance oracle read a codeword table")
+
+
 def message_order(code, k: int) -> np.ndarray:
     q = code.field.q
     idx = np.arange(q**k, dtype=np.int64)
@@ -141,6 +145,7 @@ def test_plane_compare_matches_brute_force(q, k, n, batch, path):
         words[2, 0] = (words[2, 0] + 1) % q  # one symbol off a codeword
     expected = reference_distances(table, words)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LinearCode, "codewords", no_table)
         if path == "chunked":
             mp.setattr(ltclab.code, "_CHUNK", 40)  # a few rows per compare step
         if path == "streamed":
@@ -153,7 +158,6 @@ def test_plane_compare_matches_brute_force(q, k, n, batch, path):
             got = oracle(words.astype(dtype))
             assert got.dtype == np.int64
             assert got.tolist() == expected
-    assert "_tables" not in code.__dict__
     if path == "streamed":
         assert code._group_planes.shape[2] < code.num_codewords()  # several groups
 
@@ -181,13 +185,13 @@ def test_histogram_side_matches_brute_force(q, n, batch, path):
         words[3] = 0
     expected = reference_distances(table, words)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LinearCode, "codewords", no_table)
         if path == "blocked":
             mp.setattr(ltclab.code, "_CHUNK", 4)  # blocks of 64 symbols and bins: 1 to 3 rows
         for dtype in (symbol_dtype(code.field), np.int64):
             got = code.nearest_distance_batch(words.astype(dtype))
             assert got.dtype == np.int64
             assert got.tolist() == expected
-    assert "_tables" not in code.__dict__
 
 
 @pytest.mark.parametrize(
@@ -379,9 +383,10 @@ def test_the_distance_oracle_builds_no_table_and_never_reaches_table_cells(monke
     words = np.random.default_rng(7).integers(0, 7, size=(6, 7))
     words[0] = table[-1]
     monkeypatch.setattr(ltclab.config, "TABLE_CELLS", 0)
-    assert code.nearest_distance_batch(words).tolist() == reference_distances(table, words)
+    with monkeypatch.context() as mp:
+        mp.setattr(LinearCode, "codewords", no_table)
+        assert code.nearest_distance_batch(words).tolist() == reference_distances(table, words)
     assert code._group_planes.shape[2] < len(table)
-    assert "_tables" not in code.__dict__
     with pytest.raises(TooLargeToEnumerateError):
         code.codewords()
 
@@ -472,7 +477,6 @@ def test_a_block_of_shifted_words_holds_a_bounded_number_of_symbols(monkeypatch,
 )
 def test_codewords_follow_message_order(monkeypatch, code, chunk):
     monkeypatch.setattr(ltclab.code, "_CHUNK", chunk)
-    code.__dict__.pop("_tables", None)
     code.__dict__.pop("_group", None)
     table = code.codewords()
     assert np.array_equal(table, message_order(code, code.k))

@@ -130,7 +130,11 @@ def test_tau_soundness_single_error(rep3_square):
     # Either side of the views' 1/3, with denominators far past the distances' dtype.
     assert rep3_square.tau_soundness_error(w, Fraction(2**70 - 1, 3 * 2**70)) == Fraction(1, 3)
     assert rep3_square.tau_soundness_error(w, Fraction(1, 3)) == 0
-    assert rep3_square.tau_soundness_error(w, Fraction(-2**70, 3)) == 1
+    assert rep3_square.tau_soundness_error(w, Fraction(2**70 + 1, 3 * 2**70)) == 0
+    assert rep3_square.tau_soundness_error(w, Fraction(1)) == 0
+    for tau in (Fraction(-2**70, 3), Fraction(-1, 2**70), Fraction(2**70 + 1, 2**70)):
+        with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\]"):
+            rep3_square.tau_soundness_error(w, tau)
 
 
 # --- certification ---------------------------------------------------------------------
