@@ -38,10 +38,18 @@ from .harness import (
 )
 from .reports import json_bytes, parse_fraction, write_csv
 from .tanner import TannerCode
+from .tester import positive_alpha, unit_tau
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose own usage errors print one ``error:`` line, like every other usage error."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ltclab",
         description="Product-code construction and exact local-tester robustness measurement.",
     )
@@ -170,10 +178,10 @@ def _cmd_membership(args) -> int:
 
 
 def _cmd_robustness(args) -> int:
+    alpha = positive_alpha(parse_fraction(args.alpha))
+    tau = unit_tau(parse_fraction(args.tau)) if args.tau else None
     instance = instance_from_specs(args.graph, args.small, full_spec=args.code)
     word = _load_word(args, instance.small.field)
-    alpha = parse_fraction(args.alpha)
-    tau = parse_fraction(args.tau) if args.tau else None
     if args.sampled:
         est = instance.expected_robustness_sampled(word, args.seed, args.samples)
         _emit({"instance": instance.label, **est.to_json_dict(seed=args.seed)}, args.out)

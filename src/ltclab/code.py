@@ -293,7 +293,8 @@ class LinearCode:
 
     @functools.cached_property
     def parity_check(self) -> np.ndarray:
-        """The read-only (n - k, n) parity-check matrix, derived on first use."""
+        """The read-only (n - k, n) parity-check matrix, derived on first use and refused past PARITY_CELLS."""
+        config.within("PARITY_CELLS", (self.n - self.k) * self.n, "parity-check matrix")
         parity = linalg.null_space(self.generator, self.field.q)
         parity.setflags(write=False)
         return parity

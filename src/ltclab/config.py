@@ -27,9 +27,9 @@ BROADCAST_CELLS = 2**26
 # Maximum cells of a tensor code's flat Kronecker generator.
 GENERATOR_CELLS = 2**24
 
-# Maximum cells of the stacked parity matrix behind a Tanner product code,
-# when it is requested explicitly and when it is derived as a missing
-# reference full code.
+# Maximum cells of a code's parity-check matrix, and of the stacked parity
+# matrix behind a Tanner product code, when it is requested explicitly and
+# when it is derived as a missing reference full code (the second budget).
 PARITY_CELLS = 2**24
 DERIVED_PARITY_CELLS = 2**22
 

@@ -76,24 +76,21 @@ def null_space(a: np.ndarray, q: int) -> np.ndarray:
 
 
 def solve_unique(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Solve ``a @ x = b`` for the unique x over GF(q).
+    """Solve ``a @ x = b`` for the unique x over GF(q), one column of x per column of b.
 
-    Raises InconsistentSystemError if no solution exists and
-    UnderdeterminedSystemError if the solution is not unique.
+    A (rows,) ``b`` gives an (n,) x.  Raises InconsistentSystemError if no solution
+    exists and UnderdeterminedSystemError if the solution is not unique.
     """
     b = np.mod(np.asarray(b, dtype=np.int64), q)
-    if b.ndim != 1 or b.shape[0] != a.shape[0]:
+    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
         raise ValueError("right-hand side shape does not match the matrix")
-    aug = np.concatenate([np.mod(a, q).astype(np.int64), b[:, None]], axis=1)
+    aug = np.concatenate([np.mod(a, q).astype(np.int64), b.reshape(a.shape[0], -1)], axis=1)
     r, pivots = rref(aug, q)
     n = a.shape[1]
-    if n in pivots:
+    if pivots and pivots[-1] >= n:
         raise InconsistentSystemError("system has no solution")
     if len(pivots) < n:
         raise UnderdeterminedSystemError(
             f"system rank {len(pivots)} < {n} unknowns"
         )
-    x = np.zeros(n, dtype=np.int64)
-    for row, p in enumerate(pivots):
-        x[p] = r[row, n]
-    return x
+    return r[:n, n:].reshape((n,) + b.shape[1:])

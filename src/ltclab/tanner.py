@@ -339,13 +339,13 @@ def tpc_linear_code(graph: OrderedGraph, small: LinearCode, budget: str = "PARIT
     """
     if small.n != graph.t_degree:
         raise DegreeMismatchError(f"small code length {small.n} != right degree {graph.t_degree}")
-    parity = small.parity_check
-    rows_per_view, n = parity.shape[0], graph.n_left
+    rows_per_view, n = small.n - small.k, graph.n_left
     total = graph.m_right * max(rows_per_view, 1)
     within(budget, total * n, "stacked parity matrix")
     if rows_per_view == 0:
         # The small code is the full space: every word qualifies.
         return full_code(small.field, n)
+    parity = small.parity_check
     stacked = np.zeros((graph.m_right, rows_per_view, n), dtype=np.int64)
     for start, block in graph.iter_row_blocks():
         # parity row h of view j adds h[i] at left vertex block[j, i], summing repeated neighbours

@@ -208,9 +208,9 @@ class TensorCode(LinearCode):
         """Extend a partial codeword on I_1 x ... x I_m to the full grid.
 
         Each 1-based index set I_b must have at least n_b - d_b + 1 elements,
-        which makes the extension unique.  The message grid is recovered by
-        Gaussian elimination against the projected generator; an inconsistent
-        system means ``partial`` is not a codeword of the projected product.
+        which makes the extension unique.  The message grid is recovered axis by
+        axis, every line along axis b solved against the b-th projected generator;
+        an inconsistent line means ``partial`` is not a codeword of the projected product.
         """
         if len(index_sets) != len(self.factors):
             raise ValueError(f"expected {len(self.factors)} index sets, got {len(index_sets)}")
@@ -228,20 +228,19 @@ class TensorCode(LinearCode):
             raise ShapeMismatchError(
                 f"partial word has shape {partial.shape}, expected {pshape}"
             )
-        gen = None
-        for factor, cols in zip(self.factors, sets0):
-            g = factor.generator[:, cols]
-            gen = g if gen is None else linalg.kron(gen, g, self.field.q)
+        grid, q = partial.array, self.field.q
         try:
-            msg = linalg.solve_unique(gen.T, partial.values, self.field.q)
+            for b0, (factor, cols) in enumerate(zip(self.factors, sets0)):
+                lines = np.moveaxis(grid, b0, -1)
+                msgs = linalg.solve_unique(factor.generator[:, cols].T, lines.reshape(-1, len(cols)).T, q)
+                grid = np.moveaxis(msgs.T.reshape(lines.shape[:-1] + (factor.k,)), -1, b0)
         except InconsistentSystemError as exc:
             raise NotACodewordError(
                 "partial word is not a codeword of the projected product code"
             ) from exc
-        except UnderdeterminedSystemError as exc:  # pragma: no cover - guarded above
+        except UnderdeterminedSystemError as exc:
             raise UnderdeterminedError(str(exc)) from exc
-        kshape = tuple(c.k for c in self.factors)
-        return self.encode_tensor(msg.reshape(kshape))
+        return self.encode_tensor(grid)
 
 
 def tensor_product(c1: LinearCode, c2: LinearCode) -> LinearCode:

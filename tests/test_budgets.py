@@ -47,8 +47,14 @@ REFUSALS = [
         Word(GF2, [0] * 9), Fraction(1, 10**6 + 1)), 10**6 + 1),
 ]
 
+# PARITY_CELLS also refuses a code's own parity-check matrix, before it is allocated: 4999 x 5000 int64 here.
+PARITY_CHECK_REFUSAL = ("PARITY_CELLS", None, lambda: repetition(GF2, 5000).parity_check, 4999 * 5000)
 
-@pytest.mark.parametrize("budget, patched, call, requested", REFUSALS, ids=[r[0] for r in REFUSALS])
+
+@pytest.mark.parametrize(
+    "budget, patched, call, requested", REFUSALS + [PARITY_CHECK_REFUSAL],
+    ids=[r[0] for r in REFUSALS] + ["PARITY_CELLS-parity-check"],
+)
 def test_every_budget_refuses_by_name(monkeypatch, budget, patched, call, requested):
     if patched is not None:
         monkeypatch.setattr(ltclab.config, budget, patched)
@@ -59,6 +65,14 @@ def test_every_budget_refuses_by_name(monkeypatch, budget, patched, call, reques
     assert (exc.budget, exc.requested, exc.limit) == (budget, requested, limit)
     assert isinstance(exc, ValueError) and isinstance(exc, LtcLabError)
     assert str(exc).endswith(f" would hold {requested}, past {budget} = {limit}")
+
+
+def test_a_refused_tanner_product_code_derives_no_parity_check():
+    # The small code's parity check would be 960 x 961, and the cube's 29790 x 29791; neither is derived.
+    small = tensor_power(reed_solomon(Field(31), 31, 1), 2)
+    with pytest.raises(TooLargeToEnumerateError, match="past DERIVED_PARITY_CELLS"):
+        tpc_linear_code(product_graph(31, 3), small, "DERIVED_PARITY_CELLS")
+    assert "parity_check" not in small.__dict__ and "generator" not in small.__dict__
 
 
 def test_adjacency_budget_refuses_coordinate_weights(monkeypatch):

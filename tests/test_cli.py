@@ -475,17 +475,41 @@ ROBUSTNESS = ["robustness", "--graph", "product:n=2,m=2", "--small", "rep:q=2,n=
          "cannot read '0.5' as a fraction: give p/q, an integer or b^e"),
         (ROBUSTNESS + ["--alpha", "1/2/3"], "cannot read '1/2/3' as a fraction: give p/q, an integer or b^e"),
         (["query-account", "--n", "2", "--t", "2", "--alpha", "2^-20000"], "power '2^-20000' is past 14000 bits"),
+        # A sampled estimate reads neither constant, but it refuses what the exact report refuses.
+        (ROBUSTNESS + ["--sampled", "--tau", "2"], "tau must lie in [0, 1]"),
+        (ROBUSTNESS + ["--sampled", "--tau", "-1"], "tau must lie in [0, 1]"),
+        (ROBUSTNESS + ["--sampled", "--alpha", "0"], "alpha must be positive"),
     ],
     ids=["word-and-word-file", "no-word", "membership-without-code", "csv-without-out", "nested-power",
          "query-account-t", "query-account-n", "query-account-alpha-0", "query-account-alpha-above-1",
          "codewords-without-reference", "robustness-tau-negative", "robustness-tau-above-1", "sweep-tau-above-1",
          "codeword-plus-weight-past-n", "mixed-past-n", "fraction-over-0", "power-of-0-below-0",
-         "fraction-decimal", "fraction-two-slashes", "power-past-print-limit"],
+         "fraction-decimal", "fraction-two-slashes", "power-past-print-limit",
+         "sampled-robustness-tau-above-1", "sampled-robustness-tau-negative", "sampled-robustness-alpha-0"],
 )
 def test_a_usage_error_prints_one_line_and_nothing_on_stdout(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from "),
+        (["robustness", "--small", "rep:q=2,n=2", "--word", "1,0,0,0"], "the following arguments are required: --graph"),
+        # argparse reads "-1/2" as an option, not as the value of --alpha.
+        (TINY_SWEEP + ["--alpha", "-1/2"], "argument --alpha: expected one argument"),
+        (["expansion-check", "--graph", "product:n=2,m=3", "--format", "csv"], "unrecognized arguments: --format csv"),
+    ],
+    ids=["unknown-command", "missing-graph", "alpha-read-as-an-option", "unknown-option"],
+)
+def test_an_argument_parser_error_prints_one_line_and_nothing_on_stdout(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize(
@@ -638,8 +662,11 @@ def test_interval_reports_are_pinned(capsys, alpha, holds, digest):
         # 65521^1000 has more digits than Python will print.
         (["min-distance", "--code", "full:q=65521,n=1000"],
          "codeword enumeration would hold at least 2^15999, past ENUMERATION_THRESHOLD = 16777216"),
+        # Refused before the 4999 x 5000 parity check is allocated.
+        (["membership", "--code", "rep:q=2,n=5000", "--word", ",".join(["1"] * 5000)],
+         "parity-check matrix would hold 24995000, past PARITY_CELLS = 16777216"),
     ],
-    ids=["expansion-check", "sweep", "min-distance-too-large-to-print"],
+    ids=["expansion-check", "sweep", "min-distance-too-large-to-print", "membership-parity-check"],
 )
 def test_a_refusal_is_a_usage_error_naming_its_budget(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -84,6 +84,29 @@ def test_null_space_annihilates(args):
         assert not np.any((a @ ns.T) % q)
 
 
+@given(matrices(), st.integers(1, 4), st.data())
+def test_a_matrix_right_hand_side_is_solved_column_by_column(args, r, data):
+    q, a = args
+    symbols = st.lists(st.integers(0, q - 1), min_size=r, max_size=r)
+    x = np.array(data.draw(st.lists(symbols, min_size=a.shape[1], max_size=a.shape[1])), dtype=np.int64)
+    b = a @ x % q
+    if linalg.rank(a, q) < a.shape[1]:
+        with pytest.raises(UnderdeterminedSystemError):
+            linalg.solve_unique(a, b, q)
+        return
+    solved = linalg.solve_unique(a, b, q)
+    assert solved.shape == x.shape and np.array_equal(solved, x)
+    assert np.array_equal(solved, np.stack([linalg.solve_unique(a, b[:, j], q) for j in range(r)], axis=1))
+
+
+def test_one_inconsistent_column_makes_a_matrix_right_hand_side_inconsistent():
+    a = np.array([[1, 2], [3, 4], [0, 0]], dtype=np.int64)  # full column rank over GF(5), with a zero row
+    b = np.array([[1, 0, 2], [0, 1, 3], [0, 1, 0]], dtype=np.int64)  # only column 2 is nonzero on that row
+    assert linalg.solve_unique(a, b[:, [0, 2]], 5).shape == (2, 2)
+    with pytest.raises(InconsistentSystemError):
+        linalg.solve_unique(a, b, 5)
+
+
 def _null_space_by_loops(a, q):
     """The reference: the null-space basis built by loops over the free and pivot columns."""
     r, pivots = linalg.rref(a, q)

@@ -1,13 +1,15 @@
 import itertools
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ltclab.config
+import ltclab.linalg
 from ltclab.code import LinearCode, Word, full_code, repetition, reed_solomon
 from ltclab.errors import (
     EmptyProjectionError,
@@ -15,6 +17,7 @@ from ltclab.errors import (
     IndexOutOfRangeError,
     LengthMismatchError,
     NotACodewordError,
+    RankDeficiencyWarning,
     ShapeMismatchError,
     TooLargeToEnumerateError,
     UnderdeterminedError,
@@ -420,6 +423,66 @@ def test_extend_project_roundtrip_randomized(data):
     )
     w = t.encode_tensor(msg)
     assert t.extend([coords, coords], project_word(w, [coords, coords])) == w
+
+
+@st.composite
+def factors(draw, q):
+    """A small code over GF(q): Reed-Solomon, or the span of drawn generator rows."""
+    n = draw(st.integers(1, min(q, 4)))
+    if draw(st.booleans()):
+        return reed_solomon(Field(q), n, draw(st.integers(1, n)))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=1, max_size=n))
+    assume(any(map(any, rows)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        return LinearCode.from_rows(Field(q), rows)
+
+
+@given(st.data())
+@settings(max_examples=30)
+def test_extend_project_roundtrip_on_three_axes(data):
+    q = data.draw(st.sampled_from([2, 3, 5]))
+    t = TensorCode([data.draw(factors(q)) for _ in range(3)])
+    sets = []
+    for c in t.factors:
+        size = data.draw(st.integers(c.n - c.min_distance() + 1, c.n))
+        sets.append(sorted(data.draw(st.permutations(range(1, c.n + 1)))[:size]))
+    msg = np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=t.k, max_size=t.k)), dtype=np.int64)
+    w = t.encode_tensor(msg.reshape([c.k for c in t.factors]))
+    assert t.extend(sets, project_word(w, sets)) == w
+
+
+@pytest.mark.parametrize("pshape", [(2, 3), (3, 2)], ids=["last-axis", "first-axis"])
+def test_extend_rejects_a_partial_that_one_axis_alone_detects(pshape):
+    # Lines of length 2 = k always solve, so only the axis with 3 coordinates sees the stray symbol.
+    t = tensor_power(reed_solomon(GF7, 7, 2), 2)
+    bad = np.zeros(6, dtype=np.int64)
+    bad[0] = 1
+    with pytest.raises(NotACodewordError):
+        t.extend([list(range(1, s + 1)) for s in pshape], TensorWord(GF7, pshape, bad))
+
+
+def test_extend_with_a_declared_distance_too_large_is_underdetermined():
+    # RS[7,2] has distance 6; declared 7, one coordinate per axis passes n - d + 1 but fixes no message.
+    code = LinearCode.from_rows(GF7, reed_solomon(GF7, 7, 2).generator, d_known=7)
+    with pytest.raises(UnderdeterminedError):
+        tensor_power(code, 2).extend([[1], [1]], TensorWord(GF7, (1, 1), [3]))
+
+
+def test_extend_solves_no_system_larger_than_one_projected_factor(monkeypatch):
+    t = tensor_power(reed_solomon(GF7, 7, 3), 3)
+    shapes = []
+    solve = ltclab.linalg.solve_unique
+
+    def spy(a, b, q):
+        shapes.append(a.shape)
+        return solve(a, b, q)
+
+    monkeypatch.setattr(ltclab.linalg, "solve_unique", spy)
+    sets = [[1, 2, 3], [2, 4, 6, 7], list(range(1, 8))]
+    w = t.encode_tensor(np.arange(27).reshape(3, 3, 3) % 7)
+    assert t.extend(sets, project_word(w, sets)) == w
+    assert shapes == [(3, 3), (4, 3), (7, 3)]
 
 
 def test_a_tensor_code_needs_a_factor():
