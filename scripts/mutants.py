@@ -1,0 +1,162 @@
+#!/usr/bin/env python3
+"""Apply each listed mutant to a copy of src/ and check that its tests kill it.
+
+A mutant names a module of ``src/ltclab``, an exact old text that occurs
+there once, the new text that replaces it, and the tests expected to fail
+once it is applied.  For each mutant the script copies ``src/`` to a
+temporary directory, applies the mutant in the copy, and runs
+``pytest -q -x`` on the mutant's tests with ``PYTHONPATH`` set to the copy.
+It prints each mutant as killed or survived, with its time, and exits 1 when
+a mutant survives, its tests cannot be run (a test id that is not found) or
+an old text does not occur exactly once.  The working tree is never changed.
+
+    python3 scripts/mutants.py    # every mutant (about a minute on 2 cores)
+
+Left out as equivalent: ``start=0`` for ``start=span`` in
+``LinearCode._plane_distances`` (the first group is compared once more, which
+changes no minimum), and the shift w + c_s for w - c_s there (the group
+starts are closed under negation, so the least distance over all groups is
+the same).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # a file of src/ltclab
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    # --- the graph constructor and the one per-view loop
+    Mutant("materialize-below-budget", "tanner.py",
+           "if self.m_right * self.t_degree <= ADJACENCY_BUDGET:",
+           "if self.m_right * self.t_degree < ADJACENCY_BUDGET:",
+           ("tests/test_tanner.py::test_a_graph_is_dense_exactly_when_it_fits_the_adjacency_budget",)),
+    Mutant("materialized-keeps-formula", "tanner.py",
+           "self._rows0, self._rows_at_fn = rows, None",
+           "self._rows0 = rows",
+           ("tests/test_tanner.py::test_a_materialized_graph_keeps_no_formula",)),
+    Mutant("membership-any-view", "tanner.py",
+           "self.small.contains_batch, bool).all(axis=1)",
+           "self.small.contains_batch, bool).any(axis=1)",
+           ("tests/test_tanner.py::test_tpc_linear_code_is_the_tanner_code",)),
+    # --- 1-based coordinates are integers
+    Mutant("at-no-as-integer", "tensor.py",
+           "        indices = tuple(as_integer(i) for i in indices)\n", "",
+           ("tests/test_refusals.py::test_a_coordinate_that_is_not_an_integer_is_a_type_error",)),
+    Mutant("axis-slice-no-as-integer", "tensor.py",
+           "        b, i = as_integer(b), as_integer(i)\n", "",
+           ("tests/test_refusals.py::test_a_coordinate_that_is_not_an_integer_is_a_type_error",)),
+    Mutant("view-robustness-no-as-integer", "tester.py",
+           "values, j = self._values(word), as_integer(j)",
+           "values = self._values(word)",
+           ("tests/test_refusals.py::test_a_coordinate_that_is_not_an_integer_is_a_type_error",)),
+    Mutant("neighbors-no-as-integer", "tanner.py",
+           "for v in self.row0(as_integer(j) - 1))",
+           "for v in self.row0(j - 1))",
+           ("tests/test_refusals.py::test_a_coordinate_that_is_not_an_integer_is_a_type_error",)),
+    Mutant("view-no-as-integer", "tanner.py",
+           "return values[self.row0(as_integer(j) - 1)]",
+           "return values[self.row0(j - 1)]",
+           ("tests/test_refusals.py::test_a_coordinate_that_is_not_an_integer_is_a_type_error",)),
+    # --- budgets
+    Mutant("no-corpus-check", "corpus.py",
+           '    within("CORPUS_CELLS", words * n, "corpus")\n', "",
+           ("tests/test_budgets.py::test_every_budget_refuses_by_name",)),
+    Mutant("within-at-the-limit", "config.py",
+           "if requested > limit:",
+           "if requested >= limit:",
+           ("tests/test_budgets.py::test_within_returns_a_request_at_the_limit_and_reads_the_budget_per_call",)),
+    # --- the distance oracle: histogram side
+    Mutant("histogram-from-gf13", "code.py",
+           "if self.k != 1 or self.field.q < 17:",
+           "if self.k != 1 or self.field.q < 13:",
+           ("tests/test_oracle.py::test_the_histogram_side_answers_the_all_ones_row_from_gf17",)),
+    Mutant("histogram-row-offset", "code.py",
+           "index = block + np.arange(0, rows * q, q)[:, None]",
+           "index = block + np.arange(0, rows * (q + 1), q + 1)[:, None]",
+           ("tests/test_oracle.py::test_histogram_side_matches_brute_force",)),
+    Mutant("histogram-block-by-symbols", "code.py",
+           "step = max(1, (_CHUNK << 4) // (n + q))",
+           "step = max(1, (_CHUNK << 4) // n)",
+           ("tests/test_oracle.py::test_a_histogram_block_bounds_its_bins_as_well_as_its_symbols",)),
+    # --- the distance oracle: plane side and the first group
+    Mutant("shift-skips-a-group", "code.py",
+           "step // (batch or 1)), start=span):",
+           "step // (batch or 1)), start=2 * span):",
+           ("tests/test_oracle.py::test_nearest_distance_batch_matches_brute_force",)),
+    Mutant("last-group-dropped", "code.py",
+           "np.arange(s, min(s + per, total), span)",
+           "np.arange(s, min(s + per, total - span), span)",
+           ("tests/test_oracle.py::test_nearest_distance_batch_matches_brute_force",)),
+    Mutant("doubling-no-wrap", "code.py",
+           "                np.minimum(more, more - q, out=more)\n", "",
+           ("tests/test_oracle.py::test_nearest_distance_batch_matches_brute_force",)),
+    # --- encoding, words and verdicts
+    Mutant("encode-no-mod-q", "code.py",
+           "return (messages @ self.generator) % self.field.q",
+           "return messages @ self.generator",
+           ("tests/test_code.py", "tests/test_oracle.py")),
+    Mutant("no-grid-check", "code.py",
+           'if grid is not None and getattr(word, "shape", grid) != grid:',
+           "if False:",
+           ("tests/test_tensor.py::test_a_tensor_word_off_the_code_grid_is_refused",)),
+    Mutant("verdict-upper-as-lower", "tester.py",
+           "holds = True if rho >= alpha * upper else",
+           "holds = True if rho >= alpha * lower else",
+           ("tests/test_cli.py::test_interval_reports_are_pinned",)),
+)
+
+
+def occurrences(mutant: Mutant, src: Path = SRC) -> int:
+    return (src / "ltclab" / mutant.module).read_text().count(mutant.old)
+
+
+def run(mutant: Mutant) -> int:
+    """pytest's exit status on the mutant's tests over a mutated copy of src/: 1 or 2 (failed or unimportable) kill it."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp) / "src"
+        shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        path = copy / "ltclab" / mutant.module
+        path.write_text(path.read_text().replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
+        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests]
+        return subprocess.run(command, cwd=ROOT, env=env, capture_output=True).returncode
+
+
+def main() -> int:
+    status = 0
+    for mutant in MUTANTS:
+        count = occurrences(mutant)
+        if count != 1:
+            print(f"{mutant.name}: old text occurs {count} times in {mutant.module}")
+            status = 1
+    if status:
+        return status
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        code = run(mutant)
+        verdict = {0: "SURVIVED", 1: "killed", 2: "killed (import)"}.get(code, f"ERROR (pytest exit {code})")
+        print(f"{mutant.name}: {verdict} ({time.perf_counter() - start:.1f} s)", flush=True)
+        status |= code not in (1, 2)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

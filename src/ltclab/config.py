@@ -36,6 +36,9 @@ DERIVED_PARITY_CELLS = 2**22
 # Maximum words of a low_weight corpus part.
 LOW_WEIGHT_WORDS = 10**6
 
+# Maximum symbols (words x word length) of a whole corpus, checked before it is allocated.
+CORPUS_CELLS = 2**26
+
 # Maximum repetitions of an amplified test evaluated exactly.
 REPETITIONS = 10**6
 

@@ -109,7 +109,9 @@ def corpus_values(
     """The corpus as one (B, n_left) symbol_dtype array and its B source descriptions."""
     field, n = instance.small.field, instance.graph.n_left
     plan = [sub for part in parts for sub in _expand(part, field.q, n)]
-    values = np.empty((sum(sub.count for sub in plan), n), dtype=symbol_dtype(field))
+    words = sum(sub.count for sub in plan)
+    within("CORPUS_CELLS", words * n, "corpus")
+    values = np.empty((words, n), dtype=symbol_dtype(field))
     rng = np.random.default_rng(seed)
     sources: list[dict] = []
     for sub in plan:

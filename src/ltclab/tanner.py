@@ -6,10 +6,11 @@ vertices (1-based).  A Tanner product code TPC(G, C_small) consists of the
 words over the left vertices whose every right-vertex view (the ordered
 projection onto a neighbor list) is a codeword of the small code.
 
-Each graph family has one row formula, ``rows_at_fn(js, positions)``, vectorized
-over rows.  ``OrderedGraph.from_formula`` materializes it as a dense (m, t) array
-when m * t <= ADJACENCY_BUDGET and keeps it as a computed row accessor past
-that, so that sampled testing still works.
+Every graph is given by one row formula, ``rows_at_fn(js, positions)``,
+vectorized over rows; adjacency lists are served through a formula over their
+validated array.  The ``OrderedGraph`` constructor materializes the formula as
+a dense (m, t) array when m * t <= ADJACENCY_BUDGET and drops it, and keeps it
+as a computed row accessor past that, so that sampled testing still works.
 """
 
 from __future__ import annotations
@@ -42,31 +43,38 @@ class OrderedGraph:
     """An (n, m, t)-ordered bipartite graph.
 
     Neighbor lists are exposed 1-based (matching serialization); internal
-    arrays are 0-based.  Instances are immutable after construction.
+    arrays are 0-based.  A graph holds either its rows as a dense array
+    (``is_explicit``) or its row formula, as the constructor decides.
+    Instances are immutable after construction.
     """
 
     def __init__(
-        self, n_left: int, m_right: int, t_degree: int, rows0: Optional[np.ndarray] = None,
-        rows_at_fn: Optional[RowsAtFn] = None, left_degree: Optional[int] = None, label: str = "",
+        self, n_left: int, m_right: int, t_degree: int, rows_at_fn: RowsAtFn,
+        left_degree: Optional[int] = None, label: str = "",
     ):
-        if (rows0 is None) == (rows_at_fn is None):
-            raise ValueError("exactly one of rows0 / rows_at_fn must be given")
+        """A graph given by its row formula, materialized when m * t <= ADJACENCY_BUDGET.
+
+        The dense array is filled one _ROW_BLOCK of rows at a time, so that the formula's
+        temporaries stay bounded; the materialized graph keeps no formula, nor the graphs it reads.
+        """
         self.n_left = int(n_left)
         self.m_right = int(m_right)
         self.t_degree = int(t_degree)
         self.left_degree = left_degree
         self.label = label
-        if rows0 is not None:
-            rows0 = np.asarray(rows0, dtype=np.int64)
-            rows0.setflags(write=False)
-        self._rows0 = rows0
-        self._rows_at_fn = rows_at_fn
+        self._rows0, self._rows_at_fn = None, rows_at_fn
+        if self.m_right * self.t_degree <= ADJACENCY_BUDGET:
+            rows = np.empty((self.m_right, self.t_degree), dtype=np.int64)
+            for start in range(0, self.m_right, _ROW_BLOCK):
+                rows[start : start + _ROW_BLOCK] = self.rows0_block(start, start + _ROW_BLOCK)
+            rows.setflags(write=False)
+            self._rows0, self._rows_at_fn = rows, None
 
     # --- construction -------------------------------------------------------
 
     @classmethod
     def from_lists(cls, n_left: int, lists: Sequence[Sequence[int]], label: str = "") -> "OrderedGraph":
-        """Validate 1-based adjacency lists and build an explicit graph."""
+        """Validate 1-based adjacency lists and build a graph over them, materialized as the constructor decides."""
         try:
             lists = [[as_integer(v) for v in row] for row in lists]
         except TypeError:
@@ -83,26 +91,8 @@ class OrderedGraph:
         bad = next((v for row in lists for v in row if not 1 <= v <= n_left), None)
         if bad is not None:
             raise EntryOutOfRangeError(f"entry {bad} outside [1, {n_left}]")
-        rows = np.array(lists, dtype=np.int64)
-        return cls(n_left, rows.shape[0], t, rows0=rows - 1, label=label)
-
-    @classmethod
-    def from_formula(
-        cls, n_left: int, m_right: int, t_degree: int, rows_at_fn: RowsAtFn,
-        left_degree: Optional[int] = None, label: str = "",
-    ) -> "OrderedGraph":
-        """A graph given by its row formula, materialized when m * t <= ADJACENCY_BUDGET.
-
-        The dense array is filled one _ROW_BLOCK of rows at a time, so that the
-        formula's temporaries stay bounded near the budget.
-        """
-        graph = cls(n_left, m_right, t_degree, rows_at_fn=rows_at_fn, left_degree=left_degree, label=label)
-        if m_right * t_degree > ADJACENCY_BUDGET:
-            return graph
-        rows = np.empty((m_right, t_degree), dtype=np.int64)
-        for start in range(0, m_right, _ROW_BLOCK):
-            rows[start : start + _ROW_BLOCK] = graph.rows0_block(start, start + _ROW_BLOCK)
-        return cls(n_left, m_right, t_degree, rows0=rows, left_degree=left_degree, label=label)
+        rows = np.array(lists, dtype=np.int64) - 1
+        return cls(n_left, rows.shape[0], t, lambda js, positions: rows[js[:, None], positions], label=label)
 
     @property
     def is_explicit(self) -> bool:
@@ -139,11 +129,11 @@ class OrderedGraph:
 
     def neighbors(self, j: int) -> tuple[int, ...]:
         """1-based neighbor list of 1-based right vertex j."""
-        return tuple(int(v) + 1 for v in self.row0(j - 1))
+        return tuple(int(v) + 1 for v in self.row0(as_integer(j) - 1))
 
     @property
     def lists(self) -> tuple[tuple[int, ...], ...]:
-        """All neighbor lists, 1-based.  Explicit graphs only."""
+        """All neighbor lists, 1-based.  Explicit graphs only (a list graph past the budget is not)."""
         if self._rows0 is None:
             raise GraphTooLargeError(
                 "graph is stored as a computed accessor; materialize via rows0_block"
@@ -154,7 +144,7 @@ class OrderedGraph:
 
     def view(self, values: np.ndarray, j: int) -> np.ndarray:
         """The ordered projection of a word's values onto list j (1-based)."""
-        return values[self.row0(j - 1)]
+        return values[self.row0(as_integer(j) - 1)]
 
     def view_chunks(
         self, values: np.ndarray, js: Optional[np.ndarray] = None
@@ -214,7 +204,7 @@ class OrderedGraph:
             j0s, jp0s = np.divmod(js, inner.m_right)
             return self.rows_at(j0s, inner.rows_at(jp0s, positions))
 
-        return OrderedGraph.from_formula(
+        return OrderedGraph(
             self.n_left, self.m_right * inner.m_right, inner.t_degree, rows_at_fn,
             left_degree=ld, label=f"({self.label or '?'} (c) {inner.label or '?'})",
         )
@@ -260,7 +250,7 @@ def product_graph(n: int, m: int) -> OrderedGraph:
         rows += i0 * stride
         return rows
 
-    return OrderedGraph.from_formula(
+    return OrderedGraph(
         n_left, m * n, n ** (m - 1), rows_at_fn, left_degree=m, label=f"product:n={n},m={m}"
     )
 
@@ -320,11 +310,15 @@ class TannerCode:
 
     def contains_batch(self, words: np.ndarray) -> np.ndarray:
         """Vectorized membership for a (B, n_left) array of residues, refused as ``_rows`` refuses."""
-        ok = np.ones(words.shape[0], dtype=bool)
-        for rows, _, views in self.graph.view_chunks(self._rows(words)):
-            good = self.small.contains_batch(views.reshape(-1, self.graph.t_degree))
-            ok[rows] &= good.reshape(views.shape[:2]).all(axis=1)
-        return ok
+        return self._per_view(self._rows(words), self.small.contains_batch, bool).all(axis=1)
+
+    def _per_view(self, values: np.ndarray, oracle: Callable, dtype, js: Optional[np.ndarray] = None) -> np.ndarray:
+        """(B, r) answers of the small-code ``oracle`` on the views at 0-based js (all by default), a chunk a call."""
+        t = self.graph.t_degree
+        out = np.empty((values.shape[0], self.graph.m_right if js is None else len(js)), dtype=dtype)
+        for words, start, views in self.graph.view_chunks(values, js):
+            out[words, start : start + views.shape[1]] = oracle(views.reshape(-1, t)).reshape(views.shape[:2])
+        return out
 
     def __repr__(self):
         return f"TannerCode({self.graph!r}, {self.small!r})"

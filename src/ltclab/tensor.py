@@ -83,6 +83,7 @@ class TensorWord(Word):
             raise IndexOutOfRangeError(
                 f"expected {self.ndim} coordinates, got {len(indices)}"
             )
+        indices = tuple(as_integer(i) for i in indices)
         for b, (i, n) in enumerate(zip(indices, self.shape), start=1):
             if not 1 <= i <= n:
                 raise IndexOutOfRangeError(f"coordinate {i} on axis {b} not in [1, {n}]")
@@ -94,6 +95,7 @@ class TensorWord(Word):
         Returns the (m-1)-dimensional TensorWord; for a 1-dimensional word the
         result is the single symbol itself.
         """
+        b, i = as_integer(b), as_integer(i)
         if not 1 <= b <= self.ndim:
             raise IndexOutOfRangeError(f"axis {b} not in [1, {self.ndim}]")
         if not 1 <= i <= self.shape[b - 1]:

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .code import LinearCode, Word
+from .code import LinearCode, Word, as_integer
 from .config import within
 from .errors import FieldMismatchError, LengthMismatchError, TooLargeToEnumerateError
 from .reports import frac_decimal, frac_str
@@ -158,13 +158,8 @@ class TestInstance(TannerCode):
     # --- plumbing -------------------------------------------------------------
 
     def _view_hammings(self, values: np.ndarray, js: Optional[np.ndarray] = None) -> np.ndarray:
-        """(B, r) int64 small-code distances of the views at 0-based js (all by default), a view chunk a call."""
-        t = self.graph.t_degree
-        out = np.empty((values.shape[0], self.graph.m_right if js is None else len(js)), dtype=np.int64)
-        for words, start, views in self.graph.view_chunks(values, js):
-            hams = self.small.nearest_distance_batch(views.reshape(-1, t))
-            out[words, start : start + views.shape[1]] = hams.reshape(views.shape[:2])
-        return out
+        """(B, r) int64 small-code distances of the views at 0-based js (all by default)."""
+        return self._per_view(values, self.small.nearest_distance_batch, np.int64, js)
 
     def view_hammings_batch(self, values: np.ndarray) -> np.ndarray:
         """(B, m) int64 distances from the small code of the views of (B, n_left) symbol rows."""
@@ -179,7 +174,7 @@ class TestInstance(TannerCode):
 
     def view_robustness(self, word: Word, j: int) -> Fraction:
         """Relative distance of view j (1-based) from the small code."""
-        values = self._values(word)
+        values, j = self._values(word), as_integer(j)
         if not 1 <= j <= self.graph.m_right:
             raise IndexError(f"view {j} not in [1, {self.graph.m_right}]")
         return Fraction(int(self._view_hammings(values, np.array([j - 1]))[0, 0]), self.graph.t_degree)

@@ -45,6 +45,9 @@ REFUSALS = [
         _rep_square_instance(), parse_corpus_spec("low_weight,wmax=2"), 0), 1 + 9 + 36),
     ("REPETITIONS", None, lambda: _rep_square_instance().amplified_rejection(
         Word(GF2, [0] * 9), Fraction(1, 10**6 + 1)), 10**6 + 1),
+    # Refused before it is allocated: numpy would refuse 10^20 rows as too many dimensions, by no budget.
+    ("CORPUS_CELLS", None, lambda: corpus_values(
+        _rep_square_instance(), parse_corpus_spec("uniform:99999999999999999999"), 0), 9 * 99999999999999999999),
 ]
 
 # PARITY_CELLS also refuses a code's own parity-check matrix, before it is allocated: 4999 x 5000 int64 here.

@@ -665,8 +665,11 @@ def test_interval_reports_are_pinned(capsys, alpha, holds, digest):
         # Refused before the 4999 x 5000 parity check is allocated.
         (["membership", "--code", "rep:q=2,n=5000", "--word", ",".join(["1"] * 5000)],
          "parity-check matrix would hold 24995000, past PARITY_CELLS = 16777216"),
+        # Refused before the (10^20, 9) corpus array is asked of numpy.
+        (["sweep", "--graph", "product:n=3,m=2", "--small", "rep:q=2,n=3", "--corpus", "uniform:99999999999999999999"],
+         "corpus would hold 899999999999999999991, past CORPUS_CELLS = 67108864"),
     ],
-    ids=["expansion-check", "sweep", "min-distance-too-large-to-print", "membership-parity-check"],
+    ids=["expansion-check", "sweep", "min-distance-too-large-to-print", "membership-parity-check", "sweep-corpus"],
 )
 def test_a_refusal_is_a_usage_error_naming_its_budget(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -45,3 +45,26 @@ GRID = TensorWord(GF2, (2, 2), [0, 0, 0, 0])
 def test_a_public_call_is_refused_with_its_type(call, error):
     with pytest.raises(error):
         call()
+
+
+INSTANCE = product_instance(repetition(GF2, 3), 2)  # views of length 3 on the (3, 3) grid
+E1 = TensorWord(GF2, (3, 3), [1] + [0] * 8)
+
+# Each call reads one 1-based coordinate: an axis, a grid coordinate, a view or a right vertex.
+COORDINATE_CALLS = {
+    "tensor-word-at": lambda i: E1.at(1, i),
+    "axis-slice-axis": lambda b: GRID.axis_slice(b, 1),
+    "axis-slice-coordinate": lambda i: GRID.axis_slice(1, i),
+    "view-robustness": lambda j: INSTANCE.view_robustness(E1, j),
+    "neighbors": lambda j: INSTANCE.graph.neighbors(j),
+    "view": lambda j: INSTANCE.graph.view(E1.values, j),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True], ids=["1.5", "1.0", "True"])
+@pytest.mark.parametrize("entry", sorted(COORDINATE_CALLS))
+def test_a_coordinate_that_is_not_an_integer_is_a_type_error(entry, bad):
+    # Truncated or read as a bool, each would name coordinate 1.
+    COORDINATE_CALLS[entry](np.int64(1))  # a numpy integer is an integer
+    with pytest.raises(TypeError):
+        COORDINATE_CALLS[entry](bad)

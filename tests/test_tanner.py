@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ltclab.config
 import ltclab.tanner
 from ltclab.code import LinearCode, Word, full_code, reed_solomon, repetition, symbol_dtype
 from ltclab.errors import (
@@ -297,6 +300,60 @@ def test_materialized_rows_equal_accessor_rows(monkeypatch, family, row_block):
     assert np.array_equal(explicit.rows0_block(0, m), accessor.rows0_block(0, m))
 
 
+_BUILDS = {**_FAMILIES, "lists": lambda: OrderedGraph.from_lists(4, [[1, 1], [4, 3]])}  # m * t = 4
+
+
+@pytest.mark.parametrize("budget", [0, 4, "m*t", "default"])
+@pytest.mark.parametrize("family", sorted(_BUILDS))
+def test_a_graph_is_dense_exactly_when_it_fits_the_adjacency_budget(monkeypatch, family, budget):
+    unpatched = _BUILDS[family]()
+    m, t = unpatched.m_right, unpatched.t_degree
+    limit = {"m*t": m * t, "default": ltclab.config.ADJACENCY_BUDGET}.get(budget, budget)
+    monkeypatch.setattr(ltclab.tanner, "ADJACENCY_BUDGET", limit)
+    graph = _BUILDS[family]()
+    assert graph.is_explicit == (m * t <= limit)
+    assert np.array_equal(graph.rows0_block(0, m), unpatched.rows0_block(0, m))
+
+
+def test_a_materialized_graph_keeps_no_formula():
+    inner = product_graph(2, 2)
+    graph = OrderedGraph(*inner.params(), inner.rows_at)
+    assert graph.is_explicit and graph._rows_at_fn is None
+    assert not graph.rows0_block(0, 4).flags.writeable
+    assert np.array_equal(graph.rows0_block(0, 4), inner.rows0_block(0, 4))
+    outer = product_graph(2, 3)
+    factor = weakref.ref(outer)
+    composed = outer.compose(inner)
+    del outer
+    gc.collect()
+    assert composed.is_explicit and composed._rows_at_fn is None and factor() is None
+
+
+def test_a_list_graph_past_the_budget_answers_as_the_explicit_graph(monkeypatch):
+    lists = [[1, 1, 2], [2, 3, 4], [3, 4, 1]]  # x1 twice in view 1
+    explicit = OrderedGraph.from_lists(4, lists)
+    monkeypatch.setattr(ltclab.tanner, "ADJACENCY_BUDGET", 8)  # m * t = 9
+    accessor = OrderedGraph.from_lists(4, lists)
+    assert explicit.is_explicit and not accessor.is_explicit
+    assert explicit.lists == tuple(map(tuple, lists))
+    with pytest.raises(GraphTooLargeError):
+        _ = accessor.lists
+    js = np.array([2, 0, 2, 1])
+    for positions in (None, np.array([2, 0]), np.array([[0, 2], [1, 1], [2, 0], [0, 1]])):
+        assert np.array_equal(accessor.rows_at(js, positions), explicit.rows_at(js, positions))
+    words = np.array(list(itertools.product(range(2), repeat=4)), dtype=np.int64)
+    for vertices in (None, js):
+        got, expect = (
+            [(w.indices(16), start, views.tolist()) for w, start, views in graph.view_chunks(words, vertices)]
+            for graph in (accessor, explicit)
+        )
+        assert got == expect
+    even = LinearCode.from_rows(GF2, [[1, 1, 0], [0, 1, 1]])
+    members = TannerCode(explicit, even).contains_batch(words)
+    assert members.any() and not members.all()
+    assert np.array_equal(TannerCode(accessor, even).contains_batch(words), members)
+
+
 def _tpc_cases(monkeypatch):
     repeated = OrderedGraph.from_lists(4, [[1, 1, 2], [2, 3, 4], [3, 4, 1]])  # x1 twice in view 1
     even = LinearCode.from_rows(GF2, [[1, 1, 0], [0, 1, 1]])
@@ -347,8 +404,6 @@ def _explicit_and_accessor(monkeypatch, build) -> tuple[OrderedGraph, OrderedGra
     with monkeypatch.context() as patch:
         patch.setattr(ltclab.tanner, "ADJACENCY_BUDGET", 0)
         accessor = build()
-    if accessor.is_explicit:  # from_lists keeps its lists: serve them through a row formula
-        accessor = OrderedGraph(*explicit.params(), rows_at_fn=explicit.rows_at)
     assert explicit.is_explicit and not accessor.is_explicit
     return explicit, accessor
 
@@ -489,10 +544,13 @@ def _graph_and_pairs(draw):
 def test_batched_boundary_count_matches_per_edge_count(case):
     lists, s_masks, t_masks, row_block = case
     explicit = OrderedGraph.from_lists(s_masks.shape[1], lists)
-    accessor = OrderedGraph(
-        explicit.n_left, explicit.m_right, explicit.t_degree,
-        rows_at_fn=explicit.rows_at,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ltclab.tanner, "ADJACENCY_BUDGET", 0)  # the constructor would materialize it
+        accessor = OrderedGraph(
+            explicit.n_left, explicit.m_right, explicit.t_degree,
+            rows_at_fn=explicit.rows_at,
+        )
+    assert not accessor.is_explicit
     expect = [
         sum(bool(s[u - 1]) != bool(t[j]) for j, row in enumerate(lists) for u in row)
         for s, t in zip(s_masks, t_masks)

@@ -215,10 +215,11 @@ def test_delta_oracle_refusal_propagates(monkeypatch):
 
 def _computed(graph: OrderedGraph) -> OrderedGraph:
     """The same graph behind a computed row accessor."""
-    return OrderedGraph(
-        graph.n_left, graph.m_right, graph.t_degree,
-        rows_at_fn=graph.rows_at, label=graph.label,
-    )
+    with mock.patch.object(ltclab.tanner, "ADJACENCY_BUDGET", 0):  # the constructor would materialize it
+        return OrderedGraph(
+            graph.n_left, graph.m_right, graph.t_degree,
+            rows_at_fn=graph.rows_at, label=graph.label,
+        )
 
 
 def _batch_instance(kind: str, q: int) -> TestInstance:
