@@ -45,8 +45,8 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # --- the graph constructor and the one per-view loop
     Mutant("materialize-below-budget", "tanner.py",
-           "if self.m_right * self.t_degree <= ADJACENCY_BUDGET:",
-           "if self.m_right * self.t_degree < ADJACENCY_BUDGET:",
+           "if self.m_right * self.t_degree <= config.ADJACENCY_BUDGET:",
+           "if self.m_right * self.t_degree < config.ADJACENCY_BUDGET:",
            ("tests/test_tanner.py::test_a_graph_is_dense_exactly_when_it_fits_the_adjacency_budget",)),
     Mutant("materialized-keeps-formula", "tanner.py",
            "self._rows0, self._rows_at_fn = rows, None",
@@ -79,10 +79,40 @@ MUTANTS = (
     Mutant("no-corpus-check", "corpus.py",
            '    within("CORPUS_CELLS", words * n, "corpus")\n', "",
            ("tests/test_budgets.py::test_every_budget_refuses_by_name",)),
+    # the running total is within's one comparison, so its >= mutant is this one
     Mutant("within-at-the-limit", "config.py",
-           "if requested > limit:",
-           "if requested >= limit:",
-           ("tests/test_budgets.py::test_within_returns_a_request_at_the_limit_and_reads_the_budget_per_call",)),
+           "if total > limit:",
+           "if total >= limit:",
+           ("tests/test_budgets.py::test_within_returns_a_request_at_the_limit_and_reads_the_budget_per_call",
+            "tests/test_budgets.py::test_a_running_total_is_refused_at_its_first_total_past_the_budget")),
+    Mutant("within-last-term-only", "config.py",
+           "total += term",
+           "total = term",
+           ("tests/test_budgets.py::test_every_budget_refuses_by_name",)),
+    Mutant("within-partial-shown-exact", "config.py",
+           "next(terms, None) is not None)",
+           "False)",
+           ("tests/test_budgets.py::test_a_running_total_is_refused_at_its_first_total_past_the_budget",)),
+    Mutant("no-sampled-scan-check", "harness.py",
+           '        config.within("EXPANSION_PAIRS", samples, "sampled expansion scan")\n', "",
+           ("tests/test_budgets.py::test_a_sampled_expansion_scan_is_refused_past_the_budget",)),
+    Mutant("no-query-account-print-check", "harness.py",
+           "    if bits > PRINTABLE_BITS:",
+           "    if False:",
+           ("tests/test_cli.py::test_a_query_account_it_cannot_compute_or_print_is_refused_at_once",)),
+    Mutant("no-query-account-float-check", "harness.py",
+           "    except OverflowError:",
+           "    except ZeroDivisionError:",
+           ("tests/test_cli.py::test_a_query_account_it_cannot_compute_or_print_is_refused_at_once",)),
+    # --- samples alone selects sampling
+    Mutant("sweep-samples-none-inverted", "harness.py",
+           'mode = "exact" if config.samples is None else "sampled"',
+           'mode = "exact" if config.samples is not None else "sampled"',
+           ("tests/test_harness.py::test_sweep_sampled_mode_runs",)),
+    Mutant("expansion-samples-none-inverted", "cli.py",
+           'mode = "exhaustive" if args.samples is None else "sampled"',
+           'mode = "exhaustive" if args.samples is not None else "sampled"',
+           ("tests/test_cli.py::test_samples_alone_selects_sampling",)),
     # --- the distance oracle: histogram side
     Mutant("histogram-from-gf13", "code.py",
            "if self.k != 1 or self.field.q < 17:",

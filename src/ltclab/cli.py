@@ -36,7 +36,7 @@ from .harness import (
     run_expansion_check,
     run_sweep,
 )
-from .reports import json_bytes, parse_fraction, write_csv
+from .reports import json_bytes, parse_fraction, parse_int, write_csv
 from .tanner import TannerCode
 from .tester import positive_alpha, unit_tau
 
@@ -62,8 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     tester.add_argument("--code", help="reference full code for delta (optional)")
     tester.add_argument("--alpha", default="1/65536")
     tester.add_argument("--tau")
-    tester.add_argument("--sampled", action="store_true")
-    tester.add_argument("--samples", type=int, default=200)
+    tester.add_argument("--samples", type=int, help="estimate from this many seeded sampled views (default: exact)")
     tester.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("build-code", parents=[out], help="write a code-spec JSON document")
@@ -101,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expansion-check", parents=[out], help="boundary-expansion scan")
     p.add_argument("--graph", required=True)
-    p.add_argument("--sampled", action="store_true")
-    p.add_argument("--samples", type=int, default=10**5)
+    p.add_argument("--samples", type=int, help="check this many seeded random pairs (default: every pair)")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("query-account", parents=[out], help="query bookkeeping for square:n,t")
@@ -132,7 +130,7 @@ def _load_word(args, field) -> Word:
     if args.word and args.word_file:
         raise ValueError("give either --word or --word-file, not both")
     if args.word:
-        return Word(field, [int(v) for v in args.word.split(",")])
+        return Word(field, [parse_int(v, "--word must be comma-separated integers") for v in args.word.split(",")])
     if args.word_file:
         return parse_word_file(args.word_file, field)
     raise ValueError("a word is required (--word or --word-file)")
@@ -154,7 +152,7 @@ def _cmd_min_distance(args) -> int:
 
 def _cmd_encode(args) -> int:
     code = parse_code_spec(args.code)
-    message = [int(v) for v in args.message.split(",")]
+    message = [parse_int(v, "--message must be comma-separated integers") for v in args.message.split(",")]
     word = code.encode(message)
     # Emit the canonical word format (a bare JSON array) so the output can be
     # fed back through --word-file.
@@ -182,7 +180,7 @@ def _cmd_robustness(args) -> int:
     tau = unit_tau(parse_fraction(args.tau)) if args.tau else None
     instance = instance_from_specs(args.graph, args.small, full_spec=args.code)
     word = _load_word(args, instance.small.field)
-    if args.sampled:
+    if args.samples is not None:
         est = instance.expected_robustness_sampled(word, args.seed, args.samples)
         _emit({"instance": instance.label, **est.to_json_dict(seed=args.seed)}, args.out)
         return 0
@@ -200,7 +198,6 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
         alpha=parse_fraction(args.alpha),
         tau=parse_fraction(args.tau) if args.tau else None,
-        mode="sampled" if args.sampled else "exact",
         samples=args.samples,
     )
     result = run_sweep(config)
@@ -225,7 +222,7 @@ def _cmd_compose_check(args) -> int:
 
 def _cmd_expansion_check(args) -> int:
     graph = parse_graph_spec(args.graph)
-    mode = "sampled" if args.sampled else "exhaustive"
+    mode = "exhaustive" if args.samples is None else "sampled"
     result = run_expansion_check(graph, mode=mode, samples=args.samples, seed=args.seed)
     _emit({"report": result["report"]}, args.out)
     print(f"# expansion-check: {result['wall_time']:.2f}s", file=sys.stderr)

@@ -5,6 +5,8 @@ an instance exceeds these budgets; sampling estimators exist only in the
 harness and are always labelled as estimates.  Every refusal is one call to ``within``.
 """
 
+from typing import Iterable
+
 from .errors import TooLargeToEnumerateError
 
 # Maximum number of codewords any exhaustive oracle (minimum distance,
@@ -33,22 +35,22 @@ GENERATOR_CELLS = 2**24
 PARITY_CELLS = 2**24
 DERIVED_PARITY_CELLS = 2**22
 
-# Maximum words of a low_weight corpus part.
-LOW_WEIGHT_WORDS = 10**6
-
-# Maximum symbols (words x word length) of a whole corpus, checked before it is allocated.
+# Maximum symbols (words x word length) of a corpus, and of each low_weight part, checked before it is allocated.
 CORPUS_CELLS = 2**26
 
 # Maximum repetitions of an amplified test evaluated exactly.
 REPETITIONS = 10**6
 
-# Maximum (S, T) pairs of an exhaustive expansion scan.
+# Maximum (S, T) pairs of an expansion scan, exhaustive or sampled.
 EXPANSION_PAIRS = 10**7
 
 
-def within(budget: str, requested: int, what: str) -> int:
-    """``requested``, or a TooLargeToEnumerateError if it is past the budget named ``budget``."""
+def within(budget: str, requested: int | Iterable[int], what: str) -> int:
+    """``requested``, a count or terms added in order, refused at the first running total past ``budget``."""
     limit = globals()[budget]
-    if requested > limit:
-        raise TooLargeToEnumerateError(budget, requested, limit, what)
-    return requested
+    total, terms = 0, iter((requested,) if isinstance(requested, int) else requested)
+    for term in terms:
+        total += term
+        if total > limit:
+            raise TooLargeToEnumerateError(budget, total, limit, what, next(terms, None) is not None)
+    return total

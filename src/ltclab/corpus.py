@@ -33,7 +33,7 @@ import numpy as np
 
 from .code import Word, symbol_dtype
 from .config import within
-from .reports import parse_keys
+from .reports import parse_int, parse_keys
 from .tester import TestInstance
 
 
@@ -67,7 +67,7 @@ def parse_corpus_spec(text: str) -> tuple[CorpusPart, ...]:
         if bool(colon) == (kind == "low_weight"):
             raise ValueError(f"corpus kind {kind!r} {'takes no' if colon else 'needs a'} count")
         params = parse_keys(chunk, tail, _KEYS.get(kind, ()))
-        count = int(count_s) if colon else 0
+        count = parse_int(count_s, f"corpus part {chunk!r} must have an integer count") if colon else 0
         if count < 0:
             raise ValueError(f"corpus part {chunk!r} has a negative count")
         parts.append(CorpusPart(kind, count, params))
@@ -97,9 +97,8 @@ def _expand(part: CorpusPart, q: int, n: int) -> tuple[CorpusPart, ...]:
         )
     if part.kind == "low_weight":
         wmax = part.params.get("wmax", 2)
-        total = sum(math.comb(n, w) * (q - 1) ** w for w in range(wmax + 1))
-        within("LOW_WEIGHT_WORDS", total, "low_weight corpus")
-        return (CorpusPart("low_weight", total, {"wmax": wmax}),)
+        cells = (math.comb(n, w) * (q - 1) ** w * n for w in range(min(wmax, n) + 1))
+        return (CorpusPart("low_weight", within("CORPUS_CELLS", cells, "low_weight corpus") // n, {"wmax": wmax}),)
     return (part,)
 
 
@@ -146,7 +145,7 @@ def _fill_part(instance: TestInstance, part: CorpusPart, rng, out: np.ndarray) -
     if part.kind == "low_weight":
         out[...] = 0
         r = 0
-        for w in range(part.params["wmax"] + 1):
+        for w in range(min(part.params["wmax"], n) + 1):
             # word r + i * len(symbols) + j holds symbols[j] at positions[i]
             positions = np.array(list(itertools.combinations(range(n), w)), dtype=np.int64)
             symbols = np.array(list(itertools.product(range(1, q), repeat=w)), dtype=out.dtype)

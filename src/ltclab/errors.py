@@ -42,12 +42,13 @@ class TooLongError(LtcLabError, ValueError):
 
 
 class TooLargeToEnumerateError(LtcLabError, ValueError):
-    """A request past the config budget named ``budget`` (``requested`` > ``limit``); see ``config.within``."""
+    """A request past a config budget: ``requested`` (at least, if ``partial``) > ``limit``; see ``config.within``."""
 
-    def __init__(self, budget: str, requested: int, limit: int, what: str):
+    def __init__(self, budget: str, requested: int, limit: int, what: str, partial: bool = False):
         bits = requested.bit_length()
-        shown = requested if bits <= PRINTABLE_BITS else f"at least 2^{bits - 1}"
-        super().__init__(f"{what} would hold {shown}, past {budget} = {limit}")
+        shown = requested if bits <= PRINTABLE_BITS else f"2^{bits - 1}"
+        bound = "at least " if partial or bits > PRINTABLE_BITS else ""
+        super().__init__(f"{what} would hold {bound}{shown}, past {budget} = {limit}")
         self.budget, self.requested, self.limit = budget, requested, limit
 
 

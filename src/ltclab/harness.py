@@ -33,10 +33,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import config
 from .code import LinearCode, Word, as_integer, full_code, reed_solomon, repetition
-from .config import BROADCAST_CELLS, within
 from .corpus import corpus_values, generate_corpus, parse_corpus_spec
-from .errors import TooLargeToEnumerateError
+from .errors import PRINTABLE_BITS, TooLargeToEnumerateError
 from .field import Field
 # json_bytes is not called here; it stays a name of this module for the benchmark's tracer, which patches it.
 from .reports import frac_decimal, frac_str, json_bytes, parse_keys
@@ -210,7 +210,7 @@ def instance_from_specs(
             full = None
     instance = TestInstance(graph, small, full=full, label=f"{graph_spec} / {small_spec}")
     if full_spec:
-        step = max(1, BROADCAST_CELLS // full.n)
+        step = max(1, config.BROADCAST_CELLS // full.n)
         for start in range(0, full.k, step):
             rows = full.encode_batch(np.eye(min(step, full.k - start), full.k, start, dtype=np.int64))
             if not instance.contains_batch(rows).all():
@@ -226,7 +226,7 @@ def instance_from_specs(
 
 @dataclass
 class ExperimentConfig:
-    """Everything a sweep needs; the seed pins the corpus and any sampling."""
+    """Everything a sweep needs; ``samples`` (views per word) selects sampling, which the seed pins with the corpus."""
 
     graph_spec: str
     small_spec: str
@@ -235,8 +235,7 @@ class ExperimentConfig:
     seed: int = 0
     alpha: Fraction = Fraction(1, 2**16)
     tau: Optional[Fraction] = None
-    mode: str = "exact"  # exact | sampled
-    samples: int = 200
+    samples: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -292,8 +291,9 @@ def run_sweep(config: ExperimentConfig, instance: Optional[TestInstance] = None)
     violations = 0
     min_ratio: Optional[Fraction] = None
     undecided = 0
+    mode = "exact" if config.samples is None else "sampled"
     for word, source in words:
-        if config.mode == "sampled":
+        if mode == "sampled":
             est = instance.expected_robustness_sampled(word, config.seed, config.samples, source["index"])
             lower, upper, exact = instance.delta_bounds(word, None)
             fields = est.to_json_dict(alpha=frac_str(alpha), delta=frac_str(lower) if exact else None)
@@ -315,7 +315,7 @@ def run_sweep(config: ExperimentConfig, instance: Optional[TestInstance] = None)
         "full": config.full_spec,
         "corpus": config.corpus,
         "seed": config.seed,
-        "mode": config.mode,
+        "mode": mode,
         "alpha": frac_str(alpha),
         "words": len(words),
         "violations": violations,
@@ -412,20 +412,24 @@ def run_expansion_check(
     """Boundary-expansion scan over (S, T) pairs.
 
     Exhaustive mode enumerates every left subset S with |S| <= n/4 and every
-    right subset T; sampled mode draws seeded random pairs.  Either mode
-    yields chunks of mask pairs, and one loop counts their boundaries.  The
-    1/8 bound is compared in integers, as slack8 = 8 gamma - d_L |S| - d_R |T|.
-    Reports the number of violations and the worst slack, slack8 / 8.
+    right subset T; sampled mode draws ``samples`` seeded random pairs.  Either
+    mode is refused past EXPANSION_PAIRS before its first pair: the exhaustive
+    count is summed as C(n, |S|) C(m, |T|) terms, so 2^m itself is never formed.
+    Either mode yields chunks of mask pairs, and one loop counts their
+    boundaries.  The 1/8 bound is compared in integers, as
+    slack8 = 8 gamma - d_L |S| - d_R |T|.  Reports the number of violations
+    and the worst slack, slack8 / 8.
     """
     t0 = time.perf_counter()
     n, m = graph.n_left, graph.m_right
     d_l = graph.uniform_left_degree()
     d_r = graph.t_degree
     if mode == "exhaustive":
-        count_s = sum(math.comb(n, s) for s in range(n // 4 + 1))
-        within("EXPANSION_PAIRS", count_s * 2**m, "exhaustive expansion scan")
+        pairs = (math.comb(n, s) * math.comb(m, t) for s in range(n // 4 + 1) for t in range(m + 1))
+        config.within("EXPANSION_PAIRS", pairs, "exhaustive expansion scan")
         chunks = _exhaustive_pairs(n, m)
     elif mode == "sampled":
+        config.within("EXPANSION_PAIRS", samples, "sampled expansion scan")
         rng = np.random.default_rng(seed)
         sizes = rng.integers(0, n // 4 + 1, size=samples)
         s_masks = np.zeros((samples, n), dtype=bool)
@@ -472,7 +476,9 @@ def query_account(n: int, t: int, alpha0: Fraction) -> dict:
     ``repetitions`` drive the rejection probability up to the delta/2 floor.
     ``repetitions`` and ``total_queries`` are decimal strings, since they
     outgrow JSON numbers.  ``block_length`` N = n^(2^t) is None past 2^62, and
-    the polylog exponent e satisfies total = (log2 N)^e.
+    the polylog exponent e satisfies total = (log2 N)^e.  A t whose total could
+    pass PRINTABLE_BITS bits, or whose log2 N = 2^t log2(n) is past the float
+    range, is refused before anything is computed.
     """
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
@@ -481,10 +487,16 @@ def query_account(n: int, t: int, alpha0: Fraction) -> dict:
     alpha0 = Fraction(alpha0)
     if not 0 < alpha0 <= 1:
         raise ValueError("alpha0 must lie in (0, 1]")
+    try:
+        log2_n_big = math.ldexp(math.log2(n), t)  # 2^t log2(n)
+    except OverflowError:
+        raise ValueError(f"t = {t} is too large: log2 N = 2^t log2(n) is past the largest float") from None
+    bits = 2 * n.bit_length() + t * alpha0.denominator.bit_length()  # total <= n^2 / alpha0^t has at most these
+    if bits > PRINTABLE_BITS:
+        raise ValueError(f"t = {t} is too large: n^2 / alpha0^t may need {bits} bits, past {PRINTABLE_BITS}")
     level = alpha0**t
     reps = -(-level.denominator // level.numerator)  # ceil(1/alpha0^t)
     total = n * n * reps
-    log2_n_big = (2**t) * math.log2(n)
     return {
         "n": n,
         "t": t,

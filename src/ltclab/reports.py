@@ -55,6 +55,14 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(a, b)
 
 
+def parse_int(text: str, what: str) -> int:
+    """``text`` as an integer, or a usage error that says ``what`` it must be and quotes the text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what}, got {text!r}") from None
+
+
 def parse_keys(text: str, body: str, keys: Collection[str]) -> dict[str, int]:
     """The 'key=value' pairs of a spec's ``body``: each key one of ``keys``, given once, with a value >= 0."""
     out = {}
@@ -63,7 +71,7 @@ def parse_keys(text: str, body: str, keys: Collection[str]) -> dict[str, int]:
         key = key.strip()
         if key not in keys or key in out:
             raise ValueError(f"spec {text!r} {'repeats' if key in out else 'does not read'} {key!r}")
-        out[key] = int(value)
+        out[key] = parse_int(value, f"spec {text!r} must give {key!r} an integer")
         if out[key] < 0:
             raise ValueError(f"spec {text!r} gives {key!r} a negative value")
     return out

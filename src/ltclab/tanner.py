@@ -21,9 +21,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import linalg
+from . import config, linalg
 from .code import LinearCode, Word, as_integer, full_code, residues, symbol_dtype, word_values
-from .config import ADJACENCY_BUDGET, BROADCAST_CELLS, within
 from .errors import (
     DegreeMismatchError,
     EntryOutOfRangeError,
@@ -63,7 +62,7 @@ class OrderedGraph:
         self.left_degree = left_degree
         self.label = label
         self._rows0, self._rows_at_fn = None, rows_at_fn
-        if self.m_right * self.t_degree <= ADJACENCY_BUDGET:
+        if self.m_right * self.t_degree <= config.ADJACENCY_BUDGET:
             rows = np.empty((self.m_right, self.t_degree), dtype=np.int64)
             for start in range(0, self.m_right, _ROW_BLOCK):
                 rows[start : start + _ROW_BLOCK] = self.rows0_block(start, start + _ROW_BLOCK)
@@ -163,7 +162,7 @@ class OrderedGraph:
                 block = self.rows0_block(start, start + _ROW_BLOCK)
             else:
                 block = self.rows_at(js[start : start + _ROW_BLOCK])
-            step = max(1, BROADCAST_CELLS // block.size)
+            step = max(1, config.BROADCAST_CELLS // block.size)
             for s in range(0, values.shape[0], step):
                 words = slice(s, s + step)
                 yield words, start, values[words].take(block, axis=1)
@@ -335,7 +334,7 @@ def tpc_linear_code(graph: OrderedGraph, small: LinearCode, budget: str = "PARIT
         raise DegreeMismatchError(f"small code length {small.n} != right degree {graph.t_degree}")
     rows_per_view, n = small.n - small.k, graph.n_left
     total = graph.m_right * max(rows_per_view, 1)
-    within(budget, total * n, "stacked parity matrix")
+    config.within(budget, total * n, "stacked parity matrix")
     if rows_per_view == 0:
         # The small code is the full space: every word qualifies.
         return full_code(small.field, n)

@@ -1,6 +1,7 @@
 """Every budget of ltclab.config refuses through config.within, and the refusal names its budget."""
 
 import ast
+import itertools
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -40,9 +41,9 @@ REFUSALS = [
         product_graph(12, 3), tensor_power(repetition(GF2, 12), 2).as_linear_code(), "DERIVED_PARITY_CELLS"),
         8_895_744),
     ("ADJACENCY_BUDGET", 17, lambda: _rep_square_instance().view_hammings(Word(GF2, [0] * 9)), 18),
-    ("EXPANSION_PAIRS", None, lambda: run_expansion_check(product_graph(3, 3)), 203_568_128),
-    ("LOW_WEIGHT_WORDS", 45, lambda: corpus_values(
-        _rep_square_instance(), parse_corpus_spec("low_weight,wmax=2"), 0), 1 + 9 + 36),
+    # Of 2^9 C(27, <= 6) = 203,568,128 pairs, the running total of the terms C(27, |S|) C(9, |T|)
+    # first passes the budget at |S| = 4, |T| = 7, and terms remain.
+    ("EXPANSION_PAIRS", None, lambda: run_expansion_check(product_graph(3, 3)), 10_501_748),
     ("REPETITIONS", None, lambda: _rep_square_instance().amplified_rejection(
         Word(GF2, [0] * 9), Fraction(1, 10**6 + 1)), 10**6 + 1),
     # Refused before it is allocated: numpy would refuse 10^20 rows as too many dimensions, by no budget.
@@ -52,11 +53,16 @@ REFUSALS = [
 
 # PARITY_CELLS also refuses a code's own parity-check matrix, before it is allocated: 4999 x 5000 int64 here.
 PARITY_CHECK_REFUSAL = ("PARITY_CELLS", None, lambda: repetition(GF2, 5000).parity_check, 4999 * 5000)
+# CORPUS_CELLS also bounds a low_weight part: 1 + 9 + 36 words of 9 symbols, refused at its last term.
+LOW_WEIGHT_REFUSAL = ("CORPUS_CELLS", 46 * 9 - 1, lambda: corpus_values(
+    _rep_square_instance(), parse_corpus_spec("low_weight,wmax=2"), 0), 46 * 9)
+# Counts refused before their last term, whose message shows the running total as a lower bound.
+PARTIAL = {"EXPANSION_PAIRS"}
 
 
 @pytest.mark.parametrize(
-    "budget, patched, call, requested", REFUSALS + [PARITY_CHECK_REFUSAL],
-    ids=[r[0] for r in REFUSALS] + ["PARITY_CELLS-parity-check"],
+    "budget, patched, call, requested", REFUSALS + [PARITY_CHECK_REFUSAL, LOW_WEIGHT_REFUSAL],
+    ids=[r[0] for r in REFUSALS] + ["PARITY_CELLS-parity-check", "CORPUS_CELLS-low-weight"],
 )
 def test_every_budget_refuses_by_name(monkeypatch, budget, patched, call, requested):
     if patched is not None:
@@ -67,7 +73,8 @@ def test_every_budget_refuses_by_name(monkeypatch, budget, patched, call, reques
     exc = err.value
     assert (exc.budget, exc.requested, exc.limit) == (budget, requested, limit)
     assert isinstance(exc, ValueError) and isinstance(exc, LtcLabError)
-    assert str(exc).endswith(f" would hold {requested}, past {budget} = {limit}")
+    shown = f"at least {requested}" if budget in PARTIAL else requested
+    assert str(exc).endswith(f" would hold {shown}, past {budget} = {limit}")
 
 
 def test_a_refused_tanner_product_code_derives_no_parity_check():
@@ -111,6 +118,37 @@ def test_an_enumeration_size_is_exact_below_2_to_the_15_bits(q, axes, shown):
     else:
         assert exc.requested == 2**32768 <= q**code.k
     assert f" would hold at least {shown}, " in str(exc)
+
+
+def test_a_running_total_is_refused_at_its_first_total_past_the_budget(monkeypatch):
+    monkeypatch.setattr(ltclab.config, "REPETITIONS", 10)
+    assert within("REPETITIONS", iter([4, 6]), "amplified test") == 10  # at the limit
+    with pytest.raises(TooLargeToEnumerateError) as err:
+        within("REPETITIONS", [4, 7], "amplified test")
+    assert (err.value.requested, str(err.value)) == (11, "amplified test would hold 11, past REPETITIONS = 10")
+    # With terms left the total is a lower bound; an endless count is refused all the same.
+    with pytest.raises(TooLargeToEnumerateError) as err:
+        within("REPETITIONS", itertools.count(), "amplified test")  # 0 + 1 + ... + 5
+    assert (err.value.requested, str(err.value)) == (15, "amplified test would hold at least 15, past REPETITIONS = 10")
+
+
+def test_a_low_weight_part_of_the_cube_is_refused_at_its_first_total_past_the_budget():
+    # Weights 0 and 1 already pass CORPUS_CELLS; the count stops there, well before w = 5000.
+    cube = product_instance(reed_solomon(Field(31), 31, 1), 3)
+    start = time.perf_counter()
+    with pytest.raises(TooLargeToEnumerateError) as err:
+        corpus_values(cube, parse_corpus_spec("low_weight,wmax=5000"), 0)
+    assert time.perf_counter() - start < 1.0
+    n = 31**3
+    assert str(err.value) == f"low_weight corpus would hold at least {n + n * 30 * n}, past CORPUS_CELLS = {2**26}"
+
+
+def test_a_sampled_expansion_scan_is_refused_past_the_budget(monkeypatch):
+    monkeypatch.setattr(ltclab.config, "EXPANSION_PAIRS", 99)
+    assert run_expansion_check(product_graph(3, 3), mode="sampled", samples=99)["report"]["pairs_checked"] == 99
+    with pytest.raises(TooLargeToEnumerateError) as err:
+        run_expansion_check(product_graph(3, 3), mode="sampled", samples=100)
+    assert str(err.value) == "sampled expansion scan would hold 100, past EXPANSION_PAIRS = 99"
 
 
 def test_within_returns_a_request_at_the_limit_and_reads_the_budget_per_call(monkeypatch):

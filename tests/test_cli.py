@@ -413,14 +413,14 @@ def test_trivial_tanner_product_code_is_a_usage_error(capsys, tmp_path):
         (["sweep", "--graph", "product:n=2,m=2", "--small", "rep:q=2,n=2", "--seed", "-4"],
          "--seed must be a non-negative integer, got -4"),
         (["robustness", "--graph", "product:n=2,m=2", "--small", "rep:q=2,n=2", "--word", "0,0,0,0",
-          "--sampled", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
-        (["expansion-check", "--graph", "product:n=2,m=2", "--sampled", "--samples", "0"],
+          "--samples", "200", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+        (["expansion-check", "--graph", "product:n=2,m=2", "--samples", "0"],
          "--samples must be a positive integer, got 0"),
-        (["expansion-check", "--graph", "product:n=2,m=2", "--sampled", "--samples", "-3"],
+        (["expansion-check", "--graph", "product:n=2,m=2", "--samples", "-3"],
          "--samples must be a positive integer, got -3"),
         (["robustness", "--graph", "product:n=2,m=2", "--small", "rep:q=2,n=2", "--word", "0,0,0,0",
-          "--sampled", "--samples", "0"], "--samples must be a positive integer, got 0"),
-        (["sweep", "--graph", "product:n=2,m=2", "--small", "rep:q=2,n=2", "--sampled", "--samples", "-3"],
+          "--samples", "0"], "--samples must be a positive integer, got 0"),
+        (["sweep", "--graph", "product:n=2,m=2", "--small", "rep:q=2,n=2", "--samples", "-3"],
          "--samples must be a positive integer, got -3"),
     ],
     ids=["expansion-seed", "compose-seed", "sweep-seed", "robustness-seed", "expansion-samples-0",
@@ -476,16 +476,23 @@ ROBUSTNESS = ["robustness", "--graph", "product:n=2,m=2", "--small", "rep:q=2,n=
         (ROBUSTNESS + ["--alpha", "1/2/3"], "cannot read '1/2/3' as a fraction: give p/q, an integer or b^e"),
         (["query-account", "--n", "2", "--t", "2", "--alpha", "2^-20000"], "power '2^-20000' is past 14000 bits"),
         # A sampled estimate reads neither constant, but it refuses what the exact report refuses.
-        (ROBUSTNESS + ["--sampled", "--tau", "2"], "tau must lie in [0, 1]"),
-        (ROBUSTNESS + ["--sampled", "--tau", "-1"], "tau must lie in [0, 1]"),
-        (ROBUSTNESS + ["--sampled", "--alpha", "0"], "alpha must be positive"),
+        (ROBUSTNESS + ["--samples", "200", "--tau", "2"], "tau must lie in [0, 1]"),
+        (ROBUSTNESS + ["--samples", "200", "--tau", "-1"], "tau must lie in [0, 1]"),
+        (ROBUSTNESS + ["--samples", "200", "--alpha", "0"], "alpha must be positive"),
+        # Integers typed on the command line name the option or spec and the text that is not one.
+        (["membership", "--code", "rep:q=2,n=3", "--word", "1,x,1"], "--word must be comma-separated integers, got 'x'"),
+        (["encode", "--code", "rep:q=2,n=1", "--message", "1.0"], "--message must be comma-separated integers, got '1.0'"),
+        (NINE_SYMBOL_SWEEP + ["--corpus", "uniform:x"], "corpus part 'uniform:x' must have an integer count, got 'x'"),
+        (NINE_SYMBOL_SWEEP + ["--corpus", "low_weight,wmax=x"],
+         "spec 'low_weight,wmax=x' must give 'wmax' an integer, got 'x'"),
     ],
     ids=["word-and-word-file", "no-word", "membership-without-code", "csv-without-out", "nested-power",
          "query-account-t", "query-account-n", "query-account-alpha-0", "query-account-alpha-above-1",
          "codewords-without-reference", "robustness-tau-negative", "robustness-tau-above-1", "sweep-tau-above-1",
          "codeword-plus-weight-past-n", "mixed-past-n", "fraction-over-0", "power-of-0-below-0",
          "fraction-decimal", "fraction-two-slashes", "power-past-print-limit",
-         "sampled-robustness-tau-above-1", "sampled-robustness-tau-negative", "sampled-robustness-alpha-0"],
+         "sampled-robustness-tau-above-1", "sampled-robustness-tau-negative", "sampled-robustness-alpha-0",
+         "word-not-integers", "message-not-integers", "corpus-count-not-integer", "corpus-key-not-integer"],
 )
 def test_a_usage_error_prints_one_line_and_nothing_on_stdout(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -516,7 +523,7 @@ def test_an_argument_parser_error_prints_one_line_and_nothing_on_stdout(capsys, 
     "argv",
     [
         TINY_SWEEP + ["--alpha", "-1", "--corpus", "uniform:3"],
-        TINY_SWEEP + ["--alpha", "0", "--corpus", "uniform:3", "--sampled"],
+        TINY_SWEEP + ["--alpha", "0", "--corpus", "uniform:3", "--samples", "200"],
         ["robustness", "--graph", "product:n=2,m=2", "--small", "rep:q=2,n=2", "--word", "1,0,0,0", "--alpha", "0"],
     ],
     ids=["sweep", "sampled-sweep", "robustness"],
@@ -617,9 +624,9 @@ def test_csv_only_where_reports_are_rows(tmp_path, argv):
     "argv, digest",
     [
         (["sweep", "--graph", "product:n=3,m=3", "--small", "rs:q=5,n=3,k=2^2", "--corpus", "mixed:6",
-          "--sampled", "--samples", "300", "--seed", "3"],
+          "--samples", "300", "--seed", "3"],
          "2454269cd1517e3d13acc999b27097e4ad3af8bddd734733a3e22ce4d4d20ef0"),
-        (["robustness", "--graph", "square:n=2,t=3", "--small", "rep:q=2,n=4", "--sampled",
+        (["robustness", "--graph", "square:n=2,t=3", "--small", "rep:q=2,n=4",
           "--samples", "3000", "--seed", "9", "--word", ",".join(["1"] + ["0"] * 255)],
          "567c01d3dfb1625dafdd3c29f0abeae42bdd2256c72bfc86b7f620af1999ef76"),
     ],
@@ -656,9 +663,9 @@ def test_interval_reports_are_pinned(capsys, alpha, holds, digest):
     "argv, message",
     [
         (["expansion-check", "--graph", "product:n=3,m=3"],
-         "exhaustive expansion scan would hold 203568128, past EXPANSION_PAIRS = 10000000"),
+         "exhaustive expansion scan would hold at least 10501748, past EXPANSION_PAIRS = 10000000"),
         (["sweep", "--graph", "product:n=3,m=3", "--small", "rep:q=2,n=3^2", "--corpus", "low_weight,wmax=9"],
-         "low_weight corpus would hold 8192524, past LOW_WEIGHT_WORDS = 1000000"),
+         "low_weight corpus would hold at least 94653873, past CORPUS_CELLS = 67108864"),
         # 65521^1000 has more digits than Python will print.
         (["min-distance", "--code", "full:q=65521,n=1000"],
          "codeword enumeration would hold at least 2^15999, past ENUMERATION_THRESHOLD = 16777216"),
@@ -668,12 +675,69 @@ def test_interval_reports_are_pinned(capsys, alpha, holds, digest):
         # Refused before the (10^20, 9) corpus array is asked of numpy.
         (["sweep", "--graph", "product:n=3,m=2", "--small", "rep:q=2,n=3", "--corpus", "uniform:99999999999999999999"],
          "corpus would hold 899999999999999999991, past CORPUS_CELLS = 67108864"),
+        # Refused before the first draw: a (10^9, 27) mask array would be asked of numpy.
+        (["expansion-check", "--graph", "product:n=3,m=3", "--samples", "1000000000"],
+         "sampled expansion scan would hold 1000000000, past EXPANSION_PAIRS = 10000000"),
+        # 2^30 left vertices: the count stops at the first running total past the budget.
+        (["expansion-check", "--graph", "product:n=2,m=30"],
+         "exhaustive expansion scan would hold at least 56049058, past EXPANSION_PAIRS = 10000000"),
     ],
-    ids=["expansion-check", "sweep", "min-distance-too-large-to-print", "membership-parity-check", "sweep-corpus"],
+    ids=["expansion-check", "sweep", "min-distance-too-large-to-print", "membership-parity-check", "sweep-corpus",
+         "expansion-check-sampled", "expansion-check-counted-to-the-budget"],
 )
 def test_a_refusal_is_a_usage_error_naming_its_budget(capsys, argv, message):
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and err.splitlines() == [f"error: {message}"]
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize(
+    "t, alpha, message",
+    [
+        ("500", "1/4294967296", "t = 500 is too large: n^2 / alpha0^t may need 16504 bits, past 14000"),
+        ("2000", "1/4294967296", "t = 2000 is too large: log2 N = 2^t log2(n) is past the largest float"),
+        ("10000000", "1/4294967296", "t = 10000000 is too large: log2 N = 2^t log2(n) is past the largest float"),
+        ("1024", "1", "t = 1024 is too large: log2 N = 2^t log2(n) is past the largest float"),
+    ],
+    ids=["past-print-limit", "past-float-range", "huge", "past-float-range-at-alpha-1"],
+)
+def test_a_query_account_it_cannot_compute_or_print_is_refused_at_once(capsys, t, alpha, message):
+    # These printed Python's 4,300-digit message, or an OverflowError traceback after up to 2.9 s.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "query-account", "--n", "2", "--t", t, "--alpha", alpha)
+    assert code == 2 and out == "" and err.splitlines() == [f"error: {message}"]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_the_last_query_account_below_the_float_range_is_reported(capsys):
+    code, out, _ = run_cli(capsys, "query-account", "--n", "2", "--t", "1023", "--alpha", "1")
+    doc = json.loads(out)
+    assert code == 0 and doc["log2_block_length"] == 2.0**1023 and doc["total_queries"] == "4"
+
+
+def test_samples_alone_selects_sampling(capsys):
+    # --samples N selects the sampled mode of every command that samples; without it each is exact.
+    sampled = json.loads(run_cli(capsys, *NINE_SYMBOL_SWEEP, "--corpus", "uniform:3", "--samples", "50")[1])
+    exact = json.loads(run_cli(capsys, *NINE_SYMBOL_SWEEP, "--corpus", "uniform:3")[1])
+    assert sampled["summary"]["mode"] == "sampled" and exact["summary"]["mode"] == "exact"
+    assert [r["samples"] for r in sampled["reports"]] == [50] * 3 and "samples" not in exact["reports"][0]
+    scan = json.loads(run_cli(capsys, "expansion-check", "--graph", "product:n=2,m=3", "--samples", "5")[1])
+    assert scan["report"]["mode"] == "sampled" and scan["report"]["pairs_checked"] == 5
+    estimate = json.loads(run_cli(capsys, *ROBUSTNESS, "--samples", "7")[1])
+    assert estimate["samples"] == 7 and estimate["estimate"] is True and "rho" not in estimate
+
+
+def test_a_low_weight_part_counts_only_the_weights_a_word_has(capsys):
+    # wmax past n = 9 asks for all 512 words; the count stops at w = n, so no 10^8 terms are summed.
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, *NINE_SYMBOL_SWEEP, "--corpus", "low_weight,wmax=99999999")
+    assert code == 0 and time.perf_counter() - start < 10.0
+    doc = json.loads(run_cli(capsys, *NINE_SYMBOL_SWEEP, "--corpus", "low_weight,wmax=9")[1])
+    assert doc["summary"]["words"] == 512
+    for report in doc["reports"]:
+        report["word_source"]["wmax"] = 99999999
+    assert json.loads(out)["reports"] == doc["reports"]
 
 
 def test_a_reference_too_large_to_print_falls_back_to_the_interval(capsys, tmp_path):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ltclab.config
 import ltclab.harness
 from ltclab.code import LinearCode, Word, repetition, reed_solomon
 from ltclab.corpus import generate_corpus, parse_corpus_spec
@@ -284,10 +285,10 @@ def test_sweep_sampled_mode_runs():
         small_spec="rep:q=2,n=3",
         corpus="uniform:5",
         seed=4,
-        mode="sampled",
         samples=50,
     )
     result = run_sweep(config)
+    assert result.summary["mode"] == "sampled"
     assert all(r.get("estimate") for r in result.reports)
 
 
@@ -460,13 +461,13 @@ def test_instance_from_specs_derives_full_code():
     assert inst.full.k == 1  # the repetition square
 
 
-@pytest.mark.parametrize("mode", ["exact", "sampled"])
-def test_sweep_refuses_a_nonpositive_alpha_before_building_the_corpus(monkeypatch, mode):
+@pytest.mark.parametrize("samples", [None, 200], ids=["exact", "sampled"])
+def test_sweep_refuses_a_nonpositive_alpha_before_building_the_corpus(monkeypatch, samples):
     def no_corpus(*args):
         raise AssertionError("the corpus was built")
 
     monkeypatch.setattr(ltclab.harness, "generate_corpus", no_corpus)
-    config = ExperimentConfig("product:n=2,m=2", "rep:q=2,n=2", corpus="uniform:3", alpha=Fraction(0), mode=mode)
+    config = ExperimentConfig("product:n=2,m=2", "rep:q=2,n=2", corpus="uniform:3", alpha=Fraction(0), samples=samples)
     with pytest.raises(ValueError, match="alpha must be positive"):
         run_sweep(config)
 
@@ -474,7 +475,7 @@ def test_sweep_refuses_a_nonpositive_alpha_before_building_the_corpus(monkeypatc
 def test_reference_code_rows_are_checked_in_every_chunk(monkeypatch):
     # 5^16 codewords, past ENUMERATION_THRESHOLD.  Generator row (0, 0) of
     # RS[5,4]^2 lies in RS[5,3]^2 and row (0, 3), the fourth, does not.
-    monkeypatch.setattr(ltclab.harness, "BROADCAST_CELLS", 1)  # one row per chunk
+    monkeypatch.setattr(ltclab.config, "BROADCAST_CELLS", 1)  # one row per chunk
     with pytest.raises(ValueError, match="not a subcode"):
         instance_from_specs("product:n=5,m=2", "rs:q=5,n=5,k=3", "rs:q=5,n=5,k=4^2")
     inst = instance_from_specs("product:n=5,m=2", "rs:q=5,n=5,k=4", "rs:q=5,n=5,k=4^2")

@@ -35,7 +35,7 @@ GRAPH_KEYS = {
 CODE_OUT_OF_RANGE = {"q": [0, 1, 4, 9, -7], "n": [0, -1], "k": [0, -2, 6]}
 GRAPH_OUT_OF_RANGE = {"n": [0, -2], "m": [0, -1], "mp": [0, 3, -1], "t": [0, 1, -3]}
 # The exhaustive scan of some valid inline graphs is refused as too large.
-SAMPLED = ("--sampled", "--samples=1")
+SAMPLED = ("--samples=1",)
 
 
 def assert_usage_error(*argv):

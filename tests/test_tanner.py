@@ -238,7 +238,7 @@ def test_tpc_iterated_and_square_match_tensor_low_weight():
 def test_lazy_graph_matches_explicit(monkeypatch):
     explicit = product_graph(3, 3)
     with monkeypatch.context() as patch:
-        patch.setattr(ltclab.tanner, "ADJACENCY_BUDGET", 4)  # force the accessor form
+        patch.setattr(ltclab.config, "ADJACENCY_BUDGET", 4)  # force the accessor form
         lazy = product_graph(3, 3)
     assert not lazy.is_explicit
     assert np.array_equal(lazy.rows0_block(0, 9), explicit.rows0_block(0, 9))
@@ -248,7 +248,7 @@ def test_lazy_graph_matches_explicit(monkeypatch):
 
 def test_lazy_composition_matches_explicit(monkeypatch):
     explicit = iterated_graph(2, 4, 2)
-    monkeypatch.setattr(ltclab.tanner, "ADJACENCY_BUDGET", 8)
+    monkeypatch.setattr(ltclab.config, "ADJACENCY_BUDGET", 8)
     lazy = iterated_graph(2, 4, 2)
     assert not lazy.is_explicit
     assert np.array_equal(
@@ -266,7 +266,7 @@ _FAMILIES = {
 
 def _accessor_form(monkeypatch, build) -> OrderedGraph:
     with monkeypatch.context() as patch:
-        patch.setattr(ltclab.tanner, "ADJACENCY_BUDGET", 0)  # every level in accessor form
+        patch.setattr(ltclab.config, "ADJACENCY_BUDGET", 0)  # every level in accessor form
         graph = build()
     assert not graph.is_explicit
     return graph
@@ -309,7 +309,7 @@ def test_a_graph_is_dense_exactly_when_it_fits_the_adjacency_budget(monkeypatch,
     unpatched = _BUILDS[family]()
     m, t = unpatched.m_right, unpatched.t_degree
     limit = {"m*t": m * t, "default": ltclab.config.ADJACENCY_BUDGET}.get(budget, budget)
-    monkeypatch.setattr(ltclab.tanner, "ADJACENCY_BUDGET", limit)
+    monkeypatch.setattr(ltclab.config, "ADJACENCY_BUDGET", limit)
     graph = _BUILDS[family]()
     assert graph.is_explicit == (m * t <= limit)
     assert np.array_equal(graph.rows0_block(0, m), unpatched.rows0_block(0, m))
@@ -332,7 +332,7 @@ def test_a_materialized_graph_keeps_no_formula():
 def test_a_list_graph_past_the_budget_answers_as_the_explicit_graph(monkeypatch):
     lists = [[1, 1, 2], [2, 3, 4], [3, 4, 1]]  # x1 twice in view 1
     explicit = OrderedGraph.from_lists(4, lists)
-    monkeypatch.setattr(ltclab.tanner, "ADJACENCY_BUDGET", 8)  # m * t = 9
+    monkeypatch.setattr(ltclab.config, "ADJACENCY_BUDGET", 8)  # m * t = 9
     accessor = OrderedGraph.from_lists(4, lists)
     assert explicit.is_explicit and not accessor.is_explicit
     assert explicit.lists == tuple(map(tuple, lists))
@@ -359,7 +359,7 @@ def _tpc_cases(monkeypatch):
     even = LinearCode.from_rows(GF2, [[1, 1, 0], [0, 1, 1]])
     yield repeated, even
     yield repeated, full_code(GF2, 3)
-    monkeypatch.setattr(ltclab.tanner, "ADJACENCY_BUDGET", 4)  # force the accessor form
+    monkeypatch.setattr(ltclab.config, "ADJACENCY_BUDGET", 4)  # force the accessor form
     lazy = product_graph(2, 3)
     assert not lazy.is_explicit
     yield lazy, repetition(GF2, 4)
@@ -402,7 +402,7 @@ _GATHER_CASES = {
 def _explicit_and_accessor(monkeypatch, build) -> tuple[OrderedGraph, OrderedGraph]:
     explicit = build()
     with monkeypatch.context() as patch:
-        patch.setattr(ltclab.tanner, "ADJACENCY_BUDGET", 0)
+        patch.setattr(ltclab.config, "ADJACENCY_BUDGET", 0)
         accessor = build()
     assert explicit.is_explicit and not accessor.is_explicit
     return explicit, accessor
@@ -412,7 +412,7 @@ def _explicit_and_accessor(monkeypatch, build) -> tuple[OrderedGraph, OrderedGra
 @pytest.mark.parametrize("family", sorted(_GATHER_CASES))
 def test_view_chunks_gather_every_view_once_within_the_budget(monkeypatch, family, cells, row_block):
     explicit, accessor = _explicit_and_accessor(monkeypatch, _GATHER_CASES[family][0])
-    monkeypatch.setattr(ltclab.tanner, "BROADCAST_CELLS", cells)
+    monkeypatch.setattr(ltclab.config, "BROADCAST_CELLS", cells)
     monkeypatch.setattr(ltclab.tanner, "_ROW_BLOCK", row_block)
     rng = np.random.default_rng(48)
     values = rng.integers(0, 5, size=(7, explicit.n_left))
@@ -447,7 +447,7 @@ def test_membership_is_the_same_in_any_view_chunks(monkeypatch, family, name, va
         expect = TannerCode(graph, small).contains_batch(words)
         assert expect.sum() >= 6 and not expect.all()
         with monkeypatch.context() as patch:
-            patch.setattr(ltclab.tanner, name, value)
+            patch.setattr(ltclab.tanner if name == "_ROW_BLOCK" else ltclab.config, name, value)
             assert np.array_equal(TannerCode(graph, small).contains_batch(words), expect)
             assert TannerCode(graph, small).contains_batch(codewords).all()
 
@@ -545,7 +545,7 @@ def test_batched_boundary_count_matches_per_edge_count(case):
     lists, s_masks, t_masks, row_block = case
     explicit = OrderedGraph.from_lists(s_masks.shape[1], lists)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ltclab.tanner, "ADJACENCY_BUDGET", 0)  # the constructor would materialize it
+        patch.setattr(ltclab.config, "ADJACENCY_BUDGET", 0)  # the constructor would materialize it
         accessor = OrderedGraph(
             explicit.n_left, explicit.m_right, explicit.t_degree,
             rows_at_fn=explicit.rows_at,

@@ -215,7 +215,7 @@ def test_delta_oracle_refusal_propagates(monkeypatch):
 
 def _computed(graph: OrderedGraph) -> OrderedGraph:
     """The same graph behind a computed row accessor."""
-    with mock.patch.object(ltclab.tanner, "ADJACENCY_BUDGET", 0):  # the constructor would materialize it
+    with mock.patch.object(ltclab.config, "ADJACENCY_BUDGET", 0):  # the constructor would materialize it
         return OrderedGraph(
             graph.n_left, graph.m_right, graph.t_degree,
             rows_at_fn=graph.rows_at, label=graph.label,
@@ -237,7 +237,7 @@ def _batch_instance(kind: str, q: int) -> TestInstance:
 @pytest.mark.parametrize("index", [0, 5])
 def test_sampled_estimator_on_accessor_graphs_matches_the_explicit_graph(index):
     explicit = TestInstance(product_graph(2, 3).compose(product_graph(2, 2)), repetition(Field(3), 2))
-    with mock.patch.object(ltclab.tanner, "ADJACENCY_BUDGET", 0):  # the composition formula itself
+    with mock.patch.object(ltclab.config, "ADJACENCY_BUDGET", 0):  # the composition formula itself
         formula = product_graph(2, 3).compose(product_graph(2, 2))
     w = Word(Field(3), np.random.default_rng(53).integers(0, 3, size=explicit.graph.n_left))
     expect = explicit.expected_robustness_sampled(w, seed=17, samples=64, index=index)
@@ -262,7 +262,7 @@ def test_batch_entry_points_match_batches_of_one(kind, q, batch, cells, seed):
         for row in np.random.default_rng(seed).integers(0, q, size=(batch, instance.graph.n_left))
     ]
     values = np.array([w.values for w in words], dtype=np.int64).reshape(batch, instance.graph.n_left)
-    with mock.patch.object(ltclab.tanner, "BROADCAST_CELLS", cells):  # chunks of words
+    with mock.patch.object(ltclab.config, "BROADCAST_CELLS", cells):  # chunks of words
         with mock.patch.object(ltclab.code, "_CHUNK", cells):  # steps of the compare
             views = instance.view_hammings_batch(values)
     deltas = instance.delta_hammings_batch(values)
