@@ -96,6 +96,18 @@ MUTANTS = (
     Mutant("no-sampled-scan-check", "harness.py",
            '        config.within("EXPANSION_PAIRS", samples, "sampled expansion scan")\n', "",
            ("tests/test_budgets.py::test_a_sampled_expansion_scan_is_refused_past_the_budget",)),
+    Mutant("no-sampled-mask-check", "harness.py",
+           '        config.within("CORPUS_CELLS", samples * n, "sampled expansion S masks")\n', "",
+           ("tests/test_budgets.py::test_sampled_expansion_masks_are_refused_past_the_corpus_budget",)),
+    # the codeword count's terms: 1, then (q - 1) q**i; without the factor q - 1 a q = 2 count is unchanged
+    Mutant("enumeration-no-zero-codeword", "code.py",
+           "terms = chain((1,), ((q - 1) * q**i",
+           "terms = chain((), ((q - 1) * q**i",
+           ("tests/test_budgets.py::test_every_budget_refuses_by_name",)),
+    Mutant("enumeration-no-q-minus-1", "code.py",
+           "((q - 1) * q**i for i in range(self.k))",
+           "(q**i for i in range(self.k))",
+           ("tests/test_oracle.py::test_both_sides_check_residues_then_the_threshold",)),
     Mutant("no-query-account-print-check", "harness.py",
            "    if bits > PRINTABLE_BITS:",
            "    if False:",
@@ -113,6 +125,11 @@ MUTANTS = (
            'mode = "exhaustive" if args.samples is None else "sampled"',
            'mode = "exhaustive" if args.samples is not None else "sampled"',
            ("tests/test_cli.py::test_samples_alone_selects_sampling",)),
+    # --- compose-check: an outer view's distance from the medium code is the inner delta on it
+    Mutant("c-outer-from-inner-sums", "harness.py",
+           '"measured_c_outer": _least_ratio(inner_delta.reshape(',
+           '"measured_c_outer": _least_ratio(inner_sums.reshape(',
+           ("tests/test_harness.py::test_compose_check_matches_reference_loop",)),
     # --- the distance oracle: histogram side
     Mutant("histogram-from-gf13", "code.py",
            "if self.k != 1 or self.field.q < 17:",

@@ -14,6 +14,7 @@ import functools
 import operator
 import warnings
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -171,8 +172,9 @@ def word_values(word: Word, field: Field, n: int, grid: Optional[tuple[int, ...]
 # The oracle is the LinearCode methods below.  They enumerate codewords only
 # through ``encode_batch``, so a TensorCode enumerates through its axis
 # contraction, without a Kronecker generator.  Every entry point checks
-# ENUMERATION_THRESHOLD through ``config.within`` on every call, before it
-# computes a huge q**k.  Messages are enumerated in lexicographic order, at
+# ENUMERATION_THRESHOLD through ``config.within`` on every call, counting the
+# codewords one message digit at a time like every other count, so a refusal
+# never forms a huge q**k.  Messages are enumerated in lexicographic order, at
 # most _CHUNK at a time, so ties break toward the smallest message.
 #
 # Codeword symbols are stored row-major as symbol_dtype(field).  The distance
@@ -307,20 +309,15 @@ class LinearCode:
     def num_codewords(self) -> int:
         return self.field.q**self.k
 
-    def _enumeration_size(self) -> int:
-        """q**k, or a lower bound on it that is quick to compute when q**k is huge.
-
-        Once k * (bitlength(q) - 1) reaches 2**15 bits, this is
-        2**min(k * (bitlength(q) - 1), 2**20), which a refusal prints as
-        "at least 2^...".
-        """
-        q, k = self.field.q, self.k
-        bits = k * (q.bit_length() - 1)
-        return q**k if bits < 1 << 15 else 1 << min(bits, 1 << 20)
-
     def _checked_size(self) -> int:
-        """``_enumeration_size()``, refused past ENUMERATION_THRESHOLD."""
-        return config.within("ENUMERATION_THRESHOLD", self._enumeration_size(), "codeword enumeration")
+        """q**k, counted as terms and refused at the first running total past ENUMERATION_THRESHOLD.
+
+        The terms are 1 (the zero codeword), then the (q - 1) q**i codewords whose message has its last
+        nonzero digit at i < k: the total after digit i is q**(i + 1), so q**k is formed only if it fits.
+        """
+        q = self.field.q
+        terms = chain((1,), ((q - 1) * q**i for i in range(self.k)))
+        return config.within("ENUMERATION_THRESHOLD", terms, "codeword enumeration")
 
     def encode(self, message) -> Word:
         """Encode a length-k message, as a batch of one."""
@@ -400,8 +397,7 @@ class LinearCode:
         ``symbol_dtype(field)``, row-major.  Each call fills a new array from
         ``_blocks()``, except that a code of one group returns ``_group`` itself.
         """
-        self._checked_size()
-        total = self.num_codewords()
+        total = self._checked_size()
         config.within("TABLE_CELLS", total * self.n, "codeword table")
         table = self._group
         if len(table) < total:

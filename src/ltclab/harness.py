@@ -351,14 +351,15 @@ def run_compose_check(
     robustness on that view; the two sides are computed along independent
     paths (composed adjacency vs outer rows followed by inner rows), each in
     one batch over the corpus.  Also reports the empirical robustness
-    constants of the outer, inner, and composed testers.
+    constants of the outer, inner, and composed testers.  An outer view's
+    distance from the medium code TPC(inner, small) is the inner tester's
+    delta on that view, so the outer constant is read from ``inner_delta``.
     """
     t0 = time.perf_counter()
     composed = outer.compose(inner)
     medium = tpc_linear_code(inner, small)
     full = tpc_linear_code(outer, medium)
     comp_instance = TestInstance(composed, small, full=full, label="composed")
-    outer_instance = TestInstance(outer, medium, full=full, label="outer")
     inner_instance = TestInstance(inner, small, full=medium, label="inner")
     values, _ = corpus_values(comp_instance, parse_corpus_spec(corpus), seed)
     views = values[:, outer.rows0_block(0, outer.m_right)].reshape(-1, outer.t_degree)
@@ -366,7 +367,6 @@ def run_compose_check(
     inner_sums = inner_instance.view_hammings_batch(views).sum(axis=1)
     inner_delta = inner_instance.delta_hammings_batch(views)
     delta = comp_instance.delta_hammings_batch(values)
-    outer_sums = outer_instance.view_hammings_batch(values[delta > 0]).sum(axis=1)
     # lhs = comp_sums / (m_c t_c) must equal rhs = (the word's inner_sums) / (m_o m_i t_i)
     rhs_sums = inner_sums.reshape(len(values), outer.m_right).sum(axis=1)
     lhs_den, rhs_den = composed.m_right * composed.t_degree, outer.m_right * inner.m_right * inner.t_degree
@@ -379,7 +379,7 @@ def run_compose_check(
         "seed": seed,
         "words": len(values),
         "identity_mismatches": mismatches,
-        "measured_c_outer": _least_ratio(outer_sums, delta[delta > 0], outer),
+        "measured_c_outer": _least_ratio(inner_delta.reshape(len(values), outer.m_right).sum(axis=1), delta, outer),
         "measured_c_inner": _least_ratio(inner_sums, inner_delta, inner),
         "measured_c_composed": _least_ratio(comp_sums, delta, composed),
     }
@@ -415,6 +415,7 @@ def run_expansion_check(
     right subset T; sampled mode draws ``samples`` seeded random pairs.  Either
     mode is refused past EXPANSION_PAIRS before its first pair: the exhaustive
     count is summed as C(n, |S|) C(m, |T|) terms, so 2^m itself is never formed.
+    A sampled scan's (samples, n) S masks are refused past CORPUS_CELLS before they are allocated.
     Either mode yields chunks of mask pairs, and one loop counts their
     boundaries.  The 1/8 bound is compared in integers, as
     slack8 = 8 gamma - d_L |S| - d_R |T|.  Reports the number of violations
@@ -430,6 +431,7 @@ def run_expansion_check(
         chunks = _exhaustive_pairs(n, m)
     elif mode == "sampled":
         config.within("EXPANSION_PAIRS", samples, "sampled expansion scan")
+        config.within("CORPUS_CELLS", samples * n, "sampled expansion S masks")
         rng = np.random.default_rng(seed)
         sizes = rng.integers(0, n // 4 + 1, size=samples)
         s_masks = np.zeros((samples, n), dtype=bool)

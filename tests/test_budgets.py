@@ -93,31 +93,25 @@ def test_adjacency_budget_refuses_coordinate_weights(monkeypatch):
 
 
 def test_a_huge_enumeration_is_refused_without_computing_its_size():
-    # RS[4,2]^99 has 5^(2^99) codewords; q**k would never finish, so the refusal asks for a lower bound.
+    # RS[4,2]^99 has 5^(2^99) codewords; the count stops at 5^11, the first power of 5 past the budget.
     code = tensor_power(reed_solomon(GF5, 4, 2), 99)
     start = time.perf_counter()
     with pytest.raises(TooLargeToEnumerateError) as err:
         code.codewords()
     assert time.perf_counter() - start < 1.0
     assert err.value.budget == "ENUMERATION_THRESHOLD"
-    assert str(err.value) == f"codeword enumeration would hold at least 2^{2**20}, past ENUMERATION_THRESHOLD = {2**24}"
+    assert str(err.value) == f"codeword enumeration would hold at least {5**11}, past ENUMERATION_THRESHOLD = {2**24}"
 
 
-@pytest.mark.parametrize(
-    "q, axes, shown",
-    [(2, (217, 151), "2^32767"), (3, (217, 151), "2^51934"), (2, (256, 128), "2^32768"), (3, (256, 128), "2^32768")],
-)
-def test_an_enumeration_size_is_exact_below_2_to_the_15_bits(q, axes, shown):
-    # k * (bitlength(q) - 1) < 2**15: q**k itself; from there a power of two below q**k, shown as a bound.
-    code = TensorCode([full_code(Field(q), n) for n in axes])  # k = 2**15 - 1 or 2**15, in factor form
+@pytest.mark.parametrize("q, axes", [(2, (217, 151)), (3, (217, 151)), (2, (256, 128)), (3, (256, 128))])
+def test_an_enumeration_is_refused_at_the_first_power_of_q_past_the_budget(q, axes):
+    # k = 2**15 - 1 or 2**15, in factor form: the running total q**(i + 1) passes 2**24 long before q**k.
+    code = TensorCode([full_code(Field(q), n) for n in axes])
     with pytest.raises(TooLargeToEnumerateError) as err:
         code.codewords()
-    exc = err.value
-    if code.k < 2**15:
-        assert exc.requested == q**code.k
-    else:
-        assert exc.requested == 2**32768 <= q**code.k
-    assert f" would hold at least {shown}, " in str(exc)
+    requested = {2: 33_554_432, 3: 43_046_721}[q]  # 2**25 and 3**16
+    assert err.value.requested == requested
+    assert str(err.value) == f"codeword enumeration would hold at least {requested}, past ENUMERATION_THRESHOLD = {2**24}"
 
 
 def test_a_running_total_is_refused_at_its_first_total_past_the_budget(monkeypatch):
@@ -149,6 +143,15 @@ def test_a_sampled_expansion_scan_is_refused_past_the_budget(monkeypatch):
     with pytest.raises(TooLargeToEnumerateError) as err:
         run_expansion_check(product_graph(3, 3), mode="sampled", samples=100)
     assert str(err.value) == "sampled expansion scan would hold 100, past EXPANSION_PAIRS = 99"
+
+
+def test_sampled_expansion_masks_are_refused_past_the_corpus_budget(monkeypatch):
+    # The S masks are a corpus of `samples` words of n_left = 27 cells.
+    monkeypatch.setattr(ltclab.config, "CORPUS_CELLS", 27 * 99)
+    assert run_expansion_check(product_graph(3, 3), mode="sampled", samples=99)["report"]["pairs_checked"] == 99
+    with pytest.raises(TooLargeToEnumerateError) as err:
+        run_expansion_check(product_graph(3, 3), mode="sampled", samples=100)
+    assert str(err.value) == f"sampled expansion S masks would hold {27 * 100}, past CORPUS_CELLS = {27 * 99}"
 
 
 def test_within_returns_a_request_at_the_limit_and_reads_the_budget_per_call(monkeypatch):

@@ -666,9 +666,12 @@ def test_interval_reports_are_pinned(capsys, alpha, holds, digest):
          "exhaustive expansion scan would hold at least 10501748, past EXPANSION_PAIRS = 10000000"),
         (["sweep", "--graph", "product:n=3,m=3", "--small", "rep:q=2,n=3^2", "--corpus", "low_weight,wmax=9"],
          "low_weight corpus would hold at least 94653873, past CORPUS_CELLS = 67108864"),
-        # 65521^1000 has more digits than Python will print.
+        # 65521^1000 codewords: the count stops at 65521^2, the first power of q past the budget.
         (["min-distance", "--code", "full:q=65521,n=1000"],
-         "codeword enumeration would hold at least 2^15999, past ENUMERATION_THRESHOLD = 16777216"),
+         "codeword enumeration would hold at least 4293001441, past ENUMERATION_THRESHOLD = 16777216"),
+        # 2^14001 generator cells have more digits than Python will print.
+        (["build-code", "--code", "rep:q=2,n=2^14001"],
+         "generator would hold at least 2^14001, past GENERATOR_CELLS = 16777216"),
         # Refused before the 4999 x 5000 parity check is allocated.
         (["membership", "--code", "rep:q=2,n=5000", "--word", ",".join(["1"] * 5000)],
          "parity-check matrix would hold 24995000, past PARITY_CELLS = 16777216"),
@@ -678,12 +681,16 @@ def test_interval_reports_are_pinned(capsys, alpha, holds, digest):
         # Refused before the first draw: a (10^9, 27) mask array would be asked of numpy.
         (["expansion-check", "--graph", "product:n=3,m=3", "--samples", "1000000000"],
          "sampled expansion scan would hold 1000000000, past EXPANSION_PAIRS = 10000000"),
+        # Refused before a (2000, 65536) S mask array is allocated.
+        (["expansion-check", "--graph", "product:n=2,m=16", "--samples", "2000"],
+         "sampled expansion S masks would hold 131072000, past CORPUS_CELLS = 67108864"),
         # 2^30 left vertices: the count stops at the first running total past the budget.
         (["expansion-check", "--graph", "product:n=2,m=30"],
          "exhaustive expansion scan would hold at least 56049058, past EXPANSION_PAIRS = 10000000"),
     ],
-    ids=["expansion-check", "sweep", "min-distance-too-large-to-print", "membership-parity-check", "sweep-corpus",
-         "expansion-check-sampled", "expansion-check-counted-to-the-budget"],
+    ids=["expansion-check", "sweep", "min-distance-counted-to-a-power-of-q", "build-code-too-large-to-print",
+         "membership-parity-check", "sweep-corpus", "expansion-check-sampled", "expansion-check-sampled-masks",
+         "expansion-check-counted-to-the-budget"],
 )
 def test_a_refusal_is_a_usage_error_naming_its_budget(capsys, argv, message):
     start = time.perf_counter()
