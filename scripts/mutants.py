@@ -99,6 +99,9 @@ MUTANTS = (
     Mutant("no-sampled-mask-check", "harness.py",
            '        config.within("CORPUS_CELLS", samples * n, "sampled expansion S masks")\n', "",
            ("tests/test_budgets.py::test_sampled_expansion_masks_are_refused_past_the_corpus_budget",)),
+    Mutant("no-sampled-t-mask-check", "harness.py",
+           '        config.within("CORPUS_CELLS", samples * m, "sampled expansion T masks")\n', "",
+           ("tests/test_budgets.py::test_sampled_expansion_t_masks_are_refused_past_the_corpus_budget",)),
     # the codeword count's terms: 1, then (q - 1) q**i; without the factor q - 1 a q = 2 count is unchanged
     Mutant("enumeration-no-zero-codeword", "code.py",
            "terms = chain((1,), ((q - 1) * q**i",
@@ -125,6 +128,11 @@ MUTANTS = (
            'mode = "exhaustive" if args.samples is None else "sampled"',
            'mode = "exhaustive" if args.samples is not None else "sampled"',
            ("tests/test_cli.py::test_samples_alone_selects_sampling",)),
+    # --- corpus specs: an empty part is refused, not dropped
+    Mutant("empty-corpus-part-dropped", "corpus.py",
+           'raise ValueError(f"corpus part {i + 1} of {text!r} is empty")',
+           "continue",
+           ("tests/test_parsers.py::test_corpus_specs_that_used_to_run_are_refused",)),
     # --- compose-check: an outer view's distance from the medium code is the inner delta on it
     Mutant("c-outer-from-inner-sums", "harness.py",
            '"measured_c_outer": _least_ratio(inner_delta.reshape(',
@@ -168,6 +176,20 @@ MUTANTS = (
            "holds = True if rho >= alpha * upper else",
            "holds = True if rho >= alpha * lower else",
            ("tests/test_cli.py::test_interval_reports_are_pinned",)),
+    # --- a block of words is certified as one batch
+    Mutant("interval-from-zero-on-a-regular-graph", "tester.py",
+           "lower, upper = rho if lower_is_rho else Fraction(0), Fraction(1)",
+           "lower, upper = Fraction(0), Fraction(1)",
+           ("tests/test_tester.py::test_certify_interval_when_oracle_missing",
+            "tests/test_cli.py::test_interval_reports_are_pinned")),
+    Mutant("sweep-block-drops-a-word", "harness.py",
+           "block = words[start : start + step]",
+           "block = words[start : start + step - 1]",
+           ("tests/test_harness.py::test_a_sweep_is_the_same_in_any_blocks",)),
+    Mutant("sweep-sampled-delta-misaligned", "harness.py",
+           "Fraction(int(deltas[i]), instance.graph.n_left)",
+           "Fraction(int(deltas[i - 1]), instance.graph.n_left)",
+           ("tests/test_harness.py::test_a_sweep_is_the_same_in_any_blocks",)),
 )
 
 

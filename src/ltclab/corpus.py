@@ -53,12 +53,12 @@ _KEYS = {"codeword_plus_weight": {"w"}, "mixed": {"w"}, "low_weight": {"wmax"}}
 
 
 def parse_corpus_spec(text: str) -> tuple[CorpusPart, ...]:
-    """Parse 'kind:count[,key=val...];low_weight[,wmax=val]' into parts; low_weight counts its own words."""
+    """Parse 'kind:count[,key=val...];low_weight[,wmax=val]' into parts, refusing an empty part; low_weight counts its words."""
     parts = []
-    for chunk in text.split(";"):
+    for i, chunk in enumerate(text.split(";")):
         chunk = chunk.strip()
         if not chunk:
-            continue
+            raise ValueError(f"corpus part {i + 1} of {text!r} is empty")
         head, _, tail = chunk.partition(",")
         kind, colon, count_s = head.partition(":")
         kind = kind.strip()
@@ -71,8 +71,6 @@ def parse_corpus_spec(text: str) -> tuple[CorpusPart, ...]:
         if count < 0:
             raise ValueError(f"corpus part {chunk!r} has a negative count")
         parts.append(CorpusPart(kind, count, params))
-    if not parts:
-        raise ValueError("empty corpus specification")
     return tuple(parts)
 
 

@@ -224,6 +224,10 @@ def instance_from_specs(
 # --- configuration ---------------------------------------------------------------
 
 
+# Symbols (words x n_left) of the block of corpus words that run_sweep measures in one pass.
+_SWEEP_BLOCK_SYMBOLS = 1 << 15
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a sweep needs; ``samples`` (views per word) selects sampling, which the seed pins with the corpus."""
@@ -277,8 +281,9 @@ def _hypotheses(full) -> Optional[dict]:
 def run_sweep(config: ExperimentConfig, instance: Optional[TestInstance] = None) -> SweepResult:
     """Certify every corpus word at the configured alpha and tau, each refused first when out of range.
 
-    Returns per-word reports plus a summary with the violation count and the
-    empirical minimum of rho/delta over words at positive distance.
+    Words are measured in blocks of at most _SWEEP_BLOCK_SYMBOLS symbols (one word at least).  Returns
+    per-word reports plus a summary with the violation count and the empirical minimum of rho/delta
+    over words at positive distance.
     """
     t0 = time.perf_counter()
     alpha = positive_alpha(config.alpha)
@@ -292,21 +297,24 @@ def run_sweep(config: ExperimentConfig, instance: Optional[TestInstance] = None)
     min_ratio: Optional[Fraction] = None
     undecided = 0
     mode = "exact" if config.samples is None else "sampled"
-    for word, source in words:
+    step = max(1, _SWEEP_BLOCK_SYMBOLS // instance.graph.n_left)
+    for start in range(0, len(words), step):
+        block = words[start : start + step]
+        values = np.stack([word.values for word, _ in block])
         if mode == "sampled":
-            est = instance.expected_robustness_sampled(word, config.seed, config.samples, source["index"])
-            lower, upper, exact = instance.delta_bounds(word, None)
-            fields = est.to_json_dict(alpha=frac_str(alpha), delta=frac_str(lower) if exact else None)
-            reports.append({"instance": instance.label, "word_source": source, **fields})
+            deltas = instance._delta_hammings_or_none(values)
+            for i, (word, source) in enumerate(block):
+                est = instance.expected_robustness_sampled(word, config.seed, config.samples, source["index"])
+                delta = None if deltas is None else frac_str(Fraction(int(deltas[i]), instance.graph.n_left))
+                fields = est.to_json_dict(alpha=frac_str(alpha), delta=delta)
+                reports.append({"instance": instance.label, "word_source": source, **fields})
             continue
-        report, holds = instance.certify(word, alpha, tau=tau, word_source=source)
-        if holds is False:
-            violations += 1
-        elif holds is None:
-            undecided += 1
-        if report.delta_exact and report.ratio is not None:
-            min_ratio = report.ratio if min_ratio is None else min(min_ratio, report.ratio)
-        reports.append(report.to_json_dict())
+        for report, holds in instance.certify_batch(values, alpha, tau=tau, sources=[s for _, s in block]):
+            violations += holds is False
+            undecided += holds is None
+            if report.ratio is not None:
+                min_ratio = report.ratio if min_ratio is None else min(min_ratio, report.ratio)
+            reports.append(report.to_json_dict())
     wall = time.perf_counter() - t0
     summary = {
         "instance": instance.label,
@@ -415,7 +423,7 @@ def run_expansion_check(
     right subset T; sampled mode draws ``samples`` seeded random pairs.  Either
     mode is refused past EXPANSION_PAIRS before its first pair: the exhaustive
     count is summed as C(n, |S|) C(m, |T|) terms, so 2^m itself is never formed.
-    A sampled scan's (samples, n) S masks are refused past CORPUS_CELLS before they are allocated.
+    A sampled scan's (samples, n) S and (samples, m) T masks are refused past CORPUS_CELLS before the first draw.
     Either mode yields chunks of mask pairs, and one loop counts their
     boundaries.  The 1/8 bound is compared in integers, as
     slack8 = 8 gamma - d_L |S| - d_R |T|.  Reports the number of violations
@@ -432,6 +440,7 @@ def run_expansion_check(
     elif mode == "sampled":
         config.within("EXPANSION_PAIRS", samples, "sampled expansion scan")
         config.within("CORPUS_CELLS", samples * n, "sampled expansion S masks")
+        config.within("CORPUS_CELLS", samples * m, "sampled expansion T masks")
         rng = np.random.default_rng(seed)
         sizes = rng.integers(0, n // 4 + 1, size=samples)
         s_masks = np.zeros((samples, n), dtype=bool)

@@ -226,70 +226,60 @@ class TestInstance(TannerCode):
         """delta(word): exact relative distance to the reference full code."""
         return Fraction(int(self.delta_hammings_batch(self._values(word))[0]), self.graph.n_left)
 
-    def delta_bounds(self, word: Word, rho: Optional[Fraction] = None) -> tuple[Fraction, Fraction, bool]:
-        """(lower, upper, exact) bounds on delta.
-
-        Falls back to a certified interval when no reference full code is
-        attached or its oracle refuses: on a graph whose left vertices all
-        occur equally often, rho never exceeds delta, so [rho, 1] is sound.
-        """
+    def _delta_hammings_or_none(self, values: np.ndarray) -> Optional[np.ndarray]:
+        """``delta_hammings_batch``, or None when no reference full code is attached or its oracle refuses."""
         try:
-            if self.full is not None:
-                d = self.delta_exact(word)
-                return d, d, True
-            self._values(word)  # the word is checked as the oracle would check it
+            return None if self.full is None else self.delta_hammings_batch(values)
         except TooLargeToEnumerateError:
-            pass
-        lower = Fraction(0)
-        if rho is not None:
-            try:
-                self.graph.uniform_left_degree()
-                lower = rho
-            except ValueError:
-                pass
-        return lower, Fraction(1), False
+            return None
 
     # --- top-level checks ------------------------------------------------------------
 
-    def certify(
-        self,
-        word: Word,
-        alpha: Fraction,
-        tau: Optional[Fraction] = None,
-        with_views: bool = False,
-        word_source: Optional[dict] = None,
-    ) -> tuple[RobustnessReport, Optional[bool]]:
-        """Build a full robustness report and decide rho >= alpha * delta.
+    def certify_batch(
+        self, values: np.ndarray, alpha: Fraction, tau=None, with_views: bool = False, sources=None
+    ) -> list[tuple[RobustnessReport, Optional[bool]]]:
+        """A robustness report and a verdict on rho >= alpha * delta for each row of a (B, n_left) block.
 
-        An exact delta d is the interval [d, d]; the verdict is None when the
-        interval alone cannot decide it.  Refuses alpha <= 0, as ``positive_alpha`` does,
-        and tau outside [0, 1], as ``unit_tau`` does.
+        One view pass and one delta pass measure the block; an exact delta d is the interval [d, d].
+        With no reference full code, or when its oracle refuses, every delta falls back to a certified
+        interval: [rho, 1] on a graph whose left vertices all occur equally often (there rho never
+        exceeds delta), and [0, 1] otherwise.  A verdict is None when the interval cannot decide it.
+        Refuses alpha <= 0 and tau outside [0, 1], as ``positive_alpha`` and ``unit_tau`` do.
         """
         alpha = positive_alpha(alpha)
         tau = None if tau is None else unit_tau(tau)
-        hams = self.view_hammings(word)
-        t = self.graph.t_degree
-        rho = Fraction(int(hams.sum()), self.graph.m_right * t)
-        lower, upper, exact = self.delta_bounds(word, rho)
-        holds = True if rho >= alpha * upper else False if rho < alpha * lower else None
-        ratio = rho / lower if exact and lower else None
-        epsilon = None if tau is None else self._soundness_error(hams, tau)
-        per_view = tuple((j + 1, Fraction(int(h), t)) for j, h in enumerate(hams)) if with_views else None
-        report = RobustnessReport(
-            label=self.label,
-            rho=rho,
-            delta_lower=lower,
-            delta_upper=upper,
-            delta_exact=exact,
-            ratio=ratio,
-            alpha=alpha,
-            holds=holds,
-            tau=tau,
-            epsilon=epsilon,
-            per_view=per_view,
-            word_source=word_source or {},
-        )
-        return report, holds
+        hams = self.view_hammings_batch(values)
+        deltas = self._delta_hammings_or_none(values)
+        try:
+            lower_is_rho = deltas is None and self.graph.uniform_left_degree() > 0
+        except ValueError:
+            lower_is_rho = False
+        t, n = self.graph.t_degree, self.graph.n_left
+        results = []
+        for i, total in enumerate(hams.sum(axis=1).tolist()):
+            rho = Fraction(total, self.graph.m_right * t)
+            if deltas is None:
+                lower, upper = rho if lower_is_rho else Fraction(0), Fraction(1)
+            else:
+                lower = upper = Fraction(int(deltas[i]), n)
+            holds = True if rho >= alpha * upper else False if rho < alpha * lower else None
+            report = RobustnessReport(
+                label=self.label, rho=rho, delta_lower=lower, delta_upper=upper, delta_exact=deltas is not None,
+                ratio=rho / lower if deltas is not None and lower else None, alpha=alpha, holds=holds, tau=tau,
+                epsilon=None if tau is None else self._soundness_error(hams[i], tau),
+                per_view=tuple((j + 1, Fraction(int(h), t)) for j, h in enumerate(hams[i])) if with_views else None,
+                word_source={} if sources is None else sources[i],
+            )
+            results.append((report, holds))
+        return results
+
+    def certify(
+        self, word: Word, alpha: Fraction, tau=None, with_views: bool = False, word_source: Optional[dict] = None
+    ) -> tuple[RobustnessReport, Optional[bool]]:
+        """``certify_batch`` of the word as a batch of one; refuses alpha and tau before it reads the word."""
+        alpha = positive_alpha(alpha)
+        tau = None if tau is None else unit_tau(tau)
+        return self.certify_batch(self._values(word), alpha, tau, with_views, [word_source or {}])[0]
 
     def amplified_rejection(self, word: Word, alpha: Fraction) -> AmplificationResult:
         """Reject probability of ceil(1/alpha) independent repetitions.

@@ -16,7 +16,7 @@ from ltclab.corpus import corpus_values, parse_corpus_spec
 from ltclab.errors import FieldMismatchError, LtcLabError, TooLargeToEnumerateError
 from ltclab.field import Field
 from ltclab.harness import instance_from_specs, product_instance, run_expansion_check
-from ltclab.tanner import product_graph, tpc_linear_code
+from ltclab.tanner import OrderedGraph, product_graph, tpc_linear_code
 from ltclab.tensor import TensorCode, tensor_power
 
 GF2 = Field(2)
@@ -154,6 +154,16 @@ def test_sampled_expansion_masks_are_refused_past_the_corpus_budget(monkeypatch)
     assert str(err.value) == f"sampled expansion S masks would hold {27 * 100}, past CORPUS_CELLS = {27 * 99}"
 
 
+def test_sampled_expansion_t_masks_are_refused_past_the_corpus_budget(monkeypatch):
+    # The T masks are a corpus of `samples` words of m_right = 100 cells; the S masks hold only 4 a word.
+    graph = OrderedGraph.from_lists(4, [[1, 2], [3, 4]] * 50)
+    monkeypatch.setattr(ltclab.config, "CORPUS_CELLS", 100 * 99)
+    assert run_expansion_check(graph, mode="sampled", samples=99)["report"]["pairs_checked"] == 99
+    with pytest.raises(TooLargeToEnumerateError) as err:
+        run_expansion_check(graph, mode="sampled", samples=100)
+    assert str(err.value) == f"sampled expansion T masks would hold {100 * 100}, past CORPUS_CELLS = {100 * 99}"
+
+
 def test_within_returns_a_request_at_the_limit_and_reads_the_budget_per_call(monkeypatch):
     assert within("REPETITIONS", 10**6, "amplified test") == 10**6
     monkeypatch.setattr(ltclab.config, "REPETITIONS", 10**6 - 1)
@@ -179,11 +189,13 @@ def test_a_refused_reference_still_certifies_an_interval():
     instance = instance_from_specs("product:n=12,m=3", "rep:q=2,n=12^2")
     assert instance.full is None
     word = Word(GF2, [1] + [0] * (12**3 - 1))
-    assert instance.delta_bounds(word, Fraction(1, 1728)) == (Fraction(1, 1728), Fraction(1), False)
+    report, _ = instance.certify(word, Fraction(1, 2))
+    assert (report.delta_lower, report.delta_upper, report.delta_exact) == (Fraction(1, 1728), Fraction(1), False)
+    assert report.rho == Fraction(1, 1728)
     with pytest.raises(ValueError, match="no reference"):
         instance.delta_hammings_batch(np.zeros((1, 12**3), dtype=np.uint8))
     with pytest.raises(FieldMismatchError):  # no oracle runs, but the word is still checked
-        instance.delta_bounds(Word(Field(3), [0] * 12**3))
+        instance.certify(Word(Field(3), [0] * 12**3), Fraction(1, 2))
 
 
 def _calls(path: Path, callee: str) -> list[int]:

@@ -368,6 +368,13 @@ def test_project_rs_to_information_set():
     assert len(seen) == 49
 
 
+def test_a_projection_that_should_be_injective_but_loses_rank_is_refused():
+    # A declared distance of 3 makes any one coordinate an information set; this [3, 2] code's first is not.
+    code = LinearCode.from_rows(GF2, [[1, 1, 0], [0, 0, 1]], d_known=3)
+    with pytest.raises(AssertionError, match="the declared distance is wrong"):
+        code.project([1])
+
+
 def test_project_empty():
     with pytest.raises(EmptyProjectionError):
         repetition(GF2, 3).project([])

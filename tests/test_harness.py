@@ -113,6 +113,13 @@ def test_corpus_spec_parsing():
     assert parts[1].params == {"w": 2}
 
 
+@pytest.mark.parametrize("text, part", [("uniform:2;;uniform:3", 2), ("uniform:2;", 2), ("", 1), (" ; uniform:1", 1)])
+def test_an_empty_corpus_part_is_refused_by_its_position(text, part):
+    with pytest.raises(ValueError) as err:
+        parse_corpus_spec(text)
+    assert str(err.value) == f"corpus part {part} of {text!r} is empty"
+
+
 def test_corpus_deterministic():
     inst = product_instance(repetition(GF2, 3), 2)
     a = generate_corpus(inst, parse_corpus_spec("mixed:30"), seed=5)
@@ -290,6 +297,24 @@ def test_sweep_sampled_mode_runs():
     result = run_sweep(config)
     assert result.summary["mode"] == "sampled"
     assert all(r.get("estimate") for r in result.reports)
+
+
+@pytest.mark.parametrize("samples", [None, 50], ids=["exact", "sampled"])
+def test_a_sweep_is_the_same_in_any_blocks(samples, monkeypatch):
+    # 46 words of 9 symbols: one block by default, and blocks of 1 and of 3 words (the last one short) when patched.
+    inst = product_instance(repetition(GF2, 3), 2)
+    config = ExperimentConfig("product:n=3,m=2", "rep:q=2,n=3", corpus="low_weight,wmax=2", alpha=Fraction(1, 2),
+                              samples=samples)
+    documents = []
+    for symbols in (ltclab.harness._SWEEP_BLOCK_SYMBOLS, 9, 27):
+        monkeypatch.setattr(ltclab.harness, "_SWEEP_BLOCK_SYMBOLS", symbols)
+        documents.append(json_bytes(run_sweep(config, instance=inst).document()))
+    assert documents[0] == documents[1] == documents[2]
+    reports = json.loads(documents[0])["reports"]
+    assert [r["word_source"]["index"] for r in reports] == list(range(46))
+    if samples is None:
+        words = generate_corpus(inst, parse_corpus_spec(config.corpus), config.seed)
+        assert reports == [inst.certify(w, config.alpha, word_source=s)[0].to_json_dict() for w, s in words]
 
 
 def test_sweep_hypotheses_recorded():

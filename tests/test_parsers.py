@@ -257,10 +257,12 @@ def test_malformed_corpus_spec(text):
 
 
 @pytest.mark.parametrize(
-    "text", ["low_weight,wmx=4", "low_weight,wmax=-1", "uniform", "low_weight:5", "uniform:-5", "mixed:6,wmax=1"]
+    "text",
+    ["low_weight,wmx=4", "low_weight,wmax=-1", "uniform", "low_weight:5", "uniform:-5", "mixed:6,wmax=1",
+     "uniform:2;;uniform:3", "uniform:2;"],
 )
 def test_corpus_specs_that_used_to_run_are_refused(text):
-    # Each of these once swept a corpus the spec did not ask for, or died in numpy.
+    # Each of these once swept a corpus the spec did not ask for (an empty part was dropped), or died in numpy.
     assert_usage_error(
         "sweep", "--graph=product:n=2,m=2", "--small=rep:q=2,n=2", f"--corpus={text}"
     )

@@ -10,6 +10,7 @@ import ltclab.code
 import ltclab.config
 import ltclab.tanner
 from ltclab.code import Word, repetition, reed_solomon
+from ltclab.corpus import corpus_values, parse_corpus_spec
 from ltclab.errors import FieldMismatchError, LengthMismatchError, TooLargeToEnumerateError
 from ltclab.field import Field
 from ltclab.harness import product_instance
@@ -198,6 +199,52 @@ def test_the_interval_starts_at_zero_on_a_graph_that_is_not_left_regular():
     report, _ = inst.certify(Word(GF2, [0, 1, 0, 0]), Fraction(1, 2))
     assert (report.delta_lower, report.delta_upper, report.delta_exact) == (0, 1, False)
     assert report.rho == Fraction(1, 4)
+
+
+# (instance, corpus, ENUMERATION_THRESHOLD or None) of each way a block of words can be certified
+CERTIFY_BLOCKS = {
+    "exact": (lambda: product_instance(reed_solomon(Field(3), 3, 2), 2),
+              "uniform:4;codeword_plus_weight:4,w=2;planted_slice:4;low_weight,wmax=1;codewords:3;mixed:6", None),
+    # RS[3,2] over GF(3) has 9 codewords, within the patched threshold; its square's 81 are not.
+    "reference-refused": (lambda: product_instance(reed_solomon(Field(3), 3, 2), 2),
+                          "uniform:6;planted_slice:3;low_weight,wmax=1", 9),
+    "not-left-regular": (lambda: TestInstance(OrderedGraph.from_lists(4, [[1, 2], [1, 3]]), repetition(GF2, 2)),
+                         "low_weight,wmax=4", None),
+}
+
+
+@pytest.mark.parametrize("case", list(CERTIFY_BLOCKS))
+def test_certify_is_a_batch_of_one(case, monkeypatch):
+    build, corpus, threshold = CERTIFY_BLOCKS[case]
+    inst = build()
+    values, sources = corpus_values(inst, parse_corpus_spec(corpus), seed=11)
+    if threshold is not None:
+        monkeypatch.setattr(ltclab.config, "ENUMERATION_THRESHOLD", threshold)
+    alpha, tau = Fraction(3, 4), Fraction(1, 3)
+    block = inst.certify_batch(values, alpha, tau=tau, with_views=True, sources=sources)
+    assert len(block) == len(values)
+    for row, source, (report, holds) in zip(values, sources, block):
+        one, one_holds = inst.certify(Word(inst.small.field, row), alpha, tau=tau, with_views=True, word_source=source)
+        assert (report.to_json_dict(), holds) == (one.to_json_dict(), one_holds)
+        assert report.delta_exact == (case == "exact")
+    if case == "not-left-regular":
+        assert all(report.delta_lower == 0 for report, _ in block)
+    if case == "reference-refused":
+        assert all(report.delta_lower == report.rho for report, _ in block)
+    assert {holds for _, holds in block} >= ({True, False} if case == "exact" else {None})
+
+
+def test_a_batch_refuses_alpha_and_tau_before_it_reads_the_block(rep3_square):
+    not_a_block = np.zeros((1, 4), dtype=np.float64)  # wrong width and dtype
+    not_a_word = Word(Field(3), [0] * 9)  # over the wrong field
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        rep3_square.certify_batch(not_a_block, Fraction(0))
+    with pytest.raises(ValueError, match="tau must lie in"):
+        rep3_square.certify_batch(not_a_block, Fraction(1), tau=Fraction(2))
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        rep3_square.certify(not_a_word, Fraction(0))
+    with pytest.raises(ValueError, match="tau must lie in"):
+        rep3_square.certify(not_a_word, Fraction(1), tau=Fraction(2))
 
 
 def test_delta_oracle_refusal_propagates(monkeypatch):
