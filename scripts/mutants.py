@@ -176,6 +176,29 @@ MUTANTS = (
            "holds = True if rho >= alpha * upper else",
            "holds = True if rho >= alpha * lower else",
            ("tests/test_cli.py::test_interval_reports_are_pinned",)),
+    # --- a tensor encode: one matmul per axis in the accumulator, reduced by floor division
+    # (an unreduced inner axis is wrong only where the next sums wrap: three axes over GF(31) with k_b = 3)
+    Mutant("encode-first-axis-unreduced", "tensor.py",
+           "            arr -= wrap\n",
+           "            arr -= wrap if factor is not self.factors[0] else 0\n",
+           ("tests/test_tensor.py::test_encode_batch_is_the_flat_encode_on_any_integer_messages",)),
+    Mutant("encode-accumulator-one-dtype-narrow", "tensor.py",
+           "acc = _unsigned(max(c.k for c in self.factors) * (q - 1) ** 2)",
+           "acc = _unsigned((q - 1) ** 2)",
+           ("tests/test_tensor.py::test_encode_batch_is_the_flat_encode_on_any_integer_messages",)),
+    # --- a corpus part is encoded a block of rows at a time, then its errors are added
+    Mutant("corpus-errors-before-encode", "corpus.py",
+           "        block[...] = full.encode_batch(messages)\n"
+           "        for r, positions, symbols in errors:\n"
+           "            block[r, positions] = (block[r, positions] + symbols) % q\n",
+           "        for r, positions, symbols in errors:\n"
+           "            block[r, positions] = (block[r, positions] + symbols) % q\n"
+           "        block[...] = full.encode_batch(messages)\n",
+           ("tests/test_harness.py::test_a_batched_part_is_its_per_word_encodes",)),
+    Mutant("corpus-errors-on-the-wrong-row", "corpus.py",
+           "block[r, positions] = (block[r, positions] + symbols) % q",
+           "block[r - 1, positions] = (block[r - 1, positions] + symbols) % q",
+           ("tests/test_harness.py::test_a_batched_part_is_its_per_word_encodes",)),
     # --- a block of words is certified as one batch
     Mutant("interval-from-zero-on-a-regular-graph", "tester.py",
            "lower, upper = rho if lower_is_rho else Fraction(0), Fraction(1)",

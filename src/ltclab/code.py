@@ -191,11 +191,13 @@ def word_values(word: Word, field: Field, n: int, grid: Optional[tuple[int, ...]
 
 
 def _unsigned(top: int) -> type:
-    """The narrowest unsigned type holding 0..top, for top < 2**32.
+    """The narrowest unsigned type holding 0..top; refuses top >= 2**64.
 
     As np.min_scalar_type(top), which costs a tenth of a batch-of-one compare.
     """
-    return np.uint8 if top < 1 << 8 else np.uint16 if top < 1 << 16 else np.uint32
+    if top >> 64:
+        raise ValueError(f"{top} is past the 64 bits of the widest unsigned type")
+    return np.uint8 if top < 1 << 8 else np.uint16 if top < 1 << 16 else np.uint32 if top < 1 << 32 else np.uint64
 
 
 def symbol_dtype(field: Field) -> type:

@@ -44,7 +44,7 @@ class CorpusPart:
     params: dict = dc_field(default_factory=dict)
 
 
-# int64 symbols per draw of a uniform part.
+# int64 symbols per draw of a uniform part, and at most the symbols of a block of encoded words.
 _DRAW_SYMBOLS = 1 << 16
 
 _KINDS = {"uniform", "codeword_plus_weight", "planted_slice", "low_weight", "codewords", "mixed"}
@@ -165,14 +165,19 @@ def _fill_part(instance: TestInstance, part: CorpusPart, rng, out: np.ndarray) -
     if full is None:
         raise ValueError("this corpus kind needs a reference full code on the instance")
     ladder = [part.params["w"]] if "w" in part.params else _weight_ladder(n)
-    sources = []
-    for i, row in enumerate(out):
-        row[...] = full.encode_batch(rng.integers(0, q, size=(1, full.k), dtype=np.int64))[0]
-        if part.kind == "codewords":
-            sources.append({"kind": "codewords"})
-            continue
-        w = ladder[i % len(ladder)]
-        positions = rng.choice(n, size=w, replace=False)
-        row[positions] = (row[positions] + rng.integers(1, q, size=positions.size, dtype=np.int64)) % q
-        sources.append({"kind": "codeword_plus_weight", "w": w})
-    return sources
+    weights = [ladder[i % len(ladder)] for i in range(count)]
+    # Each word draws its message, then its error positions and symbols; a few rows are encoded at once.
+    step = max(1, _DRAW_SYMBOLS // n)
+    for s in range(0, count, step):
+        block, errors = out[s : s + step], []
+        messages = np.empty((len(block), full.k), dtype=out.dtype)
+        for r, w in enumerate(weights[s : s + step]):
+            messages[r] = rng.integers(0, q, size=full.k, dtype=np.int64)
+            if part.kind == "codeword_plus_weight":
+                errors.append((r, rng.choice(n, size=w, replace=False), rng.integers(1, q, size=w, dtype=np.int64)))
+        block[...] = full.encode_batch(messages)
+        for r, positions, symbols in errors:
+            block[r, positions] = (block[r, positions] + symbols) % q
+    if part.kind == "codewords":
+        return [{"kind": "codewords"} for _ in range(count)]
+    return [{"kind": "codeword_plus_weight", "w": w} for w in weights]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Collection, Iterable
 
@@ -25,12 +25,14 @@ def frac_str(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
+# One context for every rendering: entering a local context per call costs half again the division.
+_DECIMAL = Context(prec=20)
+
+
 def frac_decimal(fr: Fraction) -> str:
     """Decimal rendering with 20 significant digits."""
     fr = Fraction(fr)
-    with localcontext() as ctx:
-        ctx.prec = 20
-        return str(Decimal(fr.numerator) / Decimal(fr.denominator))
+    return str(_DECIMAL.divide(Decimal(fr.numerator), Decimal(fr.denominator)))
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .code import LinearCode, Word, _coerce_symbols, as_integer, index_columns, residues
+from .code import LinearCode, Word, _coerce_symbols, _unsigned, as_integer, index_columns, residues
 from .config import within
 from .errors import (
     FieldMismatchError,
@@ -185,15 +185,21 @@ class TensorCode(LinearCode):
         return TensorWord.from_array(self.field, self.encode_batch(msg[None]).reshape(self.shape))
 
     def encode_batch(self, messages: np.ndarray) -> np.ndarray:
-        """Encode a (B, k) batch of flattened message grids into (B, n).
+        """Encode a (B, k) batch of flattened message grids into (B, n) residues.
 
-        Contracts each factor generator along its axis of the (B, k_1..k_m) grids.
+        The messages are reduced mod q once, into the accumulator: the narrowest unsigned type holding
+        k_b (q - 1)^2 for every factor, also the returned dtype (so it holds (q - 1)^2).  Each axis of the
+        (B, k_1..k_m) grids in turn is moved last, multiplied by its factor generator (``np.matmul``), which
+        cannot wrap there, and reduced in place by floor division, several times faster than integer ``%``.
         """
-        arr = messages.reshape((messages.shape[0],) + tuple(c.k for c in self.factors))
-        for b0, factor in enumerate(self.factors):
-            arr = np.tensordot(arr, factor.generator, axes=([1 + b0], [0]))
-            arr %= self.field.q  # in place, on the contiguous product: no int64 copy per axis
-            arr = np.moveaxis(arr, -1, 1 + b0)
+        q = self.field.q
+        acc = _unsigned(max(c.k for c in self.factors) * (q - 1) ** 2)
+        arr = (messages % q).astype(acc).reshape((messages.shape[0],) + tuple(c.k for c in self.factors))
+        for factor in self.factors:
+            arr = np.moveaxis(arr, 1, -1) @ factor.generator.astype(acc)
+            wrap = arr // q
+            wrap *= q
+            arr -= wrap
         return arr.reshape(messages.shape[0], self.n)
 
     def min_distance(self) -> int:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ltclab.code
 import ltclab.config
 from ltclab.code import (
     LinearCode,
@@ -436,3 +437,17 @@ def test_random_non_codeword_fails_membership(fc, data):
             assert not c.contains(w)
             return
     raise AssertionError("resampling never left the code (should be impossible)")
+
+
+@pytest.mark.parametrize(
+    "top, dtype",
+    [(0, np.uint8), (255, np.uint8), (256, np.uint16), (2**16, np.uint32), (2**32 - 1, np.uint32),
+     (2**32, np.uint64), (2 * 65520**2, np.uint64), (2**64 - 1, np.uint64)],
+)
+def test_unsigned_is_the_narrowest_unsigned_type(top, dtype):
+    assert ltclab.code._unsigned(top) is dtype and np.dtype(dtype) == np.min_scalar_type(top)
+
+
+def test_unsigned_refuses_past_64_bits():
+    with pytest.raises(ValueError, match="past the 64 bits"):
+        ltclab.code._unsigned(2**64)

@@ -1,14 +1,18 @@
+import decimal
 import hashlib
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ltclab.config
+import ltclab.corpus
 import ltclab.harness
 from ltclab.code import LinearCode, Word, repetition, reed_solomon
-from ltclab.corpus import generate_corpus, parse_corpus_spec
+from ltclab.corpus import _weight_ladder, corpus_values, generate_corpus, parse_corpus_spec
 from ltclab.errors import TooLargeToEnumerateError
 from ltclab.field import Field
 from ltclab.harness import (
@@ -98,6 +102,20 @@ def test_frac_decimal_significant_digits():
     assert frac_decimal(Fraction(1, 2)) == "0.5"
 
 
+def _frac_decimal_in_a_local_context(fr: Fraction) -> str:
+    with decimal.localcontext() as ctx:
+        ctx.prec = 20
+        return str(decimal.Decimal(fr.numerator) / decimal.Decimal(fr.denominator))
+
+
+_HUGE = 10**400
+
+
+@given(st.fractions() | st.builds(Fraction, st.integers(-_HUGE, _HUGE), st.integers(1, _HUGE)))
+def test_frac_decimal_renders_as_a_local_context_of_20_digits(fr):
+    assert frac_decimal(fr) == _frac_decimal_in_a_local_context(fr)
+
+
 def test_parse_fraction_forms():
     assert parse_fraction("1/65536") == Fraction(1, 65536)
     assert parse_fraction("2^-16") == Fraction(1, 65536)
@@ -136,6 +154,43 @@ def test_corpus_codeword_plus_weight_structure():
     for word, source in words:
         assert source["w"] == 3
         assert inst.delta_exact(word) <= Fraction(3, 25)
+
+
+def _per_word_part(instance, part, seed):
+    """A codewords or codeword_plus_weight part drawn word by word, each encoded by the flat generator."""
+    rng, q, n, full = np.random.default_rng(seed), instance.small.field.q, instance.graph.n_left, instance.full
+    ladder = [part.params["w"]] if "w" in part.params else _weight_ladder(n)
+    words, sources = [], []
+    for i in range(part.count):
+        word = (rng.integers(0, q, size=(1, full.k)) @ full.generator)[0] % q
+        if part.kind == "codewords":
+            words.append(word)
+            sources.append({"kind": "codewords", "index": i})
+            continue
+        w = ladder[i % len(ladder)]
+        positions = rng.choice(n, size=w, replace=False)
+        word[positions] = (word[positions] + rng.integers(1, q, size=w)) % q
+        words.append(word)
+        sources.append({"kind": "codeword_plus_weight", "w": w, "index": i})
+    return np.array(words).reshape(part.count, n), sources
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+@pytest.mark.parametrize("spec", ["codewords:7", "codeword_plus_weight:7", "codeword_plus_weight:7,w=3"])
+@pytest.mark.parametrize("full", ["linear", "tensor", "cube"])
+def test_a_batched_part_is_its_per_word_encodes(monkeypatch, full, spec, block_rows):
+    instance = {
+        "linear": lambda: instance_from_specs("product:n=3,m=2", "rs:q=5,n=3,k=2"),
+        "tensor": lambda: product_instance(reed_solomon(Field(5), 4, 2), 2),
+        "cube": lambda: product_instance(reed_solomon(Field(31), 5, 2), 3),
+    }[full]()
+    if block_rows is not None:
+        monkeypatch.setattr(ltclab.corpus, "_DRAW_SYMBOLS", block_rows * instance.graph.n_left)
+    for seed in range(4):
+        (part,) = parse_corpus_spec(spec)
+        values, sources = corpus_values(instance, (part,), seed)
+        words, expected = _per_word_part(instance, part, seed)
+        assert np.array_equal(values, words) and sources == expected
 
 
 def test_corpus_plants_up_to_n_errors_and_refuses_more():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ltclab.code
 import ltclab.config
 import ltclab.linalg
 from ltclab.code import LinearCode, Word, full_code, repetition, reed_solomon
@@ -299,6 +300,50 @@ def test_encoding_a_block_holds_one_int64_copy_of_it():
         tracemalloc.stop()
     assert peak < 35 * 2**20, peak
     assert np.array_equal(words, np.repeat(messages, 31**4, axis=1))  # RS[31,1] repeats its symbol
+
+
+def test_encoding_a_block_holds_two_narrow_copies_of_it():
+    # The same block as uint16, the accumulator of RS[31,1]^4: 7.4 MB for the codewords and as much for the wrap.
+    code = tensor_power(reed_solomon(Field(31), 31, 1), 4)
+    messages = np.arange(1, 5, dtype=np.int64)[:, None]
+    tracemalloc.start()
+    try:
+        words = code.encode_batch(messages)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    assert words.dtype == np.uint16 and np.array_equal(words, np.repeat(messages, 31**4, axis=1))
+
+
+@pytest.mark.parametrize(
+    "q, ns, ks",
+    [(2, (2, 2), (2, 1)), (5, (4, 3, 2), (2, 3, 1)), (31, (31, 31, 2), (3, 3, 1)), (257, (3, 3), (2, 3)),
+     (65521, (2, 3), (2, 2))],
+)
+def test_encode_batch_is_the_flat_encode_on_any_integer_messages(q, ns, ks):
+    # Over GF(65521) with k_b = 2 the sums reach 2 * 65520^2, past 32 bits: the accumulator is uint64.
+    code = TensorCode([reed_solomon(Field(q), n, k) for n, k in zip(ns, ks)])
+    messages = np.random.default_rng(q).integers(-3 * q, 3 * q, size=(40, code.k))
+    messages[0], messages[1] = q - 1, -1
+    got = code.encode_batch(messages)
+    assert np.array_equal(got, code.as_linear_code().encode_batch(messages))
+    assert got.dtype == ltclab.code._unsigned(max(ks) * (q - 1) ** 2)
+
+
+@pytest.mark.parametrize(
+    "q, ns, ks",
+    [(2, (2, 2), (2, 2)), (2, (2, 2, 2), (1, 1, 1)), (31, (3, 2), (2, 1)), (31, (4, 4, 4), (1, 1, 1)),
+     (257, (2, 2), (2, 1)), (257, (3, 3), (1, 1)), (65521, (2, 3), (1, 1))],
+)
+def test_a_tensor_power_has_the_flat_codes_group_codewords_and_distances(q, ns, ks):
+    code = TensorCode([reed_solomon(Field(q), n, k) for n, k in zip(ns, ks)])
+    flat = code.as_linear_code()
+    words = np.random.default_rng(q).integers(0, q, size=(30, code.n)).astype(ltclab.code.symbol_dtype(code.field))
+    words[0] = flat.codewords()[-1]
+    assert np.array_equal(code._group, flat._group) and code._group.dtype == flat._group.dtype
+    assert np.array_equal(code.codewords(), flat.codewords())
+    assert np.array_equal(code.nearest_distance_batch(words), flat.nearest_distance_batch(words))
 
 
 def test_zero_tensor_is_member():
