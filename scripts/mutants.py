@@ -143,14 +143,33 @@ MUTANTS = (
            "if self.k != 1 or self.field.q < 17:",
            "if self.k != 1 or self.field.q < 13:",
            ("tests/test_oracle.py::test_the_histogram_side_answers_the_all_ones_row_from_gf17",)),
+    # --- the counting kernel: the histogram side, and every view of a word at once
     Mutant("histogram-row-offset", "code.py",
-           "index = block + np.arange(0, rows * q, q)[:, None]",
-           "index = block + np.arange(0, rows * (q + 1), q + 1)[:, None]",
+           "block += np.arange(0, len(block) * bins, bins, dtype=wide)[:, None]",
+           "block += np.arange(0, len(block) * (bins + 1), bins + 1, dtype=wide)[:, None]",
            ("tests/test_oracle.py::test_histogram_side_matches_brute_force",)),
+    # (its test has 24 words: on the 500 words of test_a_histogram_block_bounds_its_bins_as_well_as_its_symbols
+    # this mutant's one block would hold 1 GB of bins)
     Mutant("histogram-block-by-symbols", "code.py",
-           "step = max(1, (_CHUNK << 4) // (n + q))",
-           "step = max(1, (_CHUNK << 4) // n)",
-           ("tests/test_oracle.py::test_a_histogram_block_bounds_its_bins_as_well_as_its_symbols",)),
+           "step = max(1, (_CHUNK << 4) // (offsets.size + bins))",
+           "step = max(1, (_CHUNK << 4) // offsets.size)",
+           ("tests/test_oracle.py::test_a_histogram_block_of_a_few_wide_field_words_bounds_its_bins",)),
+    Mutant("count-lanes-not-summed", "code.py",
+           "counts.reshape(-1, _LANES, groups * q).sum(axis=1)",
+           "counts.reshape(-1, _LANES, groups * q).max(axis=1)",
+           ("tests/test_tester.py::test_counted_views_are_the_gathered_views",)),
+    Mutant("view-table-id-off-by-one", "tanner.py",
+           "order //= graph.t_degree  # their views",
+           "order = (order + 1) // graph.t_degree % graph.m_right  # their views",
+           ("tests/test_tester.py::test_counted_views_are_the_gathered_views",)),
+    Mutant("count-path-on-an-irregular-graph", "tanner.py",
+           """        try:
+            degree = graph.uniform_left_degree()
+        except ValueError:
+            return None
+""",
+           "        degree = graph.m_right * graph.t_degree // graph.n_left\n",
+           ("tests/test_tester.py::test_counted_views_are_the_gathered_views",)),
     # --- the distance oracle: plane side and the first group
     Mutant("shift-skips-a-group", "code.py",
            "step // (batch or 1)), start=span):",

@@ -33,6 +33,7 @@ from .field import Field, FieldElement
 
 # Chunk size for codeword enumeration (messages per numpy batch).
 _CHUNK = 1 << 14
+_LANES = 4  # counter lanes of ``max_counts``: 4 beat 1, 2 and 8 on constant and near-constant cube words
 
 
 def as_integer(value) -> int:
@@ -185,9 +186,9 @@ def word_values(word: Word, field: Field, n: int, grid: Optional[tuple[int, ...]
 #
 # The multiples of the all-ones row over GF(q), q >= 17 (every RS[n,1], every
 # repetition code and their tensor powers), are answered by a symbol histogram
-# instead: the nearest codeword repeats a word's most frequent symbol.  The
-# histogram lost to the planes at q <= 7 and won at q = 13; q = 8..16 was not
-# measured, and GF(17) is a conservative cutoff.
+# instead: the nearest codeword repeats a word's most frequent symbol, counted by ``max_counts``
+# (as are all views of a word at once, through ``TannerCode._view_offsets``).  On 93 rows of 961 it
+# lost to the planes at q = 7, broke even at q = 11 and won at q = 13; GF(17) is a conservative cutoff.
 
 
 def _unsigned(top: int) -> type:
@@ -246,6 +247,31 @@ def _min_plane_hammings(packed: np.ndarray, planes: np.ndarray, out: np.ndarray)
                 diff |= block[p] ^ some[p]
             hams = np.bitwise_count(diff[0]) if width == 1 else np.bitwise_count(diff).sum(axis=0, dtype=acc)
             np.minimum(part, hams.min(axis=1), out=part)
+
+
+def count_offsets(groups: np.ndarray, count: int, q: int) -> np.ndarray:
+    """The read-only narrow ``max_counts`` table of (d, n) groups below ``count``: ((v mod _LANES) count + group) q."""
+    narrow = _unsigned(_LANES * count * q)
+    lanes = np.tile(np.arange(0, _LANES * count, count, dtype=narrow), -(-groups.shape[1] // _LANES))[: groups.shape[1]]
+    offsets = (groups.astype(narrow, order="C") + lanes) * q
+    offsets.setflags(write=False)
+    return offsets
+
+
+def max_counts(words: np.ndarray, offsets: np.ndarray, q: int, groups: int) -> np.ndarray:
+    """(B, groups) largest count of one symbol in each group of (B, n) residue rows.  Symbol a at position v counts
+    in bin offsets[i, v] + a for each row i of the ``count_offsets`` table: consecutive positions in different lanes,
+    summed before the max.  One narrow ``np.bincount`` a block of at most _CHUNK << 4 index cells and bins (one row
+    at least), row r's bins past r * bins."""
+    batch, bins = words.shape[0], _LANES * groups * q
+    step = max(1, (_CHUNK << 4) // (offsets.size + bins))
+    wide, out = _unsigned(step * bins), np.empty((batch, groups), dtype=np.int64)
+    for s in range(0, batch, step):
+        block = words[s : s + step].astype(wide)
+        block += np.arange(0, len(block) * bins, bins, dtype=wide)[:, None]
+        counts = np.bincount((block[:, None] + offsets).ravel(), minlength=len(block) * bins)
+        out[s : s + step] = counts.reshape(-1, _LANES, groups * q).sum(axis=1).reshape(-1, groups, q).max(axis=2)
+    return out
 
 
 class LinearCode:
@@ -441,13 +467,15 @@ class LinearCode:
 
         ``words`` must hold residues in [0, q), as ``residues`` checks.  A code
         whose codewords are the multiples of the all-ones row, over GF(q) with
-        q >= 17, is answered by ``_histogram_distances``; every other code by
-        ``_plane_distances``.  Each side checks ENUMERATION_THRESHOLD once.
+        q >= 17, takes the histogram side: the codeword (a, ..., a) agrees with w
+        wherever w_i = a, so the distance is n minus w's ``max_counts``.  Every
+        other code takes ``_plane_distances``.  Each side checks ENUMERATION_THRESHOLD once.
         """
         residues(self.field, words, self.n)
-        if self._histogram_side:
-            return self._histogram_distances(words)
-        return self._plane_distances(words)
+        if not self._histogram_side:
+            return self._plane_distances(words)
+        self._checked_size()  # q codewords: the threshold check
+        return self.n - max_counts(words, self._lanes, self.field.q, 1)[:, 0]
 
     def _plane_distances(self, words: np.ndarray) -> np.ndarray:
         """``nearest_distance_batch`` by comparing bit-planes, for checked words.
@@ -482,26 +510,10 @@ class LinearCode:
             return False
         return bool((self.encode_batch(np.ones((1, 1), dtype=np.int64)) == 1).all())
 
-    def _histogram_distances(self, words: np.ndarray) -> np.ndarray:
-        """``nearest_distance_batch`` of the multiples of the all-ones row, for checked words.
-
-        The codeword (a, ..., a) agrees with w wherever w_i = a, so the
-        distance is n minus the count of w's most frequent symbol.  One
-        ``np.bincount`` per block of rows counts them, row r of the block in
-        bins r*q to r*q + q - 1.  A block holds at most _CHUNK << 4 symbols
-        and bins together (one row at least).
-        """
-        self._checked_size()  # q codewords: the threshold check
-        q, (batch, n) = self.field.q, words.shape
-        step = max(1, (_CHUNK << 4) // (n + q))
-        out = np.empty(batch, dtype=np.int64)
-        for s in range(0, batch, step):
-            block = words[s : s + step]
-            rows = block.shape[0]
-            index = block + np.arange(0, rows * q, q)[:, None]
-            counts = np.bincount(index.ravel(), minlength=rows * q).reshape(rows, q)
-            out[s : s + rows] = n - counts.max(axis=1)
-        return out
+    @functools.cached_property
+    def _lanes(self) -> np.ndarray:
+        """The (1, n) ``count_offsets`` table of one group: the histogram side's."""
+        return count_offsets(np.zeros((1, self.n), dtype=np.uint8), 1, self.field.q)
 
     # --- projection ---------------------------------------------------------
 

@@ -15,13 +15,14 @@ as a computed row accessor past that, so that sampled testing still works.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import config, linalg
+from . import code, config, linalg
 from .code import LinearCode, Word, as_integer, full_code, residues, symbol_dtype, word_values
 from .errors import (
     DegreeMismatchError,
@@ -318,6 +319,20 @@ class TannerCode:
         for words, start, views in self.graph.view_chunks(values, js):
             out[words, start : start + views.shape[1]] = oracle(views.reshape(-1, t)).reshape(views.shape[:2])
         return out
+
+    @functools.cached_property
+    def _view_offsets(self) -> Optional[np.ndarray]:
+        """The ``count_offsets`` table of the d_L views holding each left vertex, built on first use; None to gather."""
+        graph, small, q = self.graph, self.small, self.small.field.q
+        if not graph.is_explicit or not small._histogram_side or graph.m_right * code._LANES * q > code._CHUNK << 4:
+            return None
+        try:
+            degree = graph.uniform_left_degree()
+        except ValueError:
+            return None
+        order = np.argsort(graph.rows0_block(0, graph.m_right).ravel(), kind="stable")  # incidences by vertex
+        order //= graph.t_degree  # their views
+        return code.count_offsets(order.reshape(graph.n_left, degree).T, graph.m_right, q)
 
     def __repr__(self):
         return f"TannerCode({self.graph!r}, {self.small!r})"

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .code import LinearCode, Word, as_integer
+from .code import LinearCode, Word, as_integer, max_counts
 from .config import within
 from .errors import FieldMismatchError, LengthMismatchError, TooLargeToEnumerateError
 from .reports import frac_decimal, frac_str
@@ -158,8 +158,11 @@ class TestInstance(TannerCode):
     # --- plumbing -------------------------------------------------------------
 
     def _view_hammings(self, values: np.ndarray, js: Optional[np.ndarray] = None) -> np.ndarray:
-        """(B, r) int64 small-code distances of the views at 0-based js (all by default)."""
-        return self._per_view(values, self.small.nearest_distance_batch, np.int64, js)
+        """(B, r) int64 small-code distances of views at 0-based js; all by default, counted if ``_view_offsets``."""
+        if js is not None or self._view_offsets is None:
+            return self._per_view(values, self.small.nearest_distance_batch, np.int64, js)
+        self.small._checked_size()
+        return self.graph.t_degree - max_counts(values, self._view_offsets, self.small.field.q, self.graph.m_right)
 
     def view_hammings_batch(self, values: np.ndarray) -> np.ndarray:
         """(B, m) int64 distances from the small code of the views of (B, n_left) symbol rows."""

@@ -256,6 +256,35 @@ def test_a_histogram_block_bounds_its_bins_as_well_as_its_symbols():
     assert peak < 8 * 10**6
 
 
+def test_a_histogram_block_of_a_few_wide_field_words_bounds_its_bins():
+    # As above on 24 words, so that a block bounded by its symbols alone holds 50 MB of bins, not 1 GB.
+    code = reed_solomon(Field(65521), 8, 1)
+    words = np.random.default_rng(1).integers(0, 65521, size=(24, 8)).astype(np.uint16)
+    words[3] = 65520
+    tracemalloc.start()
+    try:
+        got = code.nearest_distance_batch(words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == [8 - max(Counter(w.tolist()).values()) for w in words]
+    assert peak < 8 * 10**6
+
+
+def test_the_cube_view_table_is_built_narrow_on_first_use():
+    # 3 x 29791 uint16 offsets hold 179 KB; the sort's int64 indices 715 KB.
+    instance = product_instance(reed_solomon(Field(31), 31, 1), 3)
+    assert "_view_offsets" not in instance.__dict__
+    tracemalloc.start()
+    try:
+        table = instance._view_offsets
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (3, 31**3) and table.dtype == np.uint16 and not table.flags.writeable
+    assert peak < 1.5 * 10**6
+
+
 def row_octets(planes: np.ndarray) -> np.ndarray:
     """The (b, R, 8 * W) octets of the rows of (b, W, R) planes, row by row."""
     return np.ascontiguousarray(planes.transpose(0, 2, 1)).view(np.uint8)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import ltclab.code
 import ltclab.config
 import ltclab.tanner
+import ltclab.tester
 from ltclab.code import Word, repetition, reed_solomon
 from ltclab.corpus import corpus_values, parse_corpus_spec
 from ltclab.errors import FieldMismatchError, LengthMismatchError, TooLargeToEnumerateError
@@ -341,6 +342,108 @@ def test_batch_entry_points_refuse_meaningless_symbols(rep3_square, values):
         rep3_square.view_hammings_batch(values)
     with pytest.raises(ValueError):
         rep3_square.delta_hammings_batch(values)
+
+
+# --- counted views: one pass over each word through the table of the views holding each vertex ---------
+
+
+def _shuffled_lists(n: int, m: int, seed: int) -> list:
+    """The 1-based adjacency lists of product_graph(n, m), with its rows and the entries of each row shuffled."""
+    rng = np.random.default_rng(seed)
+    graph = product_graph(n, m)
+    return (rng.permuted(rng.permutation(graph.rows0_block(0, graph.m_right)), axis=1) + 1).tolist()
+
+
+def _lists_instance(n_left: int, lists) -> TestInstance:
+    return TestInstance(OrderedGraph.from_lists(n_left, lists), repetition(Field(17), len(lists[0])))
+
+
+# Each case: the instance, and whether its views are counted (a table is built) or gathered.
+COUNTED_VIEWS = {
+    "rep17-square": (lambda: product_instance(repetition(Field(17), 17), 2), True),
+    "rs17-cube": (lambda: product_instance(reed_solomon(Field(17), 17, 1), 3), True),
+    "rs31-cube": (lambda: product_instance(reed_solomon(Field(31), 31, 1), 3), True),
+    "shuffled-lists": (lambda: _lists_instance(17**2, _shuffled_lists(17, 2, 3)), True),
+    # vertex 1 twice in view 1 and vertex 3 twice in view 2: every vertex occurs twice
+    "repeated-entries": (lambda: _lists_instance(3, [[1, 1, 2], [2, 3, 3]]), True),
+    "irregular": (lambda: _lists_instance(5, [[1, 2, 3], [1, 4, 5]]), False),
+    "accessor": (lambda: TestInstance(_computed(product_graph(17, 2)), repetition(Field(17), 17)), False),
+    "plane-side": (lambda: product_instance(repetition(Field(13), 13), 2), False),
+}
+
+
+def _counted_words(instance) -> np.ndarray:
+    """Two uniform words, a constant word, a codeword plus errors and a word planted in view 1, as int64."""
+    q, n = instance.small.field.q, instance.graph.n_left
+    rng = np.random.default_rng([q, n])
+    words = rng.integers(0, q, size=(5, n))
+    words[2] = q - 1
+    words[3] = 5
+    words[3, rng.integers(0, n, size=max(1, n // 7))] = rng.integers(0, q, size=max(1, n // 7))
+    words[4] = 2
+    words[4, instance.graph.row0(0)] = rng.integers(0, q, size=instance.graph.t_degree)
+    return words
+
+
+def _brute_view_hammings(instance, words: np.ndarray) -> np.ndarray:
+    """t minus the largest symbol count of each gathered view, in int64."""
+    rows, q = instance.graph.rows0_block(0, instance.graph.m_right), instance.small.field.q
+    t = np.int64(instance.graph.t_degree)
+    return np.array([[t - np.bincount(w[row], minlength=q).max() for row in rows] for w in words], dtype=np.int64)
+
+
+@pytest.mark.parametrize("case", list(COUNTED_VIEWS))
+def test_counted_views_are_the_gathered_views(case):
+    build, counted = COUNTED_VIEWS[case]
+    instance = build()
+    assert "_view_offsets" not in instance.__dict__  # never built at construction
+    field, (m, t) = instance.small.field, (instance.graph.m_right, instance.graph.t_degree)
+    words = _counted_words(instance)
+    expected = _brute_view_hammings(instance, words)
+    for dtype in (ltclab.code.symbol_dtype(field), np.int64):
+        got = instance.view_hammings_batch(words.astype(dtype))
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
+    gathered = instance._per_view(words, instance.small.nearest_distance_batch, np.int64)
+    assert np.array_equal(gathered, expected)
+    table = instance._view_offsets
+    assert (table is not None) == counted
+    if counted:
+        assert table.shape == (instance.graph.uniform_left_degree(), instance.graph.n_left)
+        assert table.dtype == ltclab.code._unsigned(m * ltclab.code._LANES * field.q) and not table.flags.writeable
+    for row, hams in zip(words, expected):
+        word = Word(field, row)
+        rho = Fraction(int(hams.sum()), m * t)
+        assert np.array_equal(instance.view_hammings(word), hams)
+        assert instance.expected_robustness(word) == rho
+        assert instance.certify(word, Fraction(1, 2**16))[0].rho == rho
+
+
+def _not_counted(*args):
+    raise AssertionError("counted")
+
+
+@pytest.mark.parametrize("budget", ["ADJACENCY_BUDGET", "ENUMERATION_THRESHOLD"])
+def test_a_built_view_table_changes_no_refusal(budget):
+    limit = {"ADJACENCY_BUDGET": 34 * 17 - 1, "ENUMERATION_THRESHOLD": 16}[budget]  # m t and q, less one
+    words = np.zeros((2, 17 * 17), dtype=np.uint8)
+
+    def refusal(instance) -> tuple:
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(TooLargeToEnumerateError) as err:
+            mp.setattr(ltclab.config, budget, limit)
+            mp.setattr(ltclab.tester, "max_counts", _not_counted)
+            instance.view_hammings_batch(words)
+        return err.value.budget, err.value.requested, str(err.value)
+
+    fresh = refusal(product_instance(repetition(Field(17), 17), 2))
+    instance = product_instance(repetition(Field(17), 17), 2)
+    assert instance.view_hammings_batch(words).tolist() == [[0] * 34] * 2
+    assert instance._view_offsets is not None
+    assert refusal(instance) == fresh == (budget, limit + 1, fresh[2])
+    with mock.patch.object(ltclab.tester, "max_counts", _not_counted):
+        for values in (np.full((1, 289), 17), np.full((1, 289), -1), np.full((1, 289), 0.5)):
+            with pytest.raises(ValueError) as err:
+                instance.view_hammings_batch(values)
+            assert not isinstance(err.value, TooLargeToEnumerateError)
 
 
 # --- amplification ------------------------------------------------------------------------
