@@ -149,14 +149,14 @@ MUTANTS = (
            "block += np.arange(0, len(block) * (bins + 1), bins + 1, dtype=wide)[:, None]",
            ("tests/test_oracle.py::test_histogram_side_matches_brute_force",)),
     # (its test has 24 words: on the 500 words of test_a_histogram_block_bounds_its_bins_as_well_as_its_symbols
-    # this mutant's one block would hold 1 GB of bins)
+    # this mutant's one block would hold 262 MB of bins)
     Mutant("histogram-block-by-symbols", "code.py",
            "step = max(1, (_CHUNK << 4) // (offsets.size + bins))",
            "step = max(1, (_CHUNK << 4) // offsets.size)",
            ("tests/test_oracle.py::test_a_histogram_block_of_a_few_wide_field_words_bounds_its_bins",)),
     Mutant("count-lanes-not-summed", "code.py",
-           "counts.reshape(-1, _LANES, groups * q).sum(axis=1)",
-           "counts.reshape(-1, _LANES, groups * q).max(axis=1)",
+           "else counts.sum(axis=1)  # one lane is read",
+           "else counts.max(axis=1)  # one lane is read",
            ("tests/test_tester.py::test_counted_views_are_the_gathered_views",)),
     Mutant("view-table-id-off-by-one", "tanner.py",
            "order //= graph.t_degree  # their views",
@@ -170,6 +170,30 @@ MUTANTS = (
 """,
            "        degree = graph.m_right * graph.t_degree // graph.n_left\n",
            ("tests/test_tester.py::test_counted_views_are_the_gathered_views",)),
+    Mutant("lanes-on-short-rows", "code.py",
+           "return 1 if n < _LANES * q else _LANES",
+           "return _LANES",
+           ("tests/test_oracle.py::test_lanes_only_where_a_row_is_long_next_to_its_bins",)),
+    # --- one count a block: delta read from the views' count
+    Mutant("one-count-total-not-divided", "tester.py",
+           "n - totals // len(offsets)",
+           "n - totals",
+           ("tests/test_tester.py::test_one_count_certifies_as_the_two_passes",)),
+    Mutant("one-count-total-of-the-first-group", "code.py",
+           "counts.sum(axis=1).max(axis=1)",
+           "counts[:, 0].max(axis=1)",
+           ("tests/test_tester.py::test_one_count_certifies_as_the_two_passes",)),
+    Mutant("one-count-for-a-plane-side-reference", "tester.py",
+           "if offsets is None or full is None or not full._histogram_side:",
+           "if offsets is None or full is None:",
+           ("tests/test_tester.py::test_the_two_passes_stay_where_the_count_cannot_read_delta",)),
+    Mutant("one-count-skips-the-full-check", "tester.py",
+           """            try:
+                full._checked_size()
+            except TooLargeToEnumerateError:
+                full = None  # the interval fallback, as the two passes would take it
+""", "",
+           ("tests/test_tester.py::test_one_count_refuses_as_the_two_passes",)),
     # --- the distance oracle: plane side and the first group
     Mutant("shift-skips-a-group", "code.py",
            "step // (batch or 1)), start=span):",

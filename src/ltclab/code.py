@@ -33,7 +33,7 @@ from .field import Field, FieldElement
 
 # Chunk size for codeword enumeration (messages per numpy batch).
 _CHUNK = 1 << 14
-_LANES = 4  # counter lanes of ``max_counts``: 4 beat 1, 2 and 8 on constant and near-constant cube words
+_LANES = 4  # counter lanes of ``max_counts`` on long rows: 4 beat 1, 2 and 8 on constant and near-constant cube words
 
 
 def as_integer(value) -> int:
@@ -249,29 +249,38 @@ def _min_plane_hammings(packed: np.ndarray, planes: np.ndarray, out: np.ndarray)
             np.minimum(part, hams.min(axis=1), out=part)
 
 
+def lane_count(n: int, q: int) -> int:
+    """The counter lanes of a length-n row over GF(q): _LANES if it is long next to its bins (n >= _LANES q), else 1."""
+    return 1 if n < _LANES * q else _LANES
+
+
 def count_offsets(groups: np.ndarray, count: int, q: int) -> np.ndarray:
-    """The read-only narrow ``max_counts`` table of (d, n) groups below ``count``: ((v mod _LANES) count + group) q."""
-    narrow = _unsigned(_LANES * count * q)
-    lanes = np.tile(np.arange(0, _LANES * count, count, dtype=narrow), -(-groups.shape[1] // _LANES))[: groups.shape[1]]
+    """The read-only narrow ``max_counts`` table of (d, n) groups below ``count``: ((v mod lanes) count + group) q."""
+    n, lane = groups.shape[1], lane_count(groups.shape[1], q)
+    narrow = _unsigned(lane * count * q)
+    lanes = np.tile(np.arange(0, lane * count, count, dtype=narrow), -(-n // lane))[:n]
     offsets = (groups.astype(narrow, order="C") + lanes) * q
     offsets.setflags(write=False)
     return offsets
 
 
-def max_counts(words: np.ndarray, offsets: np.ndarray, q: int, groups: int) -> np.ndarray:
-    """(B, groups) largest count of one symbol in each group of (B, n) residue rows.  Symbol a at position v counts
-    in bin offsets[i, v] + a for each row i of the ``count_offsets`` table: consecutive positions in different lanes,
-    summed before the max.  One narrow ``np.bincount`` a block of at most _CHUNK << 4 index cells and bins (one row
-    at least), row r's bins past r * bins."""
-    batch, bins = words.shape[0], _LANES * groups * q
+def max_counts(words: np.ndarray, offsets: np.ndarray, q: int, groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, groups) largest count of one symbol in each group of (B, n) residue rows, and (B,) largest total of one
+    symbol over all groups.  Symbol a at position v counts in bin offsets[i, v] + a for each row i of the table
+    from ``count_offsets``: consecutive positions in different lanes, summed before the max.  One narrow ``bincount``
+    a block of at most _CHUNK << 4 index cells and bins (one row at least), row r's bins past r * bins."""
+    batch, bins = words.shape[0], lane_count(words.shape[1], q) * groups * q
     step = max(1, (_CHUNK << 4) // (offsets.size + bins))
-    wide, out = _unsigned(step * bins), np.empty((batch, groups), dtype=np.int64)
+    wide, out, total = _unsigned(step * bins), np.empty((batch, groups), dtype=np.int64), np.empty(batch, np.int64)
     for s in range(0, batch, step):
         block = words[s : s + step].astype(wide)
         block += np.arange(0, len(block) * bins, bins, dtype=wide)[:, None]
         counts = np.bincount((block[:, None] + offsets).ravel(), minlength=len(block) * bins)
-        out[s : s + step] = counts.reshape(-1, _LANES, groups * q).sum(axis=1).reshape(-1, groups, q).max(axis=2)
-    return out
+        counts = counts.reshape(len(block), -1, groups, q)  # (rows, lanes, groups, q)
+        counts = counts[:, 0] if counts.shape[1] == 1 else counts.sum(axis=1)  # one lane is read, not summed
+        out[s : s + step] = most = counts.max(axis=2)
+        total[s : s + step] = most[:, 0] if groups == 1 else counts.sum(axis=1).max(axis=1)  # one group: its max
+    return out, total
 
 
 class LinearCode:
@@ -475,7 +484,7 @@ class LinearCode:
         if not self._histogram_side:
             return self._plane_distances(words)
         self._checked_size()  # q codewords: the threshold check
-        return self.n - max_counts(words, self._lanes, self.field.q, 1)[:, 0]
+        return self.n - max_counts(words, self._lanes, self.field.q, 1)[1]
 
     def _plane_distances(self, words: np.ndarray) -> np.ndarray:
         """``nearest_distance_batch`` by comparing bit-planes, for checked words.

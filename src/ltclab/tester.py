@@ -162,7 +162,7 @@ class TestInstance(TannerCode):
         if js is not None or self._view_offsets is None:
             return self._per_view(values, self.small.nearest_distance_batch, np.int64, js)
         self.small._checked_size()
-        return self.graph.t_degree - max_counts(values, self._view_offsets, self.small.field.q, self.graph.m_right)
+        return self.graph.t_degree - max_counts(values, self._view_offsets, self.small.field.q, self.graph.m_right)[0]
 
     def view_hammings_batch(self, values: np.ndarray) -> np.ndarray:
         """(B, m) int64 distances from the small code of the views of (B, n_left) symbol rows."""
@@ -243,21 +243,32 @@ class TestInstance(TannerCode):
     ) -> list[tuple[RobustnessReport, Optional[bool]]]:
         """A robustness report and a verdict on rho >= alpha * delta for each row of a (B, n_left) block.
 
-        One view pass and one delta pass measure the block; an exact delta d is the interval [d, d].
-        With no reference full code, or when its oracle refuses, every delta falls back to a certified
-        interval: [rho, 1] on a graph whose left vertices all occur equally often (there rho never
+        One view pass and one delta pass measure the block; one ``max_counts`` pass does when the views are counted
+        and the full code is on the histogram side (each vertex in d_L views: delta = n_left - largest total // d_L).
+        An exact delta d is [d, d].  With no reference full code, or when its oracle refuses, every delta falls back
+        to a certified interval: [rho, 1] on a graph whose left vertices all occur equally often (there rho never
         exceeds delta), and [0, 1] otherwise.  A verdict is None when the interval cannot decide it.
-        Refuses alpha <= 0 and tau outside [0, 1], as ``positive_alpha`` and ``unit_tau`` do.
+        Refuses alpha <= 0 and tau outside [0, 1], as ``positive_alpha`` and ``unit_tau`` do, before any budget.
         """
         alpha = positive_alpha(alpha)
         tau = None if tau is None else unit_tau(tau)
-        hams = self.view_hammings_batch(values)
-        deltas = self._delta_hammings_or_none(values)
+        within("ADJACENCY_BUDGET", self.graph.m_right * self.graph.t_degree, "exact view scan")
+        rows, offsets, full = self._rows(values), self._view_offsets, self.full
+        t, n = self.graph.t_degree, self.graph.n_left
+        if offsets is None or full is None or not full._histogram_side:
+            hams, deltas = self._view_hammings(rows), self._delta_hammings_or_none(rows)
+        else:
+            self.small._checked_size()
+            try:
+                full._checked_size()
+            except TooLargeToEnumerateError:
+                full = None  # the interval fallback, as the two passes would take it
+            views, totals = max_counts(rows, offsets, self.small.field.q, self.graph.m_right)
+            hams, deltas = t - views, None if full is None else n - totals // len(offsets)  # len(offsets) = d_L
         try:
             lower_is_rho = deltas is None and self.graph.uniform_left_degree() > 0
         except ValueError:
             lower_is_rho = False
-        t, n = self.graph.t_degree, self.graph.n_left
         results = []
         for i, total in enumerate(hams.sum(axis=1).tolist()):
             rho = Fraction(total, self.graph.m_right * t)

@@ -257,7 +257,7 @@ def test_a_histogram_block_bounds_its_bins_as_well_as_its_symbols():
 
 
 def test_a_histogram_block_of_a_few_wide_field_words_bounds_its_bins():
-    # As above on 24 words, so that a block bounded by its symbols alone holds 50 MB of bins, not 1 GB.
+    # As above on 24 words, so that a block bounded by its symbols alone holds 13 MB of bins, not 262 MB.
     code = reed_solomon(Field(65521), 8, 1)
     words = np.random.default_rng(1).integers(0, 65521, size=(24, 8)).astype(np.uint16)
     words[3] = 65520
@@ -269,6 +269,29 @@ def test_a_histogram_block_of_a_few_wide_field_words_bounds_its_bins():
         tracemalloc.stop()
     assert got.tolist() == [8 - max(Counter(w.tolist()).values()) for w in words]
     assert peak < 8 * 10**6
+
+
+@pytest.mark.parametrize("n, q, lanes", [(67, 17, 1), (68, 17, 4), (8, 65521, 1), (961, 31, 4), (123, 31, 1)])
+def test_lanes_only_where_a_row_is_long_next_to_its_bins(n, q, lanes):
+    assert ltclab.code.lane_count(n, q) == lanes
+    table = ltclab.code.count_offsets(np.zeros((1, n), dtype=np.uint8), 1, q)
+    assert table[0].tolist() == [v % lanes * q for v in range(n)]
+
+
+@pytest.mark.parametrize("n, q, groups", [(40, 17, 3), (200, 17, 5), (9, 257, 2)])
+def test_max_counts_gives_each_group_and_the_total_over_groups(n, q, groups):
+    rng = np.random.default_rng([n, q])
+    labels = rng.integers(0, groups, size=(2, n))  # two table rows: a position counts in two groups
+    words = rng.integers(0, q, size=(7, n))
+    words[1] = 3
+    words[2, : n // 2] = 5
+    most, total = ltclab.code.max_counts(words, ltclab.code.count_offsets(labels, groups, q), q, groups)
+    counts = np.zeros((7, groups, q), dtype=np.int64)
+    for r, word in enumerate(words):
+        for row in labels:
+            np.add.at(counts[r], (row, word), 1)
+    assert most.tolist() == counts.max(axis=2).tolist()
+    assert total.tolist() == counts.sum(axis=1).max(axis=1).tolist()
 
 
 def test_the_cube_view_table_is_built_narrow_on_first_use():

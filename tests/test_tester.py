@@ -14,7 +14,7 @@ from ltclab.code import Word, repetition, reed_solomon
 from ltclab.corpus import corpus_values, parse_corpus_spec
 from ltclab.errors import FieldMismatchError, LengthMismatchError, TooLargeToEnumerateError
 from ltclab.field import Field
-from ltclab.harness import product_instance
+from ltclab.harness import instance_from_specs, product_instance
 from ltclab.tanner import OrderedGraph, TannerCode, product_graph, tpc_linear_code
 from ltclab.tensor import tensor_power
 from ltclab.tester import TestInstance
@@ -444,6 +444,140 @@ def test_a_built_view_table_changes_no_refusal(budget):
             with pytest.raises(ValueError) as err:
                 instance.view_hammings_batch(values)
             assert not isinstance(err.value, TooLargeToEnumerateError)
+
+
+# --- one count a block: counted views and a histogram-side reference read delta from the same count -------------
+
+
+def _two_pass(instance) -> TestInstance:
+    """The instance with its view table set to None, so that it certifies by gathered views and the delta oracle."""
+    instance.__dict__["_view_offsets"] = None
+    return instance
+
+
+F17 = Field(17)
+
+# Each case: an instance whose views are counted and whose reference full code is on the histogram side.
+ONE_COUNT = {
+    "rs31-cube": lambda: product_instance(reed_solomon(Field(31), 31, 1), 3),
+    "rs17-cube": lambda: product_instance(reed_solomon(F17, 17, 1), 3),
+    # vertex 1 twice in view 1 and vertex 3 twice in view 2: every vertex occurs twice
+    "repeated-entries": lambda: TestInstance(
+        OrderedGraph.from_lists(3, [[1, 1, 2], [2, 3, 3]]), repetition(F17, 3), full=repetition(F17, 3)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_COUNT))
+def test_one_count_certifies_as_the_two_passes(case):
+    instance, expected = ONE_COUNT[case](), _two_pass(ONE_COUNT[case]())
+    words = _counted_words(instance)
+    views, deltas = instance.view_hammings_batch(words), instance.delta_hammings_batch(words)
+    n, m, t = instance.graph.n_left, instance.graph.m_right, instance.graph.t_degree
+    assert deltas.tolist() == [n - int(np.bincount(w).max()) for w in words]
+    tau, verdicts = Fraction(1, 3), set()
+    for alpha in (Fraction(1, 2**16), Fraction(1, 2), Fraction(2)):
+        spy = mock.patch.object(instance.full, "nearest_distance_batch", wraps=instance.full.nearest_distance_batch)
+        with spy as oracle, mock.patch.object(ltclab.tester, "max_counts", wraps=ltclab.code.max_counts) as count:
+            block = instance.certify_batch(words, alpha, tau=tau, with_views=True)
+        assert oracle.call_count == 0 and count.call_count == 1
+        two = expected.certify_batch(words, alpha, tau=tau, with_views=True)
+        assert [(r.to_json_dict(), h) for r, h in block] == [(r.to_json_dict(), h) for r, h in two]
+        for (report, holds), hams, ham in zip(block, views, deltas):
+            rho, delta = Fraction(int(hams.sum()), m * t), Fraction(int(ham), n)
+            assert (report.rho, report.delta_lower, report.delta_upper, report.delta_exact) == (rho, delta, delta, True)
+            assert report.per_view == tuple((j + 1, Fraction(int(h), t)) for j, h in enumerate(hams))
+            assert holds == (rho >= alpha * delta) == report.holds
+            verdicts.add(holds)
+    assert verdicts == {True, False}
+
+
+def _lower_after_the_small_check(instance, monkeypatch) -> None:
+    """Patch ENUMERATION_THRESHOLD to one below the full code's count once the small code's count has passed."""
+    check = instance.small._checked_size
+
+    def small_then_lower() -> int:
+        size = check()
+        monkeypatch.setattr(ltclab.config, "ENUMERATION_THRESHOLD", instance.full.num_codewords() - 1)
+        return size
+
+    monkeypatch.setattr(instance.small, "_checked_size", small_then_lower)
+
+
+@pytest.mark.parametrize("refusal", ["ADJACENCY_BUDGET", "symbols", "small-code", "full-code"])
+def test_one_count_refuses_as_the_two_passes(refusal):
+    words = np.zeros((2, 17 * 17), dtype=np.uint8)
+    words[1, :40] = 3
+
+    def outcome(instance):
+        with pytest.MonkeyPatch.context() as mp:
+            if refusal == "ADJACENCY_BUDGET":
+                mp.setattr(ltclab.config, "ADJACENCY_BUDGET", 34 * 17 - 1)  # m t, less one
+            elif refusal == "small-code":
+                mp.setattr(ltclab.config, "ENUMERATION_THRESHOLD", 16)  # q, less one
+            elif refusal == "full-code":
+                _lower_after_the_small_check(instance, mp)
+            if refusal != "full-code":
+                mp.setattr(ltclab.tester, "max_counts", _not_counted)  # refused before the count
+            try:
+                if refusal == "symbols":
+                    return [str(_symbol_refusal(instance, symbol)) for symbol in (17, -1, 0.5)]
+                return [(r.to_json_dict(), h) for r, h in instance.certify_batch(words, Fraction(1, 2))]
+            except TooLargeToEnumerateError as err:
+                return err.budget, err.requested, str(err)
+
+    one = product_instance(repetition(F17, 17), 2)
+    assert one._view_offsets is not None and one.full._histogram_side
+    got = outcome(one)
+    assert got == outcome(_two_pass(product_instance(repetition(F17, 17), 2)))
+    if refusal == "ADJACENCY_BUDGET":
+        assert got[:2] == ("ADJACENCY_BUDGET", 34 * 17)
+    elif refusal == "small-code":
+        assert got[:2] == ("ENUMERATION_THRESHOLD", 17)
+    elif refusal == "full-code":  # the interval a reference-free instance reports: [rho, 1]
+        free = TestInstance(one.graph, one.small, label=one.label).certify_batch(words, Fraction(1, 2))
+        assert got == [(r.to_json_dict(), h) for r, h in free]
+        assert got[1][0]["delta_interval"] == [got[1][0]["rho"], "1"] and got[1][1] is None
+
+
+def _symbol_refusal(instance, symbol) -> ValueError:
+    """The ValueError, not a budget's, that certifying a block holding ``symbol`` raises."""
+    with pytest.raises(ValueError) as err:
+        instance.certify_batch(np.full((1, 289), symbol), Fraction(1, 2))
+    assert not isinstance(err.value, TooLargeToEnumerateError)
+    return err.value
+
+
+# Each case: an instance that certifies in two passes.
+TWO_PASSES = {
+    "tanner": lambda: instance_from_specs("product:n=4,m=3", "rs:q=5,n=4,k=2^2"),
+    "irregular": lambda: TestInstance(
+        OrderedGraph.from_lists(5, [[1, 2, 3], [1, 4, 5]]), repetition(F17, 3), full=repetition(F17, 5)
+    ),
+    "accessor": lambda: TestInstance(
+        _computed(product_graph(17, 2)), repetition(F17, 17), full=tensor_power(repetition(F17, 17), 2)
+    ),
+    # counted views, but a reference on the plane side: the constants and the multiples of (v mod 17)_v
+    "plane-side-reference": lambda: TestInstance(
+        product_graph(17, 2), repetition(F17, 17),
+        full=ltclab.code.LinearCode.from_rows(F17, [[1] * 289, [v % 17 for v in range(289)]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(TWO_PASSES))
+def test_the_two_passes_stay_where_the_count_cannot_read_delta(case):
+    instance = TWO_PASSES[case]()
+    q, n = instance.small.field.q, instance.graph.n_left
+    words = np.random.default_rng(5).integers(0, q, size=(3, n))
+    words[1] = np.arange(n) % q  # a codeword of the plane-side reference, far from every constant word
+    with mock.patch.object(instance.full, "nearest_distance_batch", wraps=instance.full.nearest_distance_batch) as spy:
+        block = instance.certify_batch(words, Fraction(1, 2))
+    assert spy.call_count >= 1
+    deltas = instance.delta_hammings_batch(words)
+    assert [report.delta for report, _ in block] == [Fraction(int(d), n) for d in deltas]
+    if case == "plane-side-reference":
+        assert instance._view_offsets is not None and deltas[1] == 0
 
 
 # --- amplification ------------------------------------------------------------------------
