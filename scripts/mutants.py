@@ -248,6 +248,27 @@ MUTANTS = (
            "lower, upper = Fraction(0), Fraction(1)",
            ("tests/test_tester.py::test_certify_interval_when_oracle_missing",
             "tests/test_cli.py::test_interval_reports_are_pinned")),
+    # --- a product spec's reference through TPC(product(n, m), C^(m-1)) = C^m
+    Mutant("power-code-first-information-set", "tanner.py",
+           "s = linalg.rref(c.generator[:, ::-1], c.field.q)[0][: c.k, ::-1][::-1]",
+           "s = linalg.rref(c.generator, c.field.q)[0][: c.k]",
+           ("tests/test_harness.py::test_a_product_spec_reference_is_the_null_space_basis_entry_for_entry",)),
+    Mutant("power-code-one-factor-short", "tanner.py",
+           "(s,) * m), _reduced=True)",
+           "(s,) * (m - 1)), _reduced=True)",
+           ("tests/test_harness.py::test_a_product_spec_reference_is_the_null_space_basis_entry_for_entry",)),
+    Mutant("power-code-unequal-factor-objects", "tanner.py",
+           ' or any(f is not c for f in factors):',
+           ":",
+           ("tests/test_harness.py::test_a_power_of_distinct_factor_objects_keeps_the_null_space_route",)),
+    Mutant("power-code-skips-the-derived-check", "tanner.py",
+           '    if whole := _derived_within(graph, small, "DERIVED_PARITY_CELLS"):\n        return whole\n',
+           "",
+           ("tests/test_harness.py::test_both_routes_refuse_a_derived_reference_alike",)),
+    Mutant("full-space-identity-unchecked", "tanner.py",
+           '        config.within("GENERATOR_CELLS", graph.n_left**2, "full-space generator")\n',
+           "",
+           ("tests/test_budgets.py::test_a_full_space_reference_is_refused_before_its_identity_is_formed",)),
     Mutant("sweep-block-drops-a-word", "harness.py",
            "block = words[start : start + step]",
            "block = words[start : start + step - 1]",

@@ -26,7 +26,7 @@ TABLE_CELLS = 2**26
 # OrderedGraph.view_chunks: one gather and one small-code oracle call.
 BROADCAST_CELLS = 2**26
 
-# Maximum cells of a tensor code's flat Kronecker generator.
+# Maximum cells of a tensor code's flat Kronecker generator, and of a derived full-space code's identity.
 GENERATOR_CELLS = 2**24
 
 # Maximum cells of a code's parity-check matrix, and of the stacked parity

@@ -45,6 +45,7 @@ from .tanner import (
     OrderedGraph,
     boundary_edge_count,
     iterated_graph,
+    power_code,
     product_graph,
     square_test_graph,
     tpc_linear_code,
@@ -194,10 +195,10 @@ def instance_from_specs(
     """Build a test instance from inline specs.
 
     Without an explicit full code, the Tanner product code of (graph, small)
-    is derived by parity stacking when small enough; otherwise delta falls
-    back to certified intervals.  An explicit full code must be a subcode of
-    the Tanner product code, checked on its generator rows, a chunk of them
-    at a time.
+    is derived when small enough, as ``power_code`` or else by parity stacking
+    (one basis, one refusal); past that, delta falls back to certified
+    intervals.  An explicit full code must be a subcode of the Tanner product
+    code, checked on its generator rows, a chunk of them at a time.
     """
     graph = parse_graph_spec(graph_spec)
     small = parse_code_spec(small_spec)
@@ -205,7 +206,7 @@ def instance_from_specs(
         full = parse_code_spec(full_spec)
     else:
         try:
-            full = tpc_linear_code(graph, small, "DERIVED_PARITY_CELLS")
+            full = power_code(graph, small) or tpc_linear_code(graph, small, "DERIVED_PARITY_CELLS")
         except TooLargeToEnumerateError:
             full = None
     instance = TestInstance(graph, small, full=full, label=f"{graph_spec} / {small_spec}")

@@ -338,21 +338,41 @@ class TannerCode:
         return f"TannerCode({self.graph!r}, {self.small!r})"
 
 
+def _derived_within(graph: OrderedGraph, small: LinearCode, budget: str) -> Optional[LinearCode]:
+    """Refuse TPC(graph, small): its stacked parity past ``budget``, a full space past GENERATOR_CELLS; return the
+    full-space code, else None."""
+    config.within(budget, graph.m_right * max(small.n - small.k, 1) * graph.n_left, "stacked parity matrix")
+    if small.k == small.n:
+        config.within("GENERATOR_CELLS", graph.n_left**2, "full-space generator")
+        return full_code(small.field, graph.n_left)
+
+
+def power_code(graph: OrderedGraph, small: LinearCode) -> Optional[LinearCode]:
+    """TPC(graph, small) = C^m in the very basis ``tpc_linear_code`` derives, when ``graph`` is product:n=C.n,m=m (by
+    its label) and ``small`` is C^(m-1) of one code object C (a flat C for m = 2); else None.  The generator is
+    kron(S, ..., S), S the basis of C systematic on its last information set, refused first as the null space is."""
+    factors = getattr(small, "factors", (small,))
+    c, m = factors[0], len(factors) + 1
+    if graph.label != f"product:n={c.n},m={m}" or any(f is not c for f in factors):
+        return None
+    if whole := _derived_within(graph, small, "DERIVED_PARITY_CELLS"):
+        return whole
+    s = linalg.rref(c.generator[:, ::-1], c.field.q)[0][: c.k, ::-1][::-1]  # the reversed columns' RREF, reversed
+    return LinearCode(c.field, functools.reduce(lambda a, b: linalg.kron(a, b, c.field.q), (s,) * m), _reduced=True)
+
+
 def tpc_linear_code(graph: OrderedGraph, small: LinearCode, budget: str = "PARITY_CELLS") -> LinearCode:
     """The Tanner product code as an explicit LinearCode.
 
     Stacks one parity row per (right vertex, small parity row) pair and takes
-    the null space.  Intended for desk-scale graphs; refuses when the stacked
-    parity matrix would hold more cells than the config budget named ``budget``.
+    the null space, systematic on the code's last information set.  Intended
+    for desk-scale graphs; refuses as ``_derived_within`` does, by ``budget``.
     """
     if small.n != graph.t_degree:
         raise DegreeMismatchError(f"small code length {small.n} != right degree {graph.t_degree}")
+    if whole := _derived_within(graph, small, budget):
+        return whole
     rows_per_view, n = small.n - small.k, graph.n_left
-    total = graph.m_right * max(rows_per_view, 1)
-    config.within(budget, total * n, "stacked parity matrix")
-    if rows_per_view == 0:
-        # The small code is the full space: every word qualifies.
-        return full_code(small.field, n)
     parity = small.parity_check
     stacked = np.zeros((graph.m_right, rows_per_view, n), dtype=np.int64)
     for start, block in graph.iter_row_blocks():
@@ -360,7 +380,7 @@ def tpc_linear_code(graph: OrderedGraph, small: LinearCode, budget: str = "PARIT
         views = np.arange(start, start + block.shape[0]).reshape(-1, 1, 1)
         parity_rows = np.arange(rows_per_view).reshape(1, -1, 1)
         np.add.at(stacked, (views, parity_rows, block[:, None, :]), parity[None])
-    stacked = stacked.reshape(total, n) % small.field.q
+    stacked = stacked.reshape(-1, n) % small.field.q
     basis = linalg.null_space(stacked, small.field.q)
     if basis.shape[0] == 0:
         raise ValueError("Tanner product code is trivial (only the zero word)")

@@ -3,6 +3,7 @@
 import ast
 import itertools
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from ltclab.corpus import corpus_values, parse_corpus_spec
 from ltclab.errors import FieldMismatchError, LtcLabError, TooLargeToEnumerateError
 from ltclab.field import Field
 from ltclab.harness import instance_from_specs, product_instance, run_expansion_check
-from ltclab.tanner import OrderedGraph, product_graph, tpc_linear_code
+from ltclab.tanner import OrderedGraph, power_code, product_graph, tpc_linear_code
 from ltclab.tensor import TensorCode, tensor_power
 
 GF2 = Field(2)
@@ -196,6 +197,38 @@ def test_a_refused_reference_still_certifies_an_interval():
         instance.delta_hammings_batch(np.zeros((1, 12**3), dtype=np.uint8))
     with pytest.raises(FieldMismatchError):  # no oracle runs, but the word is still checked
         instance.certify(Word(Field(3), [0] * 12**3), Fraction(1, 2))
+
+
+def test_a_full_space_reference_is_refused_before_its_identity_is_formed(monkeypatch):
+    # The small code is the whole space, so the reference is the n_left x n_left identity: 2 MiB of int64 here.
+    n_left = 8**3
+    monkeypatch.setattr(ltclab.config, "GENERATOR_CELLS", n_left**2 - 1)
+    graph, small = product_graph(8, 3), tensor_power(full_code(GF2, 8), 2)
+    message = f"full-space generator would hold {n_left**2}, past GENERATOR_CELLS = {n_left**2 - 1}"
+    routes = {
+        "power": lambda: power_code(graph, small),
+        "stacked": lambda: tpc_linear_code(graph, small, "DERIVED_PARITY_CELLS"),
+        "specs": lambda: instance_from_specs("product:n=8,m=3", "full:q=2,n=8^2"),
+    }
+    for name, route in routes.items():
+        tracemalloc.start()
+        try:
+            if name == "specs":
+                instance = route()
+            else:
+                with pytest.raises(TooLargeToEnumerateError) as err:
+                    route()
+                assert (err.value.budget, err.value.requested, str(err.value)) == ("GENERATOR_CELLS", n_left**2, message)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n_left**2, name  # an eighth of the identity
+    assert instance.full is None  # delta falls back to the interval, as after a derived refusal
+    monkeypatch.setattr(ltclab.config, "GENERATOR_CELLS", n_left**2)
+    for route in routes.values():
+        full = route()
+        full = getattr(full, "full", full)
+        assert (full.k, full.n) == (n_left, n_left) and np.array_equal(full.generator, np.eye(n_left))
 
 
 def _calls(path: Path, callee: str) -> list[int]:

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import ltclab.config
 import ltclab.corpus
 import ltclab.harness
-from ltclab.code import LinearCode, Word, repetition, reed_solomon
+import ltclab.linalg
+from ltclab.code import LinearCode, Word, full_code, repetition, reed_solomon
 from ltclab.corpus import _weight_ladder, corpus_values, generate_corpus, parse_corpus_spec
 from ltclab.errors import TooLargeToEnumerateError
 from ltclab.field import Field
@@ -30,7 +31,7 @@ from ltclab.harness import (
     run_sweep,
 )
 from ltclab.reports import frac_decimal, frac_str, json_bytes, parse_fraction
-from ltclab.tanner import OrderedGraph, product_graph, tpc_linear_code
+from ltclab.tanner import OrderedGraph, power_code, product_graph, tpc_linear_code
 from ltclab.tensor import TensorCode, tensor_power
 from ltclab.tester import TestInstance
 
@@ -560,3 +561,116 @@ def test_reference_code_rows_are_checked_in_every_chunk(monkeypatch):
         instance_from_specs("product:n=5,m=2", "rs:q=5,n=5,k=3", "rs:q=5,n=5,k=4^2")
     inst = instance_from_specs("product:n=5,m=2", "rs:q=5,n=5,k=4", "rs:q=5,n=5,k=4^2")
     assert inst.full.k == 16
+
+
+# --- the reference of a product spec, through TPC(product(n, m), C^(m-1)) = C^m ----------------
+
+# A subset of the grid q in {2, 3, 5, 7}, n in 2..5, m in {2, 3} over repetition, full and RS codes.
+_POWER_SPECS = [
+    ("product:n=2,m=2", "rep:q=2,n=2"),
+    ("product:n=3,m=3", "rep:q=2,n=3^2"),
+    ("product:n=4,m=2", "full:q=2,n=4"),
+    ("product:n=3,m=3", "full:q=2,n=3^2"),
+    ("product:n=3,m=2", "rs:q=3,n=3,k=2"),
+    ("product:n=3,m=3", "rs:q=3,n=3,k=2^2"),
+    ("product:n=2,m=3", "rs:q=3,n=2,k=1^2"),
+    ("product:n=5,m=2", "rep:q=3,n=5"),
+    ("product:n=4,m=3", "rs:q=5,n=4,k=2^2"),  # tanner_sweep's instance
+    ("product:n=5,m=2", "rs:q=5,n=5,k=3"),
+    ("product:n=4,m=2", "rs:q=5,n=4,k=4"),
+    ("product:n=3,m=3", "rs:q=5,n=3,k=1^2"),
+    ("product:n=5,m=2", "rs:q=7,n=5,k=2"),
+    ("product:n=4,m=3", "rs:q=7,n=4,k=3^2"),
+    ("product:n=5,m=3", "rep:q=7,n=5^2"),
+    ("product:n=3,m=2", "full:q=7,n=3"),
+]
+
+
+@pytest.mark.parametrize("graph_spec, small_spec", _POWER_SPECS)
+def test_a_product_spec_reference_is_the_null_space_basis_entry_for_entry(graph_spec, small_spec):
+    graph, small = parse_graph_spec(graph_spec), parse_code_spec(small_spec)
+    power = power_code(graph, small)
+    stacked = tpc_linear_code(graph, small, "DERIVED_PARITY_CELLS")
+    assert power.generator.dtype == stacked.generator.dtype
+    assert np.array_equal(power.generator, stacked.generator)
+    assert np.array_equal(instance_from_specs(graph_spec, small_spec).full.generator, stacked.generator)
+
+
+@pytest.mark.parametrize("graph_spec, small_spec", [_POWER_SPECS[i] for i in (2, 5, 8, 14)])
+def test_a_sweep_reads_the_same_bytes_through_either_reference(graph_spec, small_spec):
+    config = ExperimentConfig(graph_spec, small_spec, corpus="mixed:24", seed=20260808, alpha=Fraction(1, 2))
+    graph, small = parse_graph_spec(graph_spec), parse_code_spec(small_spec)
+    full = tpc_linear_code(graph, small, "DERIVED_PARITY_CELLS")
+    stacked = TestInstance(graph, small, full=full, label=f"{graph_spec} / {small_spec}")
+    assert json_bytes(run_sweep(config).document()) == json_bytes(run_sweep(config, instance=stacked).document())
+
+
+def test_a_product_spec_reference_takes_no_null_space(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the null-space route was taken")
+
+    monkeypatch.setattr(ltclab.linalg, "null_space", refuse)
+    monkeypatch.setattr(ltclab.harness, "tpc_linear_code", refuse)
+    instance = instance_from_specs("product:n=4,m=3", "rs:q=5,n=4,k=2^2")
+    assert (instance.full.k, instance.full.n) == (8, 64)
+
+
+_NULL_SPACE_SPECS = {
+    "iterated": ("iterated:n=2,m=3,mp=2", "rep:q=2,n=2^2"),  # the graph of product:n=2,m=3
+    "square": ("square:n=2,t=2", "rep:q=2,n=2^2"),
+    "graph-file": (None, "rep:q=2,n=3"),  # product:n=3,m=2, written to a file
+    "flat-small-code-at-m-3": ("product:n=2,m=3", "rep:q=2,n=4"),
+    "wrong-n": ("product:n=4,m=3", "rep:q=2,n=2^4"),
+    "tensor-small-code-at-m-2": ("product:n=4,m=2", "rep:q=2,n=2^2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NULL_SPACE_SPECS))
+def test_other_specs_keep_the_null_space_route(monkeypatch, tmp_path, case):
+    graph_spec, small_spec = _NULL_SPACE_SPECS[case]
+    if graph_spec is None:
+        graph_spec = str(tmp_path / "product.json")
+        lists = [list(row) for row in product_graph(3, 2).lists]
+        (tmp_path / "product.json").write_text(json.dumps({"n": 9, "m": 6, "t": 3, "lists": lists}))
+    graph, small = parse_graph_spec(graph_spec), parse_code_spec(small_spec)
+    assert power_code(graph, small) is None
+    calls = []
+    null_space = ltclab.linalg.null_space
+    monkeypatch.setattr(ltclab.linalg, "null_space", lambda *args: calls.append(args) or null_space(*args))
+    instance = instance_from_specs(graph_spec, small_spec)
+    assert calls and np.array_equal(instance.full.generator, tpc_linear_code(graph, small).generator)
+
+
+def test_a_power_of_distinct_factor_objects_keeps_the_null_space_route():
+    graph = product_graph(2, 3)
+    for small in (
+        TensorCode((repetition(GF2, 2), repetition(GF2, 2))),  # equal codes, two objects
+        TensorCode((repetition(GF2, 2), full_code(GF2, 2))),
+    ):
+        assert power_code(graph, small) is None
+    same = repetition(GF2, 2)
+    assert power_code(graph, TensorCode((same, same))) is not None
+
+
+# (graph, small, stacked parity cells: views x max(n - k, 1) parity rows x n_left)
+_DERIVED_REFUSALS = [
+    ("product:n=4,m=3", "rs:q=5,n=4,k=2^2", 12 * 12 * 64),
+    ("product:n=3,m=2", "full:q=2,n=3", 6 * 1 * 9),
+    ("product:n=12,m=3", "rep:q=2,n=12^2", 36 * 143 * 1728),  # refused at the default budget
+]
+
+
+@pytest.mark.parametrize("graph_spec, small_spec, stacked", _DERIVED_REFUSALS)
+def test_both_routes_refuse_a_derived_reference_alike(monkeypatch, graph_spec, small_spec, stacked):
+    graph, small = parse_graph_spec(graph_spec), parse_code_spec(small_spec)
+    monkeypatch.setattr(ltclab.config, "DERIVED_PARITY_CELLS", stacked - 1)
+    refusals = []
+    for route in (lambda: power_code(graph, small), lambda: tpc_linear_code(graph, small, "DERIVED_PARITY_CELLS")):
+        with pytest.raises(TooLargeToEnumerateError) as err:
+            route()
+        refusals.append((err.value.budget, err.value.requested, err.value.limit, str(err.value)))
+    message = f"stacked parity matrix would hold {stacked}, past DERIVED_PARITY_CELLS = {stacked - 1}"
+    assert refusals == [("DERIVED_PARITY_CELLS", stacked, stacked - 1, message)] * 2
+    assert instance_from_specs(graph_spec, small_spec).full is None
+    monkeypatch.setattr(ltclab.config, "DERIVED_PARITY_CELLS", stacked)
+    assert power_code(graph, small) is not None
