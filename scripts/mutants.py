@@ -200,8 +200,8 @@ MUTANTS = (
            "step // (batch or 1)), start=2 * span):",
            ("tests/test_oracle.py::test_nearest_distance_batch_matches_brute_force",)),
     Mutant("last-group-dropped", "code.py",
-           "np.arange(s, min(s + per, total), span)",
-           "np.arange(s, min(s + per, total - span), span)",
+           "np.arange(e, min(e + step, total), span)",
+           "np.arange(e, min(e + step, total - span), span)",
            ("tests/test_oracle.py::test_nearest_distance_batch_matches_brute_force",)),
     Mutant("doubling-no-wrap", "code.py",
            "                np.minimum(more, more - q, out=more)\n", "",
@@ -254,21 +254,42 @@ MUTANTS = (
            "s = linalg.rref(c.generator, c.field.q)[0][: c.k]",
            ("tests/test_harness.py::test_a_product_spec_reference_is_the_null_space_basis_entry_for_entry",)),
     Mutant("power-code-one-factor-short", "tanner.py",
-           "(s,) * m), _reduced=True)",
-           "(s,) * (m - 1)), _reduced=True)",
+           "return tensor_power(LinearCode(c.field, s, _reduced=True), m)",
+           "return tensor_power(LinearCode(c.field, s, _reduced=True), m - 1)",
            ("tests/test_harness.py::test_a_product_spec_reference_is_the_null_space_basis_entry_for_entry",)),
     Mutant("power-code-unequal-factor-objects", "tanner.py",
            ' or any(f is not c for f in factors):',
            ":",
            ("tests/test_harness.py::test_a_power_of_distinct_factor_objects_keeps_the_null_space_route",)),
     Mutant("power-code-skips-the-derived-check", "tanner.py",
-           '    if whole := _derived_within(graph, small, "DERIVED_PARITY_CELLS"):\n        return whole\n',
+           '    if c.k == c.n:\n        return _derived_within(graph, small, "DERIVED_PARITY_CELLS")\n',
            "",
            ("tests/test_harness.py::test_both_routes_refuse_a_derived_reference_alike",)),
     Mutant("full-space-identity-unchecked", "tanner.py",
            '        config.within("GENERATOR_CELLS", graph.n_left**2, "full-space generator")\n',
            "",
            ("tests/test_budgets.py::test_a_full_space_reference_is_refused_before_its_identity_is_formed",)),
+    # --- the min-sum side of a tensor code: per-slice distances summed over the last axis, least over all tuples
+    Mutant("min-sum-uint8-accumulator", "tensor.py",
+           "self.acc = _unsigned(code.n)",
+           "self.acc = np.uint8",
+           ("tests/test_min_sum.py::test_the_min_sum_side_matches_brute_force",)),
+    Mutant("min-sum-drops-a-non-pivot-column", "tensor.py",
+           "for j, shifts, plan in self.columns:",
+           "for j, shifts, plan in self.columns[1:]:",
+           ("tests/test_min_sum.py::test_the_min_sum_side_matches_brute_force",)),
+    Mutant("min-sum-drops-the-first-pivot-term", "tensor.py",
+           "pivot = [table[self.pivots[l]] for l in range(len(self.pivots))]",
+           "pivot = [table[self.pivots[l]] * (l > 0) for l in range(len(self.pivots))]",
+           ("tests/test_min_sum.py::test_the_min_sum_side_matches_brute_force",)),
+    Mutant("min-sum-side-rule-inverted", "tensor.py",
+           "self._histogram_side or self._group_digits() == self.k:",
+           "self._histogram_side or self._group_digits() != self.k:",
+           ("tests/test_min_sum.py::test_single_group_and_histogram_codes_never_take_the_min_sum_side",)),
+    Mutant("min-sum-last-block-left-out", "tensor.py",
+           "for o in range(len(self.starts[0])):",
+           "for o in range(max(1, len(self.starts[0]) - 1)):",
+           ("tests/test_min_sum.py::test_the_min_sum_side_matches_brute_force_in_any_blocks",)),
     Mutant("sweep-block-drops-a-word", "harness.py",
            "block = words[start : start + step]",
            "block = words[start : start + step - 1]",

@@ -189,6 +189,10 @@ def word_values(word: Word, field: Field, n: int, grid: Optional[tuple[int, ...]
 # instead: the nearest codeword repeats a word's most frequent symbol, counted by ``max_counts``
 # (as are all views of a word at once, through ``TannerCode._view_offsets``).  On 93 rows of 961 it
 # lost to the planes at q = 7, broke even at q = 11 and won at q = 13; GF(17) is a conservative cutoff.
+#
+# A third side belongs to TensorCode: a product of more than one group of codewords, and a batch of
+# enough words, takes a min-sum over its last axis (``TensorCode._min_sum_distances``), which reads a
+# table of per-slice distances n_X times a message tuple instead of comparing n symbols.
 
 
 def _unsigned(top: int) -> type:
@@ -299,7 +303,8 @@ class LinearCode:
             raise ValueError(f"generator must be a matrix with n >= 1, got shape {generator.shape}")
         if not _reduced:
             generator = linalg.row_basis(generator, field.q)
-        generator = generator.astype(np.int64, copy=True)
+        # A reduced int64 array that owns its data is taken as it is: its caller built it fresh or made it read-only.
+        generator = generator.astype(np.int64, copy=not (_reduced and generator.flags.owndata))
         generator.setflags(write=False)
         self.field = field
         self.generator = generator
@@ -378,13 +383,22 @@ class LinearCode:
 
     # --- exhaustive oracles -------------------------------------------------
 
+    def _group_digits(self) -> int:
+        """The j <= k of the first group: the largest with q**j within _block_rows(n) rows, or q rows if q
+        codewords fit TABLE_CELLS.  Counted a digit at a time, so q**k is never formed."""
+        q, j = self.field.q, 0
+        rows = max(_block_rows(self.n), q if q * self.n <= config.TABLE_CELLS else 1)
+        while j < self.k and q ** (j + 1) <= rows:
+            j += 1
+        return j
+
     @functools.cached_property
     def _group(self) -> np.ndarray:
-        """The first group: the codewords of the messages below q**j <= q**k, within _block_rows(n) rows,
-        or q rows if q codewords fit TABLE_CELLS.  Built a digit at a time in the wide dtype: the q
-        multiples of each of the last j unit codewords are added to the group so far by doubling."""
+        """The first group: the codewords of the messages below q**j, j = ``_group_digits()``.  Built a digit at a
+        time in the wide dtype: the q multiples of each of the last j unit codewords are added to the group so far
+        by doubling."""
         q, k, n, wide = self.field.q, self.k, self.n, _unsigned(2 * (self.field.q - 1))
-        j = max(i for i in range(k + 1) if q**i <= max(_block_rows(n), q if q * n <= config.TABLE_CELLS else 1))
+        j = self._group_digits()
         group = np.zeros((1, n), dtype=wide)
         for unit in self.encode_batch(np.eye(j, k, k - j, dtype=np.int64)):
             layers = group[None]  # layer d: the group so far plus d * unit
@@ -397,11 +411,17 @@ class LinearCode:
         return group.astype(symbol_dtype(self.field), copy=False)
 
     def _starts(self, span: int, per: int, start: int = 0):
-        """Yield (s, the wide codewords of messages s, s + span, ... below s + per) for s = start, start + per, ...."""
-        q, k, total = self.field.q, self.k, self.num_codewords()
-        for s in range(start, total, per):
-            messages = np.stack(np.unravel_index(np.arange(s, min(s + per, total), span), (q,) * k), axis=1)
-            yield s, self.encode_batch(messages).astype(_unsigned(2 * (q - 1)))
+        """Yield (s, the wide codewords of messages s, s + span, ... below s + per) for s = start, start + per, ....
+
+        ``per`` is a multiple of ``span``.  The starts are encoded by one ``encode_batch`` call per whole yields of
+        at most _block_rows(n) starts (one yield at least)."""
+        q, k, total, each = self.field.q, self.k, self.num_codewords(), per // span
+        step = per * max(1, _block_rows(self.n) // each)
+        for e in range(start, total, step):
+            messages = np.stack(np.unravel_index(np.arange(e, min(e + step, total), span), (q,) * k), axis=1)
+            codewords = self.encode_batch(messages).astype(_unsigned(2 * (q - 1)))
+            for i in range(0, len(codewords), each):
+                yield e + i * span, codewords[i : i + each]
 
     def _blocks(self):
         """Yield (start, codewords) for blocks of as many whole groups as fit _block_rows(n), or parts of one.
@@ -474,16 +494,19 @@ class LinearCode:
     def nearest_distance_batch(self, words: np.ndarray) -> np.ndarray:
         """Per-row Hamming distance from a (B, n) array to the nearest codeword.
 
-        ``words`` must hold residues in [0, q), as ``residues`` checks.  A code
-        whose codewords are the multiples of the all-ones row, over GF(q) with
-        q >= 17, takes the histogram side: the codeword (a, ..., a) agrees with w
-        wherever w_i = a, so the distance is n minus w's ``max_counts``.  Every
-        other code takes ``_plane_distances``.  Each side checks ENUMERATION_THRESHOLD once.
+        ``words`` must hold residues in [0, q), as ``residues`` checks.  ENUMERATION_THRESHOLD is checked once,
+        before any work; then ``_distances`` picks the side that answers.
         """
         residues(self.field, words, self.n)
+        self._checked_size()
+        return self._distances(words)
+
+    def _distances(self, words: np.ndarray) -> np.ndarray:
+        """``nearest_distance_batch`` of checked words.  A code whose codewords are the multiples of the all-ones
+        row, over GF(q) with q >= 17, takes the histogram side: the codeword (a, ..., a) agrees with w wherever
+        w_i = a, so the distance is n minus w's ``max_counts``.  Every other code takes ``_plane_distances``."""
         if not self._histogram_side:
             return self._plane_distances(words)
-        self._checked_size()  # q codewords: the threshold check
         return self.n - max_counts(words, self._lanes, self.field.q, 1)[1]
 
     def _plane_distances(self, words: np.ndarray) -> np.ndarray:
@@ -496,7 +519,6 @@ class LinearCode:
         q, (batch, n), step = self.field.q, words.shape, max(1, (_CHUNK << 8) // words.shape[1])
         if batch > step:
             return np.concatenate([self._plane_distances(words[w : w + step]) for w in range(0, batch, step)])
-        self._checked_size()
         planes, out = self._group_planes, np.full(batch, n, dtype=np.int64)
         bits, _, span = planes.shape
         _min_plane_hammings(_pack(words, bits), planes, out)

@@ -31,6 +31,7 @@ from .errors import (
     InapplicableError,
     RaggedListsError,
 )
+from .tensor import tensor_power
 
 # Right-vertex block size when streaming or materializing the rows of a graph.
 _ROW_BLOCK = 1 << 12
@@ -348,17 +349,18 @@ def _derived_within(graph: OrderedGraph, small: LinearCode, budget: str) -> Opti
 
 
 def power_code(graph: OrderedGraph, small: LinearCode) -> Optional[LinearCode]:
-    """TPC(graph, small) = C^m in the very basis ``tpc_linear_code`` derives, when ``graph`` is product:n=C.n,m=m (by
-    its label) and ``small`` is C^(m-1) of one code object C (a flat C for m = 2); else None.  The generator is
-    kron(S, ..., S), S the basis of C systematic on its last information set, refused first as the null space is."""
+    """TPC(graph, small) = C^m in factor form, when ``graph`` is product:n=C.n,m=m (by its label) and ``small`` is
+    C^(m-1) of one code object C (a flat C for m = 2); else None.  The factors are S, the basis of C systematic on its
+    last information set, so kron(S, ..., S) is the basis ``tpc_linear_code`` derives; a full-space C gives the
+    full-space code, refused as ``_derived_within`` refuses."""
     factors = getattr(small, "factors", (small,))
     c, m = factors[0], len(factors) + 1
     if graph.label != f"product:n={c.n},m={m}" or any(f is not c for f in factors):
         return None
-    if whole := _derived_within(graph, small, "DERIVED_PARITY_CELLS"):
-        return whole
+    if c.k == c.n:
+        return _derived_within(graph, small, "DERIVED_PARITY_CELLS")
     s = linalg.rref(c.generator[:, ::-1], c.field.q)[0][: c.k, ::-1][::-1]  # the reversed columns' RREF, reversed
-    return LinearCode(c.field, functools.reduce(lambda a, b: linalg.kron(a, b, c.field.q), (s,) * m), _reduced=True)
+    return tensor_power(LinearCode(c.field, s, _reduced=True), m)
 
 
 def tpc_linear_code(graph: OrderedGraph, small: LinearCode, budget: str = "PARITY_CELLS") -> LinearCode:

@@ -34,8 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import linalg
-from .code import LinearCode, Word, _coerce_symbols, _unsigned, as_integer, index_columns, residues
+from . import config, linalg
+from .code import _CHUNK, LinearCode, Word, _coerce_symbols, _unsigned, as_integer, index_columns, residues
 from .config import within
 from .errors import (
     FieldMismatchError,
@@ -202,6 +202,59 @@ class TensorCode(LinearCode):
             arr -= wrap
         return arr.reshape(messages.shape[0], self.n)
 
+    # --- the min-sum side of the distance oracle ---------------------------------
+    #
+    # Let X = factors[-1] be put in RREF, with rows R and pivot columns I, and let Y be the product of the leading
+    # factors.  A codeword's slice at last-axis position j is Y's codeword of the message sum_l R[l, j] u_l, for one
+    # Y message u_l per row of R, so d(w, C) is the least, over the q**k tuples (u_1..u_kX), of
+    # sum_l D_{I_l}(u_l) + sum_{j not in I} D_j(sum_l R[l, j] u_l), where D_j(u) is the distance from w's slice j to
+    # Y's codeword u.  Each word costs one pass over Y's codewords for D, then n_X table reads per tuple: pivot terms
+    # are outer sums, and each non-pivot column is one gather.  A (q**k_Y, 16)-byte table holds the D_j of up
+    # to 16 words, one per lane of the accumulator _unsigned(n), and a gather reads all lanes of a row at once.
+    #
+    # The tuples are enumerated as k base-q digits, u_1's first, most significant first.  The leading ``outer``
+    # digits are fixed per block and the rest (``inner``) vary within it, so a block is a running-minimum step of
+    # at most _CHUNK << 8 accumulator cells.  Message u_l* holds the split; u_l (l < l*) is fixed, u_l (l > l*) is
+    # free.  Per block, a non-pivot column reads D_j translated by the block's fixed part s (D_j(s + x), digitwise
+    # mod q) through a plan of inner indices x built once per code.
+
+    @functools.cached_property
+    def _min_sum_side(self) -> bool:
+        """Whether ``_distances`` may take the min-sum side: two factors or more, not on the histogram side, more
+        than one group (single-group codes stay on the planes: RS[5,3] x RS[5,2] x RS[5,1] lost 1.5x there), and
+        the leading factors' distance table (q**k_Y codewords x n_X slices x 16 lanes) within TABLE_CELLS.  Read
+        after ENUMERATION_THRESHOLD has passed."""
+        last = self.factors[-1]
+        if len(self.factors) < 2 or self._histogram_side or self._group_digits() == self.k:
+            return False
+        return self.field.q ** (self.k // last.k) * last.n * 16 <= config.TABLE_CELLS
+
+    def _distances(self, words: np.ndarray) -> np.ndarray:
+        """The min-sum side when ``_min_sum_side`` holds and the batch pays for it, else the inherited sides.
+
+        A pass of the min-sum side reads about q**k n_X rows of 16 bytes for up to 16 words (8 past n = 255), and
+        each of these reads costs about three of the plane side's uint64 compares, of which that side makes
+        q**k ceil(n / 64) bitlength(q - 1) per word.  So a batch of one word keeps the planes, where the min-sum
+        side lost on every fresh code measured (tanner_sweep's reference: 2.6 against 4.9 ms), and 15 words take
+        the min-sum (15.3 against 5.0 ms)."""
+        batch, lanes = len(words), 16 // np.dtype(_unsigned(self.n)).itemsize
+        planes = batch * -(-self.n // 64) * (self.field.q - 1).bit_length()
+        if self._min_sum_side and -(-batch // lanes) * 3 * self.factors[-1].n < planes:
+            return self._min_sum_distances(words)
+        return super()._distances(words)
+
+    @functools.cached_property
+    def _min_sum_plan(self) -> "_MinSumPlan":
+        return _MinSumPlan(self)
+
+    def _min_sum_distances(self, words: np.ndarray) -> np.ndarray:
+        """``nearest_distance_batch`` by the min-sum over the last axis, for checked words, ``lanes`` words a pass."""
+        plan, out = self._min_sum_plan, np.empty(words.shape[0], dtype=np.int64)
+        for w in range(0, len(words), plan.lanes):
+            part = words[w : w + plan.lanes]
+            out[w : w + len(part)] = plan.least(plan.slice_distances(part))[: len(part)]
+        return out
+
     def min_distance(self) -> int:
         """The product d_1 * ... * d_m of the factors' distances: exact, and enumerates no product codeword."""
         return math.prod(f.min_distance() for f in self.factors)
@@ -249,6 +302,107 @@ class TensorCode(LinearCode):
         except UnderdeterminedSystemError as exc:
             raise UnderdeterminedError(str(exc)) from exc
         return self.encode_tensor(grid)
+
+
+def _digit_plan(coeffs, q: int, k_y: int, free: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The flat index of the Y message sum_l coeffs[l] u_l (digitwise mod q), over the grid of free digits.
+
+    Message u_l has its digits d in [lo_l, hi_l) = free[l] free (digit 0 most significant) and the others 0; the
+    grid runs over l, then d, row-major.  Each digit of the sum is a broadcast sum over the free digits at that d.
+    """
+    axes = [(l, d) for l, (lo, hi) in enumerate(free) for d in range(lo, hi)]
+    index = np.zeros((), dtype=np.int64)
+    for d in range(k_y):
+        digit = np.zeros((), dtype=np.int64)
+        for a, (l, at) in enumerate(axes):
+            if at == d:
+                digit = digit + (int(coeffs[l]) * np.arange(q)).reshape((q,) + (1,) * (len(axes) - 1 - a))
+        index = index + digit % q * q ** (k_y - 1 - d)
+    return np.broadcast_to(index, (q,) * len(axes)).ravel()
+
+
+class _MinSumPlan:
+    """What ``TensorCode._min_sum_distances`` reads that depends on the code only, built on its first call."""
+
+    def __init__(self, code: TensorCode):
+        *lead, last = code.factors
+        q, k = code.field.q, code.k
+        self.lead = lead[0] if len(lead) == 1 else TensorCode(lead)
+        self.acc = _unsigned(code.n)  # a tuple's sum is at most n_Y n_X = n
+        self.lanes = 16 // np.dtype(self.acc).itemsize
+        self.q, self.k_y, self.n_x = q, self.lead.k, last.n
+        rows, self.pivots = linalg.rref(last.generator, q)
+        k_x, k_y, others = last.k, self.k_y, [j for j in range(last.n) if j not in self.pivots]
+        outer = 0  # the fewest fixed digits leaving at most _CHUNK << 8 accumulator cells and plan entries a block
+        while q ** (k - outer) * max(self.lanes, len(others)) > _CHUNK << 8:
+            outer += 1
+        self.split, rest = divmod(outer, k_y)  # the message l* holding the split, and its fixed digits
+        self.width = q ** (k_y - rest)  # u_l*'s free values
+        fixed = [(0, k_y)] * self.split + [(0, rest)] + [(0, 0)] * (k_x - 1 - self.split)
+        free = [(0, 0)] * self.split + [(rest, k_y)] + [(0, k_y)] * (k_x - 1 - self.split)
+        # Digits d < ``low`` are fixed in every inner index: the inner plans read D_j's last k_y - low digits only.
+        self.low = rest if self.split == k_x - 1 else 0
+        units, index = np.eye(k_x, dtype=np.int64), _unsigned(q ** (k_y - self.low))
+        self.starts = [_digit_plan(units[l], q, k_y, fixed) for l in range(self.split + 1)]  # u_l's fixed part
+        # (j, the fixed part of the message sum of column j per block, its plan of inner indices)
+        self.columns = [
+            (j, _digit_plan(rows[:, j], q, k_y, fixed), _digit_plan(rows[:, j], q, k_y, free).astype(index))
+            for j in others
+        ]
+
+    def slice_distances(self, words: np.ndarray) -> np.ndarray:
+        """The (n_X, q**k_Y, lanes) table D of up to ``lanes`` words: D[j, u, b] = d(slice j of word b, Y's codeword u).
+
+        Y's codewords are streamed from its ``_blocks``, once per step of slices whose one-hot table fits _CHUNK << 8
+        cells (one slice at least).  That table holds, at (i, a), which slices have symbol a at position i, so a
+        codeword's agreements are the sum over i of the rows at its symbols: n_Y row gathers."""
+        q, n_y, acc, batch = self.q, self.lead.n, self.acc, len(words)
+        table = np.zeros((self.n_x, q**self.k_y, self.lanes), dtype=acc)
+        slices = words.reshape(batch, n_y, self.n_x).transpose(1, 2, 0)  # (n_Y, n_X, B)
+        step = max(1, (_CHUNK << 8) // (n_y * q * batch))
+        for c in range(0, self.n_x, step):
+            hot = (slices[:, None, c : c + step] == np.arange(q)[:, None, None]).astype(acc).reshape(n_y, q, -1)
+            rows = max(1, (_CHUNK << 8) // hot[0].size)
+            for s, block in self.lead._blocks():
+                for r in range(0, len(block), rows):
+                    part = block[r : r + rows]
+                    agree = np.zeros((len(part), hot.shape[2]), dtype=acc)  # (U, slices x B)
+                    for i in range(n_y):
+                        agree += hot[i, part[:, i]]
+                    table[c : c + step, s + r : s + r + len(part), :batch] = (n_y - agree).reshape(
+                        len(part), -1, batch).transpose(1, 0, 2)
+        return table
+
+    def least(self, table: np.ndarray) -> np.ndarray:
+        """The (lanes,) least tuple sums of a ``slice_distances`` table: a running minimum over the blocks, then
+        the minimum of its rows by halving."""
+        q, k_y, lanes, split = self.q, self.k_y, self.lanes, self.split
+        rows = table.view(np.dtype((np.void, 16)))[..., 0]  # (n_X, q**k_Y): all lanes of a row as one item
+        pivot = [table[self.pivots[l]] for l in range(len(self.pivots))]
+        # The outer sum of the free messages' pivot terms, by whole-row repeats and tiles: a broadcast over
+        # (..., lanes) arrays would run numpy's inner loop over the lanes alone.
+        free = np.zeros((1, lanes), dtype=self.acc)
+        for term in pivot[split + 1 :]:
+            free = np.repeat(free, len(term), axis=0) + np.tile(term, (len(free), 1))
+        best = None
+        for o in range(len(self.starts[0])):
+            head = pivot[split][self.starts[split][o] : self.starts[split][o] + self.width]
+            for l in range(split):
+                head = head + pivot[l][self.starts[l][o]]
+            acc = np.tile(free, (self.width, 1))
+            acc += np.repeat(head, len(free), axis=0)
+            for j, shifts, plan in self.columns:
+                digits = [int(shifts[o]) // q ** (k_y - 1 - d) % q for d in range(k_y)]
+                moved = rows[j].reshape((q,) * k_y)[tuple(digits[: self.low])]  # D_j(s + x), x on the free digits
+                moved = moved[np.ix_(*((np.arange(q) + t) % q for t in digits[self.low :]))].ravel()
+                acc += np.take(moved, plan).view(self.acc).reshape(-1, lanes)
+            best = acc if best is None else np.minimum(best, acc, out=best)
+        size = len(best)
+        while size > 1:
+            half = size // 2
+            np.minimum(best[:half], best[size - half : size], out=best[:half])
+            size -= half
+        return best[0]
 
 
 def tensor_product(c1: LinearCode, c2: LinearCode) -> LinearCode:

@@ -186,8 +186,9 @@ def test_a_refusal_too_large_to_print_shows_its_magnitude(requested, shown):
 
 
 def test_a_refused_reference_still_certifies_an_interval():
-    # The derived Tanner product code is refused by DERIVED_PARITY_CELLS; delta stays an interval.
-    instance = instance_from_specs("product:n=12,m=3", "rep:q=2,n=12^2")
+    # The derived Tanner product code is refused by DERIVED_PARITY_CELLS; delta stays an interval.  The flat small
+    # code rep[144] = rep[12] x rep[12] takes the stacked route (the factor form of rep:q=2,n=12^2 is exact).
+    instance = instance_from_specs("product:n=12,m=3", "rep:q=2,n=144")
     assert instance.full is None
     word = Word(GF2, [1] + [0] * (12**3 - 1))
     report, _ = instance.certify(word, Fraction(1, 2))

@@ -457,13 +457,13 @@ ROBUSTNESS = ["robustness", "--graph", "product:n=2,m=2", "--small", "rep:q=2,n=
         (["query-account", "--n", "2", "--t", "2", "--alpha", "0"], "alpha0 must lie in (0, 1]"),
         (["query-account", "--n", "2", "--t", "2", "--alpha", "3/2"], "alpha0 must lie in (0, 1]"),
         # DERIVED_PARITY_CELLS refuses the reference code, so no corpus kind can read its codewords.
-        (["sweep", "--graph", "product:n=12,m=3", "--small", "rep:q=2,n=12^2", "--corpus", "codewords:3"],
+        (["sweep", "--graph", "product:n=12,m=3", "--small", "rep:q=2,n=144", "--corpus", "codewords:3"],
          "this corpus kind needs a reference full code on the instance"),
         # Past [0, 1], every view (tau < 0) or none (tau > 1) is more than tau-far.
         (ROBUSTNESS + ["--tau", "-1"], "tau must lie in [0, 1]"),
         (ROBUSTNESS + ["--tau", "2"], "tau must lie in [0, 1]"),
         # Refused before the corpus, which would need a reference code that this instance lacks.
-        (["sweep", "--graph", "product:n=12,m=3", "--small", "rep:q=2,n=12^2", "--corpus", "codewords:3",
+        (["sweep", "--graph", "product:n=12,m=3", "--small", "rep:q=2,n=144", "--corpus", "codewords:3",
           "--tau", "3/2"], "tau must lie in [0, 1]"),
         (NINE_SYMBOL_SWEEP + ["--corpus", "codeword_plus_weight:2,w=100"],
          "corpus part codeword_plus_weight plants w = 100 errors in words of length 9"),
@@ -642,16 +642,16 @@ def test_sampled_outputs_are_pinned(capsys, argv, digest):
 @pytest.mark.parametrize(
     "alpha, holds, digest",
     [
-        ("1/65536", True, "8d00a8d2f969627d5898b113dd84ed36ebf9aab57cdb6ff4fa55117a1db2e9a2"),
-        ("1", None, "28c3f1e4082551e4d31eaa31e1d1aefb2f31f3c21719da6e9280d6a15c2938d4"),
-        ("2", False, "d8649612eddc12b4437502ffaea1a5f13fd203dbf90b59fe3bef2b292d1033e0"),
+        ("1/65536", True, "8d6b97ba81b15f88e5da638d9d106c353860d56a06ad2d540291477a533177f0"),
+        ("1", None, "28942481dcef1874422db0ed59e755e53b6e0fed1ee690176cd8bc770b0499d3"),
+        ("2", False, "0d4047c29f838166c6908fbad76dc048107d0c966d1e847c8e846074b0da20f0"),
     ],
 )
 def test_interval_reports_are_pinned(capsys, alpha, holds, digest):
     # DERIVED_PARITY_CELLS refuses the derived reference code, so delta is the interval [rho, 1].
     word = ",".join(["1"] + ["0"] * 1727)
     code, out, _ = run_cli(
-        capsys, "robustness", "--graph", "product:n=12,m=3", "--small", "rep:q=2,n=12^2",
+        capsys, "robustness", "--graph", "product:n=12,m=3", "--small", "rep:q=2,n=144",
         "--word", word, "--alpha", alpha,
     )
     doc = json.loads(out)

@@ -389,7 +389,7 @@ def test_sweep_hypotheses_recorded():
 
 def test_sweep_counts_the_words_an_interval_cannot_decide():
     # DERIVED_PARITY_CELLS refuses the reference code; at alpha 1 no interval [rho, 1] decides.
-    config = ExperimentConfig("product:n=12,m=3", "rep:q=2,n=12^2", corpus="uniform:3", alpha=Fraction(1))
+    config = ExperimentConfig("product:n=12,m=3", "rep:q=2,n=144", corpus="uniform:3", alpha=Fraction(1))
     summary = run_sweep(config).summary
     assert (summary["words"], summary["violations"], summary["undecided"]) == (3, 0, 3)
 
@@ -652,25 +652,37 @@ def test_a_power_of_distinct_factor_objects_keeps_the_null_space_route():
     assert power_code(graph, TensorCode((same, same))) is not None
 
 
-# (graph, small, stacked parity cells: views x max(n - k, 1) parity rows x n_left)
+# (graph, small, stacked parity cells: views x max(n - k, 1) parity rows x n_left, the small spec of an instance of
+# the same Tanner code whose reference the stacked route refuses, if any)
 _DERIVED_REFUSALS = [
-    ("product:n=4,m=3", "rs:q=5,n=4,k=2^2", 12 * 12 * 64),
-    ("product:n=3,m=2", "full:q=2,n=3", 6 * 1 * 9),
-    ("product:n=12,m=3", "rep:q=2,n=12^2", 36 * 143 * 1728),  # refused at the default budget
+    ("product:n=4,m=3", "rs:q=5,n=4,k=2^2", 12 * 12 * 64, None),
+    ("product:n=3,m=2", "full:q=2,n=3", 6 * 1 * 9, "full:q=2,n=3"),
+    ("product:n=12,m=3", "rep:q=2,n=12^2", 36 * 143 * 1728, "rep:q=2,n=144"),  # refused at the default budget
 ]
 
 
-@pytest.mark.parametrize("graph_spec, small_spec, stacked", _DERIVED_REFUSALS)
-def test_both_routes_refuse_a_derived_reference_alike(monkeypatch, graph_spec, small_spec, stacked):
+@pytest.mark.parametrize("graph_spec, small_spec, stacked, refused_spec", _DERIVED_REFUSALS)
+def test_both_routes_refuse_a_derived_reference_alike(monkeypatch, graph_spec, small_spec, stacked, refused_spec):
+    # A full-space reference is still derived, so the power route refuses it as the stacked route does.  Any other
+    # product spec's reference is kept in factor form, which stacks no parity matrix; the same refusal is reached
+    # through a flat small code of the same Tanner code, which takes the stacked route (rep[144] = rep[12]^2).
     graph, small = parse_graph_spec(graph_spec), parse_code_spec(small_spec)
     monkeypatch.setattr(ltclab.config, "DERIVED_PARITY_CELLS", stacked - 1)
-    refusals = []
-    for route in (lambda: power_code(graph, small), lambda: tpc_linear_code(graph, small, "DERIVED_PARITY_CELLS")):
+    routes = [lambda: tpc_linear_code(graph, small, "DERIVED_PARITY_CELLS")]
+    if small.k == small.n:
+        routes.append(lambda: power_code(graph, small))
+    else:
+        assert isinstance(power_code(graph, small), TensorCode)
+        assert instance_from_specs(graph_spec, small_spec).full is not None
+    if refused_spec is not None:
+        refused = parse_code_spec(refused_spec)
+        routes.append(lambda: tpc_linear_code(graph, refused, "DERIVED_PARITY_CELLS"))
+        assert instance_from_specs(graph_spec, refused_spec).full is None
+    message = f"stacked parity matrix would hold {stacked}, past DERIVED_PARITY_CELLS = {stacked - 1}"
+    for route in routes:
         with pytest.raises(TooLargeToEnumerateError) as err:
             route()
-        refusals.append((err.value.budget, err.value.requested, err.value.limit, str(err.value)))
-    message = f"stacked parity matrix would hold {stacked}, past DERIVED_PARITY_CELLS = {stacked - 1}"
-    assert refusals == [("DERIVED_PARITY_CELLS", stacked, stacked - 1, message)] * 2
-    assert instance_from_specs(graph_spec, small_spec).full is None
+        refusal = (err.value.budget, err.value.requested, err.value.limit, str(err.value))
+        assert refusal == ("DERIVED_PARITY_CELLS", stacked, stacked - 1, message)
     monkeypatch.setattr(ltclab.config, "DERIVED_PARITY_CELLS", stacked)
     assert power_code(graph, small) is not None
