@@ -249,13 +249,19 @@ MUTANTS = (
            ("tests/test_tester.py::test_certify_interval_when_oracle_missing",
             "tests/test_cli.py::test_interval_reports_are_pinned")),
     # --- a product spec's reference through TPC(product(n, m), C^(m-1)) = C^m
-    Mutant("power-code-first-information-set", "tanner.py",
-           "s = linalg.rref(c.generator[:, ::-1], c.field.q)[0][: c.k, ::-1][::-1]",
-           "s = linalg.rref(c.generator, c.field.q)[0][: c.k]",
+    # (the systematic form: the RREF of the columns in order is systematic too, on the first information set)
+    Mutant("power-code-first-information-set", "code.py",
+           """        reduced, pivots = linalg.rref(self.generator[:, ::-1], self.field.q)
+        s = reduced[: self.k, ::-1][::-1]
+        return LinearCode(self.field, s, _reduced=True), self.n - 1 - np.array(pivots[::-1], dtype=np.int64)
+""",
+           """        reduced, pivots = linalg.rref(self.generator, self.field.q)
+        return LinearCode(self.field, reduced[: self.k], _reduced=True), np.array(pivots, dtype=np.int64)
+""",
            ("tests/test_harness.py::test_a_product_spec_reference_is_the_null_space_basis_entry_for_entry",)),
     Mutant("power-code-one-factor-short", "tanner.py",
-           "return tensor_power(LinearCode(c.field, s, _reduced=True), m)",
-           "return tensor_power(LinearCode(c.field, s, _reduced=True), m - 1)",
+           "return tensor_power(c._systematic[0], m)",
+           "return tensor_power(c._systematic[0], m - 1)",
            ("tests/test_harness.py::test_a_product_spec_reference_is_the_null_space_basis_entry_for_entry",)),
     Mutant("power-code-unequal-factor-objects", "tanner.py",
            ' or any(f is not c for f in factors):',
@@ -269,6 +275,23 @@ MUTANTS = (
            '        config.within("GENERATOR_CELLS", graph.n_left**2, "full-space generator")\n',
            "",
            ("tests/test_budgets.py::test_a_full_space_reference_is_refused_before_its_identity_is_formed",)),
+    # --- membership: S of ``_systematic`` re-encodes a word's symbols at its pivots into the word
+    Mutant("systematic-pivots-shifted-by-one", "code.py",
+           "self.n - 1 - np.array(pivots[::-1], dtype=np.int64)",
+           "self.n - 2 - np.array(pivots[::-1], dtype=np.int64)",
+           ("tests/test_membership.py::test_membership_is_a_zero_syndrome",)),
+    Mutant("membership-compares-the-pivots-only", "code.py",
+           "return (system.encode_batch(words[:, pivots]) == words).all(axis=1)",
+           "return (system.encode_batch(words[:, pivots])[:, pivots] == words[:, pivots]).all(axis=1)",
+           ("tests/test_membership.py::test_membership_is_a_zero_syndrome",)),
+    Mutant("tensor-pivot-grid-in-fortran-order", "tensor.py",
+           "np.ravel_multi_index(grid, self.shape).ravel()",
+           'np.ravel_multi_index(grid, self.shape).ravel(order="F")',
+           ("tests/test_membership.py::test_membership_is_a_zero_syndrome",)),
+    Mutant("systematic-rows-not-reversed", "code.py",
+           "s = reduced[: self.k, ::-1][::-1]",
+           "s = reduced[: self.k, ::-1]",
+           ("tests/test_membership.py::test_membership_is_a_zero_syndrome",)),
     # --- the min-sum side of a tensor code: per-slice distances summed over the last axis, least over all tuples
     Mutant("min-sum-uint8-accumulator", "tensor.py",
            "self.acc = _unsigned(code.n)",

@@ -161,18 +161,18 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_membership(args) -> int:
-    if args.code and not args.graph:
+    if args.code and (args.graph or args.small):
+        raise ValueError("give either --code or --graph with --small, not both")
+    if args.code:
         code = parse_code_spec(args.code)
         word = _load_word(args, code.field)
-        print("true" if code.contains(word) else "false")
-        return 0
-    if args.graph and args.small:
-        graph = parse_graph_spec(args.graph)
-        small = parse_code_spec(args.small)
-        word = _load_word(args, small.field)
-        print("true" if TannerCode(graph, small).contains(word) else "false")
-        return 0
-    raise ValueError("membership needs --code, or --graph with --small")
+    elif args.graph and args.small:
+        graph, small = parse_graph_spec(args.graph), parse_code_spec(args.small)
+        word, code = _load_word(args, small.field), TannerCode(graph, small)
+    else:
+        raise ValueError("membership needs --code, or --graph with --small")
+    print("true" if code.contains(word) else "false")
+    return 0
 
 
 def _cmd_robustness(args) -> int:

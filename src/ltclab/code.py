@@ -372,14 +372,24 @@ class LinearCode:
         """Encode a (B, k) batch of messages into a (B, n) array."""
         return (messages @ self.generator) % self.field.q
 
+    @functools.cached_property
+    def _systematic(self) -> tuple["LinearCode", np.ndarray]:
+        """(S, pivots): the generator systematic on the code's last information set, the RREF of its reversed
+        columns, reversed, and the increasing columns where S is the identity.  S declares no distance."""
+        reduced, pivots = linalg.rref(self.generator[:, ::-1], self.field.q)
+        s = reduced[: self.k, ::-1][::-1]
+        return LinearCode(self.field, s, _reduced=True), self.n - 1 - np.array(pivots[::-1], dtype=np.int64)
+
     def contains(self, word: Word) -> bool:
-        """Membership via the parity check."""
+        """Membership by re-encoding the information set, as a batch of one."""
         return bool(self.contains_batch(word_values(word, self.field, self.n, self.shape)[None])[0])
 
     def contains_batch(self, words: np.ndarray) -> np.ndarray:
-        """Vectorized membership for a (B, n) array of words, refused as ``residues`` refuses."""
+        """Membership of a (B, n) array of words, refused as ``residues`` refuses: w is a codeword exactly when
+        S re-encodes w's symbols on the pivots of ``_systematic`` into w."""
         residues(self.field, words, self.n)
-        return ~np.any((words @ self.parity_check.T) % self.field.q, axis=1)
+        system, pivots = self._systematic
+        return (system.encode_batch(words[:, pivots]) == words).all(axis=1)
 
     # --- exhaustive oracles -------------------------------------------------
 

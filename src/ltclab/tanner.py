@@ -351,16 +351,15 @@ def _derived_within(graph: OrderedGraph, small: LinearCode, budget: str) -> Opti
 def power_code(graph: OrderedGraph, small: LinearCode) -> Optional[LinearCode]:
     """TPC(graph, small) = C^m in factor form, when ``graph`` is product:n=C.n,m=m (by its label) and ``small`` is
     C^(m-1) of one code object C (a flat C for m = 2); else None.  The factors are S, the basis of C systematic on its
-    last information set, so kron(S, ..., S) is the basis ``tpc_linear_code`` derives; a full-space C gives the
-    full-space code, refused as ``_derived_within`` refuses."""
+    last information set (``C._systematic``), so kron(S, ..., S) is the basis ``tpc_linear_code`` derives; a
+    full-space C gives the full-space code, refused as ``_derived_within`` refuses."""
     factors = getattr(small, "factors", (small,))
     c, m = factors[0], len(factors) + 1
     if graph.label != f"product:n={c.n},m={m}" or any(f is not c for f in factors):
         return None
     if c.k == c.n:
         return _derived_within(graph, small, "DERIVED_PARITY_CELLS")
-    s = linalg.rref(c.generator[:, ::-1], c.field.q)[0][: c.k, ::-1][::-1]  # the reversed columns' RREF, reversed
-    return tensor_power(LinearCode(c.field, s, _reduced=True), m)
+    return tensor_power(c._systematic[0], m)
 
 
 def tpc_linear_code(graph: OrderedGraph, small: LinearCode, budget: str = "PARITY_CELLS") -> LinearCode:

@@ -450,6 +450,12 @@ ROBUSTNESS = ["robustness", "--graph", "product:n=2,m=2", "--small", "rep:q=2,n=
          "give either --word or --word-file, not both"),
         (["membership", "--code", "rep:q=2,n=3"], "a word is required (--word or --word-file)"),
         (["membership", "--word", "1,1,1"], "membership needs --code, or --graph with --small"),
+        # A mix of the two questions is refused before any spec is parsed, not answered for one of them.
+        (["membership", "--code", "rep:q=2,n=4", "--graph", "product:n=2,m=2", "--small", "rep:q=2,n=2",
+          "--word", "1,1,0,0"], "give either --code or --graph with --small, not both"),
+        (["membership", "--code", "rep:q=2,n=4", "--small", "not-a-spec", "--word", "1,1,0,0"],
+         "give either --code or --graph with --small, not both"),
+        (["expansion-check", "--graph", "iterated:n=2,m=3,mp=3"], "need 1 <= mp < m, got m=3, mp=3"),
         (TINY_SWEEP + ["--format", "csv", "--corpus", "uniform:2"], "CSV output requires an output path"),
         (["min-distance", "--code", "rep:q=2,n=2^2^2"], "nested tensor powers are not supported"),
         (["query-account", "--n", "2", "--t", "1"], "need t >= 2, got 1"),
@@ -486,7 +492,8 @@ ROBUSTNESS = ["robustness", "--graph", "product:n=2,m=2", "--small", "rep:q=2,n=
         (NINE_SYMBOL_SWEEP + ["--corpus", "low_weight,wmax=x"],
          "spec 'low_weight,wmax=x' must give 'wmax' an integer, got 'x'"),
     ],
-    ids=["word-and-word-file", "no-word", "membership-without-code", "csv-without-out", "nested-power",
+    ids=["word-and-word-file", "no-word", "membership-without-code", "membership-code-with-graph",
+         "membership-code-with-small", "iterated-mp-not-below-m", "csv-without-out", "nested-power",
          "query-account-t", "query-account-n", "query-account-alpha-0", "query-account-alpha-above-1",
          "codewords-without-reference", "robustness-tau-negative", "robustness-tau-above-1", "sweep-tau-above-1",
          "codeword-plus-weight-past-n", "mixed-past-n", "fraction-over-0", "power-of-0-below-0",
@@ -598,6 +605,18 @@ def test_cube_membership_checks_axis_lines_in_little_memory(symbols, answer):
     assert int(run.stderr) < 100 * 1024
 
 
+@pytest.mark.parametrize("flip, answer", [(None, "true"), (4321, "false")], ids=["all-ones", "one-symbol-off"])
+def test_a_long_repetition_code_answers_membership_in_under_a_second(capsys, flip, answer):
+    # Its 4999 x 5000 parity check is past PARITY_CELLS; membership re-encodes the one pivot symbol instead.
+    symbols = ["1"] * 5000
+    if flip is not None:
+        symbols[flip] = "0"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "membership", "--code", "rep:q=2,n=5000", "--word", ",".join(symbols))
+    assert time.perf_counter() - start < 1
+    assert code == 0 and out == f"{answer}\n" and err == ""
+
+
 def test_an_empty_corpus_writes_an_empty_csv(capsys, tmp_path):
     path = tmp_path / "r.csv"
     code, out, _ = run_cli(capsys, *TINY_SWEEP, "--corpus", "uniform:0", "--format", "csv", "--out", str(path))
@@ -672,9 +691,6 @@ def test_interval_reports_are_pinned(capsys, alpha, holds, digest):
         # 2^14001 generator cells have more digits than Python will print.
         (["build-code", "--code", "rep:q=2,n=2^14001"],
          "generator would hold at least 2^14001, past GENERATOR_CELLS = 16777216"),
-        # Refused before the 4999 x 5000 parity check is allocated.
-        (["membership", "--code", "rep:q=2,n=5000", "--word", ",".join(["1"] * 5000)],
-         "parity-check matrix would hold 24995000, past PARITY_CELLS = 16777216"),
         # Refused before the (10^20, 9) corpus array is asked of numpy.
         (["sweep", "--graph", "product:n=3,m=2", "--small", "rep:q=2,n=3", "--corpus", "uniform:99999999999999999999"],
          "corpus would hold 899999999999999999991, past CORPUS_CELLS = 67108864"),
@@ -689,7 +705,7 @@ def test_interval_reports_are_pinned(capsys, alpha, holds, digest):
          "exhaustive expansion scan would hold at least 56049058, past EXPANSION_PAIRS = 10000000"),
     ],
     ids=["expansion-check", "sweep", "min-distance-counted-to-a-power-of-q", "build-code-too-large-to-print",
-         "membership-parity-check", "sweep-corpus", "expansion-check-sampled", "expansion-check-sampled-masks",
+         "sweep-corpus", "expansion-check-sampled", "expansion-check-sampled-masks",
          "expansion-check-counted-to-the-budget"],
 )
 def test_a_refusal_is_a_usage_error_naming_its_budget(capsys, argv, message):

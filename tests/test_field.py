@@ -151,3 +151,13 @@ def test_subtraction_division_and_conversions():
 def test_an_operand_that_is_not_an_integer_raises_type_error(op):
     with pytest.raises(TypeError):
         op(Field(7).element(3))
+
+
+def test_a_field_and_its_elements_are_immutable_and_equal_fields_hash_equal():
+    f, a = Field(7), Field(7).element(3)
+    with pytest.raises(AttributeError, match="^Field is immutable$"):
+        f.q = 11
+    with pytest.raises(AttributeError, match="^FieldElement is immutable$"):
+        a.value = 4
+    assert f.q == 7 and a.value == 3
+    assert Field(7) == f and hash(Field(7)) == hash(f) and len({Field(7), f, Field(5)}) == 2

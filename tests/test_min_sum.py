@@ -1,7 +1,8 @@
 """The min-sum side of a tensor code's distance oracle against int64 brute force.
 
 A codeword of Y (x) X is, slice by slice along the last axis, Y's codeword of sum_l R[l, j] u_l for the rows R of
-X's RREF; the min-sum side takes the least of the per-slice distances over all message tuples.  Each check here
+X's ``_systematic`` generator, systematic on X's last information set; the min-sum side takes the least of the
+per-slice distances over all message tuples.  Each check here
 compares with every codeword, encoded from itertools.product messages by an int64 Kronecker matmul, and counted
 word by word.
 """
@@ -108,11 +109,13 @@ BLOCKS = [
 
 def last_tuple_codeword(code: TensorCode) -> np.ndarray:
     """The codeword of the message tuple whose every digit is q - 1, which the last block holds: each u_l is the
-    Y message (q - 1, ..., q - 1), so slice j is Y's codeword of it times the sum of column j of X's RREF."""
+    Y message (q - 1, ..., q - 1), so slice j is Y's codeword of it times the sum of column j of the rows that the
+    plan reads, X's systematic generator."""
     *lead, last = code.factors
     q = code.field.q
     y = TensorCode(lead).encode_batch(np.full((1, code.k // last.k), q - 1))[0].astype(np.int64)
-    rows = linalg.rref(last.generator, q)[0][: last.k]
+    rows = last._systematic[0].generator
+    assert code._min_sum_plan.pivots is last._systematic[1]
     return (y[:, None] * rows.sum(axis=0)[None, :] % q).reshape(1, -1)
 
 

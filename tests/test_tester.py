@@ -16,7 +16,7 @@ from ltclab.errors import FieldMismatchError, LengthMismatchError, TooLargeToEnu
 from ltclab.field import Field
 from ltclab.harness import instance_from_specs, product_instance
 from ltclab.tanner import OrderedGraph, TannerCode, product_graph, tpc_linear_code
-from ltclab.tensor import tensor_power
+from ltclab.tensor import TensorWord, tensor_power
 from ltclab.tester import TestInstance
 
 GF2 = Field(2)
@@ -744,3 +744,22 @@ def test_certify_refuses_a_robustness_constant_that_is_not_positive(rep3_square,
     # rho >= alpha * delta holds for every word at alpha <= 0.
     with pytest.raises(ValueError, match="alpha must be positive"):
         rep3_square.certify(_e11(rep3_square), alpha)
+
+
+def test_every_object_names_itself_in_its_repr(monkeypatch):
+    graph, small = product_graph(2, 2), repetition(GF2, 2)
+    assert repr(Word(GF2, [1, 0, 1])) == "Word(GF(2), [1,0,1])"
+    assert repr(Word(Field(3), [1] * 13)) == "Word(GF(3), [1,1,1,1,1,1,1,1,1,1,1,1,...])"
+    assert repr(reed_solomon(Field(7), 7, 3)) == "LinearCode[7,3,5] over GF(7)"
+    assert repr(reed_solomon(Field(7), 7, 3)._systematic[0]) == "LinearCode[7,3,?] over GF(7)"
+    assert repr(tensor_power(small, 2)) == "TensorCode[4,1,4] over GF(2)"
+    assert repr(TensorWord(GF2, (2, 2), [1, 1, 1, 1])) == "TensorWord(GF(2), shape=(2, 2))"
+    named = "OrderedGraph(4, 4, 2, explicit 'product:n=2,m=2')"
+    assert repr(graph) == named
+    assert repr(OrderedGraph.from_lists(2, [[1, 2]])) == "OrderedGraph(2, 1, 2, explicit)"
+    assert repr(TannerCode(graph, small)) == f"TannerCode({named}, LinearCode[2,1,2] over GF(2))"
+    assert repr(TestInstance(graph, small)) == (
+        f"TestInstance('product:n=2,m=2', {named}, small=LinearCode[2,1,2] over GF(2))"
+    )
+    monkeypatch.setattr(ltclab.config, "ADJACENCY_BUDGET", 0)
+    assert repr(product_graph(2, 2)) == "OrderedGraph(4, 4, 2, computed 'product:n=2,m=2')"
